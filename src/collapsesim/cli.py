@@ -11,8 +11,9 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical guard tripped.
 CSV files carry a header row with units and 17 significant digits, so a
 (config, seed) pair reproduces them byte for byte.  The JSON summary echoes
 the resolved configuration (its wall_time field is the one value excluded
-from the byte-reproducibility contract).  COLLAPSE_SIM_THREADS limits the
-ensemble worker count.
+from the byte-reproducibility contract).  The trajectories of an ensemble
+are stepped together in one batch (engine.run_ensemble); trajectory i
+depends only on the config and on seed + i.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,8 @@ import yaml
 
 from . import analysis
 from .config import ConfigError, RunConfig, build_initial_state, load_config
-from .engine import run_trajectory
+# run_trajectory is not called here; bench/spans.py looks it up as cli.run_trajectory
+from .engine import run_ensemble, run_trajectory  # noqa: F401
 from .lattice import GuardError
 from .models import (LATTICE_MAPPING_FORMULA, PRESETS, build_model,
                      preset_lattice_values)
@@ -53,17 +53,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
-
-
-def _worker_count(ensemble: int) -> int:
-    env = os.environ.get("COLLAPSE_SIM_THREADS")
-    if env:
-        try:
-            n = max(1, int(env))
-        except ValueError:
-            n = 1
-        return min(n, ensemble)
-    return min(4, ensemble)
 
 
 def _trajectory_rows(cfg: RunConfig, rec):
@@ -93,21 +82,12 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
         initial = np.outer(psi, psi.conj())
     unconditional = cfg.representation == "mean"
     seeds = [cfg.seed + i for i in range(cfg.ensemble)]
-
-    def one(seed):
-        return run_trajectory(
-            initial, model, cfg.dt, cfg.steps, seed,
-            record_every=cfg.record_every,
-            record_signal=bool(cfg.signal_sites),
-            offdiagonal_pairs=cfg.offdiagonal_pairs,
-            snapshot_every=cfg.snapshot_every,
-            unconditional=unconditional)
-
-    if len(seeds) == 1:
-        records = [one(seeds[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=_worker_count(len(seeds))) as pool:
-            records = list(pool.map(one, seeds))
+    records = run_ensemble(initial, model, cfg.dt, cfg.steps, seeds,
+                           record_every=cfg.record_every,
+                           record_signal=bool(cfg.signal_sites),
+                           offdiagonal_pairs=cfg.offdiagonal_pairs,
+                           snapshot_every=cfg.snapshot_every,
+                           unconditional=unconditional)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     diagnostics = []

@@ -115,8 +115,7 @@ def parse_config(data: dict) -> RunConfig:
                 kappa=float(msec.get("kappa", 2.0)),
                 G=float(msec.get("G", 1.0)),
                 feedback_smearing=msec.get("feedback_smearing"),
-                kernel_kind=msec.get("kernel_kind"),
-                dt=msec.get("dt"))
+                kernel_kind=msec.get("kernel_kind"))
         except ValueError as exc:
             errors.append(f"model: {exc}")
 

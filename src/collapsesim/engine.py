@@ -22,6 +22,7 @@ States may carry leading batch axes (rho: (..., n, n); noise fields:
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -30,6 +31,8 @@ import numpy as np
 from .lattice import GuardError, LatticeGrid, _field_values
 
 STEP_GUARD_FRACTION = 0.1  # reject Euler steps with |increment|_1 above this fraction of |rho|_1
+NOISE_BLOCK = 256  # steps of noise drawn per seed in one call
+BATCH_BYTES = 1 << 25  # states plus noise blocks that run_ensemble steps at once
 
 
 def _diag(rho: np.ndarray) -> np.ndarray:
@@ -180,13 +183,14 @@ def generate_signal(rho: np.ndarray, spec: MonitoringSpec, dt: float, rng, size=
 
 
 def _step_guard(rho, increment, step):
-    inc = np.abs(increment).sum(axis=(-2, -1)).max()
-    ref = np.abs(rho).sum(axis=(-2, -1)).max()
-    if inc > STEP_GUARD_FRACTION * ref:
+    inc = np.ravel(np.abs(increment).sum(axis=(-2, -1)))
+    ref = np.ravel(np.abs(rho).sum(axis=(-2, -1)))
+    k = np.argmax(inc > STEP_GUARD_FRACTION * ref)  # each member against its own |rho|_1
+    if inc[k] > STEP_GUARD_FRACTION * ref[k]:
         raise GuardError(
             "step-size", step,
-            f"|increment|_1 = {inc:.3g} exceeds {STEP_GUARD_FRACTION:g} * |rho|_1 = "
-            f"{STEP_GUARD_FRACTION * ref:.3g}; reduce dt")
+            f"|increment|_1 = {inc[k]:.3g} exceeds {STEP_GUARD_FRACTION:g} * |rho|_1 = "
+            f"{STEP_GUARD_FRACTION * ref[k]:.3g}; reduce dt")
 
 
 def _conditioning(rho, spec: MonitoringSpec, noise_flat) -> np.ndarray:
@@ -365,107 +369,127 @@ class TrajectoryRecord:
     positivity_warnings: list = dc_field(default_factory=list)
 
 
-def run_trajectory(initial: np.ndarray, model, dt: float, steps: int, seed: int,
-                   record_every: int = 1, record_density: bool = False,
-                   record_signal: bool = False, offdiagonal_pairs=(),
-                   snapshot_every: int = 0, monitor_positivity: bool | None = None,
-                   unconditional: bool = False) -> TrajectoryRecord:
-    """Integrate one seeded trajectory of a built model.
+def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
+                 record_every: int = 1, record_density: bool = False,
+                 record_signal: bool = False, offdiagonal_pairs=(),
+                 snapshot_every: int = 0, monitor_positivity: bool | None = None,
+                 unconditional: bool = False) -> list[TrajectoryRecord]:
+    """Integrate one seeded trajectory per seed of a built model (records
+    in seed order); the package's one stepping loop.
 
     initial may be a state vector (pure-state unravelling for monitored
-    models; required for the mean-field baseline) or a density matrix.  The
-    record is fully determined by (model, initial, dt, steps, seed).
-    unconditional runs the noise-averaged master equation instead (the seed
-    is then irrelevant; recorded signals are the observable means).
+    models; required for the mean-field baseline) or a density matrix.
+    unconditional runs the noise-averaged master equation instead (the
+    seeds are then irrelevant; recorded signals are the observable means).
+    Members advance together, one Model.advance call per step, in batches
+    of at most BATCH_BYTES of states and noise.  Member k draws NOISE_BLOCK
+    steps of noise per call from the Philox stream of seeds[k]; one block
+    draw equals as many single draws bit for bit and each step acts on
+    every member alone, so record k is fully determined by (model,
+    initial, dt, steps, seeds[k]).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    rng = np.random.Generator(np.random.Philox(seed))
-    state = np.asarray(initial, complex).copy()
-    pure = state.ndim == 1
-    n_cfg = state.shape[-1]
+    seeds = list(seeds)
+    initial = np.asarray(initial, complex)
+    pure = initial.ndim == 1
     if monitor_positivity is None:
-        monitor_positivity = (not pure) and n_cfg <= 128
-    monitored = model.monitoring is not None
+        monitor_positivity = (not pure) and initial.shape[-1] <= 128
+    draws = model.monitoring is not None and not unconditional
+    n_obs = 0 if model.monitoring is None else model.monitoring.family.shape[0]
 
-    rec_steps = list(range(0, steps + 1, record_every))
-    if rec_steps[-1] != steps:
-        rec_steps.append(steps)
+    rec_steps = sorted(set(range(0, steps + 1, record_every)) | {steps})
     times = dt * np.asarray(rec_steps, float)
     n_rec = len(rec_steps)
-    trace = np.empty(n_rec)
-    purity = np.empty(n_rec)
-    positions = np.empty((n_rec, model.particles.count))
-    density = np.empty((n_rec, model.monitoring.family.shape[0])) if (record_density and monitored) else None
-    signals = np.empty((n_rec, model.monitoring.family.shape[0])) if (record_signal and monitored) else None
     offpairs = np.asarray(offdiagonal_pairs, int).reshape(-1, 2)
-    offdiag = np.empty((n_rec, len(offpairs))) if len(offpairs) else None
-    mineig = np.empty(n_rec) if monitor_positivity else None
-    snapshots = []
-    positivity_events = []
 
-    def record(j, istep, state, last_signal):
+    def new_record(seed):
+        return TrajectoryRecord(
+            seed=seed, times=times, trace=np.empty(n_rec), purity=np.empty(n_rec),
+            positions=np.empty((n_rec, model.particles.count)),
+            density_means=np.empty((n_rec, n_obs)) if (record_density and n_obs) else None,
+            signals=np.empty((n_rec, n_obs)) if (record_signal and n_obs) else None,
+            offdiagonals=np.empty((n_rec, len(offpairs))) if len(offpairs) else None,
+            min_eigenvalue=np.empty(n_rec) if monitor_positivity else None)
+
+    def record(rec, j, istep, state, last_signal):
         rho = np.outer(state, state.conj()) if pure else state
         p = np.diagonal(rho).real
         tr = p.sum()
-        trace[j] = tr
-        purity[j] = np.einsum("xy,yx->", rho, rho).real / (tr * tr)
-        positions[j] = model.position_coordinates @ p / tr
-        if density is not None:
-            density[j] = model.monitoring.family @ p
-        if signals is not None:
-            signals[j] = last_signal if last_signal is not None else model.monitoring.family @ p
-        for m in range(0 if offdiag is None else len(offpairs)):
-            offdiag[j, m] = abs(rho[offpairs[m, 0], offpairs[m, 1]])
-        if mineig is not None:
+        rec.trace[j] = tr
+        rec.purity[j] = np.einsum("xy,yx->", rho, rho).real / (tr * tr)
+        rec.positions[j] = model.position_coordinates @ p / tr
+        if rec.density_means is not None:
+            rec.density_means[j] = model.monitoring.family @ p
+        if rec.signals is not None:
+            rec.signals[j] = last_signal if last_signal is not None else model.monitoring.family @ p
+        if rec.offdiagonals is not None:
+            rec.offdiagonals[j] = [abs(rho[x, y]) for x, y in offpairs]
+        if rec.min_eigenvalue is not None:
             wmin = float(np.linalg.eigvalsh(rho).min())
-            mineig[j] = wmin
+            rec.min_eigenvalue[j] = wmin
             if wmin < -1e-8:
-                positivity_events.append((istep, wmin))
+                rec.positivity_warnings.append((istep, wmin))
         if snapshot_every and (istep % snapshot_every == 0 or istep == steps):
-            snapshots.append((istep * dt, state.copy()))
+            rec.snapshots.append((istep * dt, state.copy()))
 
-    j = 0
-    last_signal = None
-    record(j, 0, state, None)
-    j += 1
-    for i in range(1, steps + 1):
-        if unconditional:
-            state, last_signal = model.advance_unconditional(state, dt, step=i)
-        else:
-            state, last_signal = model.advance(state, dt, rng, step=i)
-        if j < n_rec and i == rec_steps[j]:
-            record(j, i, state, last_signal)
-            j += 1
-    if positivity_events:
-        warnings.warn(
-            f"density matrix dipped below the positivity floor at steps "
-            f"{[s for s, _ in positivity_events][:5]} (min eigenvalue "
-            f"{min(w for _, w in positivity_events):.2e})", RuntimeWarning, stacklevel=2)
-    return TrajectoryRecord(seed=seed, times=times, trace=trace, purity=purity,
-                            positions=positions, density_means=density, signals=signals,
-                            offdiagonals=offdiag, min_eigenvalue=mineig,
-                            snapshots=snapshots, positivity_warnings=positivity_events)
+    records = []
+    width = max(1, BATCH_BYTES // (initial.nbytes + 8 * NOISE_BLOCK * n_obs))
+    for start in range(0, len(seeds), width):
+        batch = [new_record(seed) for seed in seeds[start:start + width]]
+        rngs = [np.random.Generator(np.random.Philox(rec.seed)) for rec in batch]
+        state = np.broadcast_to(initial, (len(batch),) + initial.shape).copy()
+        j = 0
+        for i in range(steps + 1):
+            if i == 0:
+                signal = None
+            elif unconditional:
+                state, signal = model.advance_unconditional(state, dt, step=i, pure=pure)
+            else:
+                if draws and (i - 1) % NOISE_BLOCK == 0:
+                    block = np.stack([model.monitoring.sample_noise_flat(
+                        dt, rng, (min(NOISE_BLOCK, steps - i + 1),)) for rng in rngs], axis=1)
+                noise = block[(i - 1) % NOISE_BLOCK] if draws else None
+                state, signal = model.advance(state, dt, noise, step=i, pure=pure)
+            if i == rec_steps[j]:
+                for k, rec in enumerate(batch):
+                    record(rec, j, i, state[k], None if signal is None else signal[k])
+                j += 1
+        records += batch
+    level, frame = 2, sys._getframe(1)  # warn at the first caller outside this module
+    while frame.f_globals.get("__name__") == __name__:
+        level, frame = level + 1, frame.f_back
+    for rec in records:
+        if rec.positivity_warnings:
+            warnings.warn(
+                f"density matrix dipped below the positivity floor at steps "
+                f"{[s for s, _ in rec.positivity_warnings][:5]} (min eigenvalue "
+                f"{min(w for _, w in rec.positivity_warnings):.2e})", RuntimeWarning,
+                stacklevel=level)
+    return records
+
+
+def run_trajectory(initial: np.ndarray, model, dt: float, steps: int, seed: int,
+                   **record_options) -> TrajectoryRecord:
+    """Integrate one seeded trajectory: run_ensemble with the single seed
+    (record_options as there)."""
+    return run_ensemble(initial, model, dt, steps, [seed], **record_options)[0]
 
 
 def ensemble_mean(model, rho0: np.ndarray, dt: float, steps: int, seeds,
                   chunk: int = 256) -> np.ndarray:
     """Mean density matrix over seeded conditional trajectories.
 
-    Each seed owns its counter-based stream; trajectories advance in
-    vectorized batches and are reduced in seed order, so the result does
-    not depend on the chunk size.
+    Each seed owns its counter-based stream; run_ensemble steps up to chunk
+    trajectories at a time, and final states are summed member by member
+    in seed order, so the result does not depend on the chunk size, bit
+    for bit.
     """
     seeds = list(seeds)
-    n_cfg = rho0.shape[-1]
-    acc = np.zeros((n_cfg, n_cfg), complex)
+    acc = np.zeros(rho0.shape, complex)
     for start in range(0, len(seeds), chunk):
-        batch = seeds[start:start + chunk]
-        rngs = [np.random.Generator(np.random.Philox(s)) for s in batch]
-        rho = np.broadcast_to(rho0, (len(batch), n_cfg, n_cfg)).copy()
-        for i in range(1, steps + 1):
-            noise = np.stack([model.monitoring.kernel.sample_noise(dt, rng) for rng in rngs])
-            rho = combined_step(rho, model.hamiltonian, model.monitoring, model.feedback,
-                                noise, dt, backaction=model.backaction, step=i)
-        acc += rho.sum(axis=0)
+        for rec in run_ensemble(rho0, model, dt, steps, seeds[start:start + chunk],
+                                record_every=steps, snapshot_every=steps,
+                                monitor_positivity=False):
+            acc += rec.snapshots[-1][1]
     return acc / len(seeds)

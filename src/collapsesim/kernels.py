@@ -105,6 +105,13 @@ class CorrelationKernel:
         """Mask of modes on which gamma o gamma^-1 = identity."""
         return self.multiplier > 0
 
+    @cached_property
+    def noise_amplitude(self) -> np.ndarray:
+        """Spectral filter sqrt(1/gamma~) of the noise (zero on excluded modes)."""
+        amp = np.zeros_like(self.multiplier)
+        amp[self.retained] = 1.0 / np.sqrt(self.multiplier[self.retained])
+        return amp
+
     def apply(self, f: np.ndarray) -> np.ndarray:
         """(gamma o f)(r) = integral ds gamma(r-s) f(s)."""
         return self.grid.apply_multiplier(np.asarray(f, float), self.multiplier)
@@ -137,21 +144,10 @@ class CorrelationKernel:
         grid = self.grid
         shape = tuple(size) + grid.dims
         white = rng.standard_normal(shape) / np.sqrt(grid.cell_volume * dt)
-        amp = np.zeros_like(self.multiplier)
-        amp[self.retained] = 1.0 / np.sqrt(self.multiplier[self.retained])
+        amp = self.noise_amplitude
         if self.kind == "csl":
             return white * amp.flat[0]  # delta kernel: no filtering needed
         return grid.apply_multiplier(white, amp)
-
-
-def sample_noise(kernel, dt: float, rng: np.random.Generator, size=()) -> np.ndarray:
-    """Noise field with covariance gamma^-1/dt for any kernel flavor."""
-    return kernel.sample_noise(dt, rng, size)
-
-
-def kernel_quadratic_form(kernel, f: np.ndarray, g: np.ndarray) -> float:
-    """integral dr ds gamma_rs f(r) g(s); symmetric, >= 0 on the diagonal."""
-    return kernel.quad(f, g)
 
 
 @dataclass(frozen=True)

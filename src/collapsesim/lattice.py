@@ -59,17 +59,13 @@ class LatticeGrid:
     def ndim(self) -> int:
         return len(self.dims)
 
-    @property
+    @cached_property
     def n_sites(self) -> int:
         return int(np.prod(self.dims))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
-
-    @property
-    def volume(self) -> float:
-        return self.n_sites * self.cell_volume
 
     @cached_property
     def k_axes(self) -> tuple[np.ndarray, ...]:
@@ -324,11 +320,6 @@ def check_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> None:
     w = np.linalg.eigvalsh(rho)
     if w.min() < -tol:
         raise ValueError(f"density matrix has negative eigenvalue {w.min():g}")
-
-
-def check_state_vector(psi: np.ndarray, tol: float = 1e-9) -> None:
-    if abs(np.linalg.norm(psi) - 1.0) > tol:
-        raise ValueError("state vector is not normalized")
 
 
 @dataclass(frozen=True)

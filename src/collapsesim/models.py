@@ -52,7 +52,6 @@ class ModelSpec:
     G: float = 1.0  # gravitational constant (lattice units)
     feedback_smearing: bool | None = None  # None: off for csl, on for dp
     kernel_kind: str | None = None  # generic only: 'csl' or 'dp'
-    dt: float | None = None  # advisory default step for run configs
     embedded_3d: bool | None = None  # pair kind on 1d chains: use the 3d kernel on the axis
 
     def __post_init__(self):
@@ -218,44 +217,49 @@ class Model:
     def particles(self) -> ParticleSet:
         return self.spec.particles
 
-    def advance(self, state: np.ndarray, dt: float, rng, step: int | None = None):
+    def advance(self, state: np.ndarray, dt: float, noise, step: int | None = None,
+                pure: bool | None = None):
         """One step; returns (state', signal or None).  Dispatches on the
-        model kind and on whether the state is pure."""
+        model kind and on pure: whether the states, which may carry leading
+        batch axes, are state vectors (default: only a 1-d state is).  noise
+        is the step's flat signal noise, (..., n_obs); baselines take None."""
+        if pure is None:
+            pure = state.ndim == 1
         if self.kind in MONITORED_KINDS:
             spec = self.monitoring
-            if state.ndim == 1:
+            if pure:
                 prob = (state.conj() * state).real
-                means = spec.family @ prob
-            else:
-                means = spec.means(state)
-            noise = spec.sample_noise_flat(dt, rng) if rng is not None else np.zeros(spec.family.shape[0])
-            if state.ndim == 1:
+                means = (spec.family @ prob[..., None])[..., 0]
                 new = sse_step(state, self.hamiltonian, spec, self.feedback, noise, dt, step=step)
             else:
+                means = spec.means(state)
                 new = combined_step(state, self.hamiltonian, spec, self.feedback, noise, dt,
                                     backaction=self.backaction, step=step)
             return new, means + noise
         if self.kind == "sn":
-            if state.ndim != 1:
+            if not pure:
                 raise ValueError("the mean-field baseline evolves state vectors")
             return sn_step(state, self, dt, step=step), None
         # exact pair baseline: plain unitary Euler
-        if state.ndim == 1:
-            k = np.einsum("xy,y->x", self.hamiltonian, state) + self.pair_potential * state
+        if pure:
+            k = np.einsum("xy,...y->...x", self.hamiltonian, state) + self.pair_potential * state
             new = state - 1j * dt * k
-            return new / np.linalg.norm(new), None
+            return new / np.linalg.norm(new, axis=-1, keepdims=True), None
         return exact_pair_step(state, self, dt, step=step), None
 
-    def advance_unconditional(self, state: np.ndarray, dt: float, step: int | None = None):
+    def advance_unconditional(self, state: np.ndarray, dt: float, step: int | None = None,
+                              pure: bool | None = None):
         """Noise-averaged step: the linear master equation for monitored
         kinds, the (already deterministic) baseline step otherwise."""
+        if pure is None:
+            pure = state.ndim == 1
         if self.kind in MONITORED_KINDS:
-            if state.ndim != 2:
+            if pure:
                 raise ValueError("the unconditional evolution needs a density matrix")
             new = me_step(state, self.hamiltonian, self.monitoring, self.feedback,
                           dt, backaction=self.backaction, step=step)
             return new, self.monitoring.means(new)
-        return self.advance(state, dt, None, step=step)
+        return self.advance(state, dt, None, step=step, pure=pure)
 
 
 def build_model(spec: ModelSpec) -> Model:
@@ -294,12 +298,16 @@ def build_model(spec: ModelSpec) -> Model:
 
 def mean_density(grid: LatticeGrid, particles: ParticleSet, prob: np.ndarray) -> np.ndarray:
     """<rho(r)> of a configuration distribution: per-particle position
-    marginals stacked into a mass density field."""
+    marginals stacked into a mass density field.  prob may carry leading
+    batch axes: (..., n_configs) -> (..., *grid.dims)."""
     sites = config_sites(grid, particles)
-    dens = np.zeros(grid.n_sites)
+    rows = prob.reshape(-1, prob.shape[-1])
+    offset = grid.n_sites * np.arange(rows.shape[0])[:, None]  # row b: bins b*M .. b*M+M-1
+    dens = np.zeros(rows.shape[0] * grid.n_sites)
     for n, m in enumerate(particles.masses):
-        dens += m * np.bincount(sites[:, n], weights=prob, minlength=grid.n_sites)
-    return dens.reshape(grid.dims) / grid.cell_volume
+        dens += m * np.bincount((sites[:, n] + offset).ravel(), weights=rows.ravel(),
+                                minlength=dens.size)
+    return dens.reshape(prob.shape[:-1] + grid.dims) / grid.cell_volume
 
 
 def sn_step(psi: np.ndarray, model: Model, dt: float, step: int | None = None) -> np.ndarray:
@@ -307,19 +315,20 @@ def sn_step(psi: np.ndarray, model: Model, dt: float, step: int | None = None) -
     <rho> of the current state, making the evolution nonlinear in psi.
 
     Euler step with the resulting single-particle potential; the norm is
-    restored exactly afterwards (Euler preserves it to O(dt^2))."""
+    restored exactly afterwards (Euler preserves it to O(dt^2)).  psi may
+    carry leading batch axes."""
     grid, particles = model.grid, model.particles
     prob = (psi.conj() * psi).real
     phi = coulomb_potential(mean_density(grid, particles, prob), grid, model.spec.G)
-    phi_flat = phi.reshape(-1)
+    phi_flat = phi.reshape(prob.shape[:-1] + (-1,))
     sites = config_sites(grid, particles)
-    v = np.zeros(sites.shape[0])
+    v = np.zeros(prob.shape)
     for n, m in enumerate(particles.masses):
-        v += m * phi_flat[sites[:, n]]
-    knew = np.einsum("xy,y->x", model.hamiltonian, psi) + v * psi
+        v += m * phi_flat[..., sites[:, n]]
+    knew = np.einsum("xy,...y->...x", model.hamiltonian, psi) + v * psi
     out = psi - 1j * dt * knew
-    nrm = np.linalg.norm(out)
-    if nrm < 0.1:
+    nrm = np.linalg.norm(out, axis=-1, keepdims=True)
+    if np.any(nrm < 0.1):
         raise GuardError("norm-collapse", step, "mean-field step collapsed the norm")
     return out / nrm
 

@@ -4,9 +4,10 @@ import pytest
 from collapsesim import (LatticeGrid, MatrixKernel, ParticleSet, build_model,
                          combined_step, ensemble_mean, expectation,
                          feedback_step, generate_signal, hcal_apply,
-                         hfb_identity_check, me_step, run_trajectory, sme_step,
-                         sse_step)
-from collapsesim.engine import (FeedbackSpec, MonitoringSpec,
+                         hfb_identity_check, me_step, run_ensemble, run_trajectory,
+                         sme_step, sse_step)
+from collapsesim import engine
+from collapsesim.engine import (FeedbackSpec, MonitoringSpec, _step_guard,
                                 hfb_family_identity_check)
 from collapsesim.kernels import CorrelationKernel
 from collapsesim.lattice import GuardError
@@ -132,6 +133,18 @@ class TestSmeStep:
         rho = random_density_matrix(rng, 2)
         with pytest.raises(GuardError, match="step-size"):
             sme_step(rho, np.zeros((2, 2)), spec, np.array([5.0]), dt=0.1)
+
+    def test_step_guard_judges_each_member_alone(self):
+        # a large |rho|_1 elsewhere in the batch must not cover a member's step
+        diag = np.eye(8, dtype=complex) / 8.0  # |rho|_1 = 1
+        coherent = np.full((8, 8), 1.0 / 8.0, complex)  # |rho|_1 = 8
+        inc = np.zeros((8, 8), complex)
+        inc[0, 0] = 0.125
+        with pytest.raises(GuardError, match="step-size"):
+            _step_guard(diag, inc, 1)
+        with pytest.raises(GuardError, match="step-size"):
+            _step_guard(np.stack([diag, coherent]), np.stack([inc, np.zeros_like(inc)]), 1)
+        _step_guard(np.stack([diag, coherent]), np.stack([0.5 * inc, 4.0 * inc]), 1)
 
 
 class TestFeedbackStep:
@@ -292,6 +305,19 @@ class TestMeStep:
         dist = 0.5 * np.abs(np.linalg.eigvalsh(mean - rho_me)).sum()
         assert dist < 5.0 / np.sqrt(n_traj)
 
+    def test_ensemble_mean_chunk_independent_bitwise(self):
+        grid = LatticeGrid((2,), 1.0)
+        spec = ModelSpec(kind="csl", grid=grid, particles=ParticleSet([1.0]),
+                         sigma=0.35, gamma=0.6, G=0.15)
+        model = build_model(spec)
+        psi = np.array([1.0, 1.0], complex) / np.sqrt(2.0)
+        rho0 = np.outer(psi, psi.conj())
+        n = 40
+        ref = ensemble_mean(model, rho0, 1e-3, 30, seeds=range(n), chunk=1)
+        for chunk in (7, n):
+            got = ensemble_mean(model, rho0, 1e-3, 30, seeds=range(n), chunk=chunk)
+            assert got.tobytes() == ref.tobytes()
+
 
 class TestSseStep:
     def test_norm_exactly_one(self, rng):
@@ -407,3 +433,83 @@ class TestRunTrajectory:
         dt = 1e-3
         rec = run_trajectory(rho, model, dt, 1000, seed=4, record_every=1000)
         assert 1.0 - rec.purity[-1] < 10.0 * dt
+
+
+RECORD_FIELDS = ("times", "trace", "purity", "positions", "density_means", "signals",
+                 "offdiagonals", "min_eigenvalue")
+
+
+def assert_records_bitwise_equal(a, b):
+    assert a.seed == b.seed
+    for name in RECORD_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.tobytes() == y.tobytes(), name
+    assert [t for t, _ in a.snapshots] == [t for t, _ in b.snapshots]
+    for (_, x), (_, y) in zip(a.snapshots, b.snapshots):
+        assert x.tobytes() == y.tobytes()
+    assert a.positivity_warnings == b.positivity_warnings
+
+
+class TestRunEnsemble:
+    # 300 steps: one full noise block and a partial one
+    steps, dt = 300, 1e-4
+    options = dict(record_every=7, record_signal=True, record_density=True,
+                   offdiagonal_pairs=[(3, 5)], snapshot_every=100)
+
+    @staticmethod
+    def cat_model():
+        grid = LatticeGrid((8,), 1.0)
+        spec = ModelSpec(kind="csl", grid=grid, particles=ParticleSet([1.0]),
+                         sigma=1.0, gamma=1.0, G=0.1)
+        psi = np.zeros(8, complex)
+        psi[3] = psi[5] = 2**-0.5
+        return build_model(spec), psi
+
+    @pytest.mark.parametrize("representation", ["density", "pure"])
+    def test_member_equals_run_trajectory_bitwise(self, representation, monkeypatch):
+        model, psi = self.cat_model()
+        initial = psi if representation == "pure" else np.outer(psi, psi.conj())
+        seeds = [11, 3, 12]
+        batched = run_ensemble(initial, model, self.dt, self.steps, seeds, **self.options)
+        monkeypatch.setattr(engine, "BATCH_BYTES", 1)  # one member per batch
+        split = run_ensemble(initial, model, self.dt, self.steps, seeds, **self.options)
+        for seed, a, b in zip(seeds, batched, split):
+            one = run_trajectory(initial, model, self.dt, self.steps, seed, **self.options)
+            assert_records_bitwise_equal(a, one)
+            assert_records_bitwise_equal(b, one)
+
+    def test_blocked_noise_matches_per_step_draws(self):
+        # reference loop: a fresh single draw every step, as the stream is read
+        model, psi = self.cat_model()
+        rho0 = np.outer(psi, psi.conj())
+        seed = 5
+        rec = run_ensemble(rho0, model, self.dt, self.steps, [seed],
+                           record_every=self.steps, record_signal=True,
+                           snapshot_every=self.steps)[0]
+        rng = np.random.Generator(np.random.Philox(seed))
+        mon = model.monitoring
+        rho = rho0
+        for i in range(1, self.steps + 1):
+            noise = mon.sample_noise_flat(self.dt, rng)
+            signal = mon.means(rho) + noise
+            rho = combined_step(rho, model.hamiltonian, mon, model.feedback, noise, self.dt,
+                                step=i)
+        assert rec.snapshots[-1][1].tobytes() == rho.tobytes()
+        assert rec.signals[-1].tobytes() == signal.tobytes()
+
+    @pytest.mark.parametrize("kind", ["sn", "pair"])
+    def test_deterministic_baselines_batch(self, kind):
+        grid = LatticeGrid((8,), 1.0)
+        spec = ModelSpec(kind=kind, grid=grid, particles=ParticleSet([1.0, 1.0]), G=0.3)
+        model = build_model(spec)
+        psi = np.kron(random_state(np.random.default_rng(1), 8),
+                      random_state(np.random.default_rng(2), 8))
+        recs = run_ensemble(psi, model, 1e-3, 20, [0, 1], snapshot_every=20)
+        a, b = (r.snapshots[-1][1] for r in recs)
+        assert a.tobytes() == b.tobytes()  # no noise: every seed agrees
+        state = psi
+        for i in range(1, 21):
+            state, _ = model.advance(state, 1e-3, None, step=i)
+        np.testing.assert_allclose(a, state, atol=1e-14)

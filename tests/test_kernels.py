@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collapsesim import CorrelationKernel, LatticeGrid, coulomb_potential, smear
 from collapsesim.kernels import (MatrixKernel, axis_profile_3d,
@@ -100,6 +101,19 @@ class TestSampleNoise:
         c = kern.sample_noise(0.1, np.random.Generator(np.random.Philox(43)))
         np.testing.assert_array_equal(a, b)
         assert np.abs(a - c).max() > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["csl", "dp"]),
+           dims=st.sampled_from([(2,), (8,), (6, 5), (4, 4, 4)]),
+           n=st.integers(1, 600).filter(lambda n: n % 256 != 0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_block_draw_equals_single_draws_bitwise(self, kind, dims, n, seed):
+        # the ensemble loop draws many steps per call; the stream must not notice
+        kern = CorrelationKernel(kind, LatticeGrid(dims, 1.0), gamma=0.7, kappa=2.0, G=0.3)
+        block = kern.sample_noise(1e-3, np.random.Generator(np.random.Philox(seed)), size=(n,))
+        rng = np.random.Generator(np.random.Philox(seed))
+        singles = np.stack([kern.sample_noise(1e-3, rng) for _ in range(n)])
+        assert block.tobytes() == singles.tobytes()
 
     def test_dp_covariance_matches_inverse_kernel(self):
         # Monte Carlo covariance oracle against gamma^-1 / dt
