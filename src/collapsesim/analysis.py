@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import me_step
+from .engine import ensemble_mean, me_step, run_ensemble
 from .kernels import coulomb_multiplier, smear_multiplier, smeared_point_profile
 from .models import Model, ModelSpec, kappa_decoherence_coefficient
 
@@ -196,8 +196,6 @@ class LinearityReport:
 
 def _ensemble_average_monitored(model: Model, members, t: float, dt: float,
                                 n_samples: int, seed0: int) -> np.ndarray:
-    from .engine import ensemble_mean
-
     steps = int(round(t / dt))
     dim = len(members[0][1])
     avg = np.zeros((dim, dim), complex)
@@ -215,9 +213,9 @@ def _ensemble_average_meanfield(model: Model, members, t: float, dt: float) -> n
     dim = len(members[0][1])
     avg = np.zeros((dim, dim), complex)
     for weight, psi in members:
-        state = np.asarray(psi, complex).copy()
-        for i in range(1, steps + 1):
-            state, _ = model.advance(state, dt, None, step=i)
+        rec = run_ensemble(psi, model, dt, steps, [0], record_every=steps,
+                           snapshot_every=steps)[0]
+        state = rec.snapshots[-1][1]
         avg += weight * np.outer(state, state.conj())
     return avg
 

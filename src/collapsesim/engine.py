@@ -18,6 +18,10 @@ feedback is an exact diagonal phase conjugation.
 
 States may carry leading batch axes (rho: (..., n, n); noise fields:
 (..., grid dims)); all step functions broadcast over them.
+
+run_ensemble is the one stepping loop: it draws each seed's noise in blocks
+of NOISE_BLOCK steps and computes a block's state-independent conditioning
+field once; the step functions compute it themselves when not handed it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,24 +61,15 @@ def hcal_apply(observable, rho: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MonitoringSpec:
-    """Simultaneously monitored diagonal observables and their correlation.
-
-    family[nu, x] is the diagonal value of observable nu on configuration x.
-    On a lattice the index nu runs over grid sites (A_r = smeared mass
-    density at r) and integrals carry the cell volume; for an explicit
-    finite observable set (MatrixKernel) sums carry unit weight.
-
-    pair_rate[x, y] = Q_gamma(A(., x) - A(., y)) is precomputed once; it is
-    the full kernel-weighted double-commutator rate table, so each Euler
-    step only needs element-wise work.
-    """
+class _DiagonalFamily:
+    """Diagonal observables family[nu, x] (observable nu on configuration
+    x) with their correlation kernel.  On a lattice nu runs over grid sites
+    and integrals carry the cell volume; for an explicit finite observable
+    set (MatrixKernel) sums carry unit weight."""
 
     family: np.ndarray  # (n_obs, n_configs)
     kernel: object  # CorrelationKernel | MatrixKernel
     grid: LatticeGrid | None = None  # set when observables live on grid sites
-    sigma: float = 0.0  # smearing width used to build the family (record)
-    pair_rate: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         fam = np.asarray(self.family, float)
@@ -82,9 +78,6 @@ class MonitoringSpec:
         if self.grid is not None and fam.shape[0] != self.grid.n_sites:
             raise ValueError("family rows must match the grid site count")
         object.__setattr__(self, "family", fam)
-        gram = self.weight * fam.T @ self.apply_kernel_columns(fam)
-        d = np.diag(gram)
-        object.__setattr__(self, "pair_rate", d[:, None] + d[None, :] - gram - gram.T)
 
     @property
     def weight(self) -> float:
@@ -92,12 +85,38 @@ class MonitoringSpec:
         return self.grid.cell_volume if self.grid is not None else 1.0
 
     def apply_kernel_columns(self, fam: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """gamma o f column-by-column for an (n_obs, n_cols) stack of fields."""
+        """gamma o f (or gamma^-1 o f) column-by-column for an (n_obs, n_cols) stack."""
         op = self.kernel.apply_inverse if inverse else self.kernel.apply
         if self.grid is None:
             return op(fam.T).T
         cols = np.moveaxis(fam.reshape(self.grid.dims + (-1,)), -1, 0)
         return np.moveaxis(op(cols), 0, -1).reshape(fam.shape)
+
+    def _pair_rate_table(self, inverse: bool) -> np.ndarray:
+        """Q(F(., x) - F(., y)) for all configuration pairs, from the Gram matrix."""
+        gram = self.weight * self.family.T @ self.apply_kernel_columns(self.family, inverse)
+        d = np.diag(gram)
+        return d[:, None] + d[None, :] - gram - gram.T
+
+
+@dataclass(frozen=True)
+class MonitoringSpec(_DiagonalFamily):
+    """Simultaneously monitored diagonal observables (on a lattice, the
+    smeared mass density A_r at every site r) and their correlation."""
+
+    sigma: float = 0.0  # smearing width used to build the family (record)
+
+    @cached_property
+    def pair_rate(self) -> np.ndarray:
+        """Q_gamma(A(., x) - A(., y)), the double-commutator rate table, built
+        on first use (the pure-state unravelling never reads it)."""
+        return self._pair_rate_table(inverse=False)
+
+    @cached_property
+    def self_quadratic(self) -> np.ndarray:
+        """Q_gamma(A(., x), A(., x)) per configuration."""
+        applied = self.apply_kernel_columns(self.family)
+        return self.weight * np.einsum("ox,ox->x", self.family, applied)
 
     def apply_kernel_flat(self, vec: np.ndarray) -> np.ndarray:
         """gamma o v on flat observable vectors (batched on leading axes)."""
@@ -105,6 +124,13 @@ class MonitoringSpec:
             return self.kernel.apply(vec)
         shaped = vec.reshape(vec.shape[:-1] + self.grid.dims)
         return self.kernel.apply(shaped).reshape(vec.shape)
+
+    def conditioning_field(self, noise_flat: np.ndarray) -> np.ndarray:
+        """c(x) = int dr A_r(x) (gamma o dnoise)(r), the state-independent part
+        of the conditioning term, (..., n_obs) -> (..., n_configs); each leading
+        index is transformed alone, so a block of steps gives the per-step bits."""
+        w = self.apply_kernel_flat(noise_flat)
+        return self.weight * np.einsum("ox,...o->...x", self.family, w)
 
     def sample_noise_flat(self, dt: float, rng, size=()) -> np.ndarray:
         """Signal noise with covariance gamma^-1/dt, flat observable index."""
@@ -122,45 +148,19 @@ class MonitoringSpec:
         """<A_nu> for every monitored observable."""
         return np.einsum("ox,...x->...o", self.family, _diag(rho).real)
 
-    def self_quadratic(self) -> np.ndarray:
-        """Q_gamma(A(., x), A(., x)) per configuration (cached)."""
-        cache = self.__dict__.get("_self_quadratic")
-        if cache is None:
-            applied = self.apply_kernel_columns(self.family)
-            cache = self.weight * np.einsum("ox,ox->x", self.family, applied)
-            self.__dict__["_self_quadratic"] = cache
-        return cache
-
 
 @dataclass(frozen=True)
-class FeedbackSpec:
+class FeedbackSpec(_DiagonalFamily):
     """Diagonal feedback operators B_nu paired index-by-index with the
     monitored observables; owns the back-action decoherence rate table
-    (inverse-kernel weighted)."""
+    (inverse-kernel weighted, built on first use: only the noise-averaged
+    step reads it)."""
 
-    family: np.ndarray  # (n_obs, n_configs)
-    kernel: object
-    grid: LatticeGrid | None = None
     smeared: bool = False  # whether the optional smearing was applied
-    pair_rate_inverse: np.ndarray = dc_field(init=False, repr=False)
 
-    def __post_init__(self):
-        fam = np.asarray(self.family, float)
-        if fam.ndim != 2:
-            raise ValueError("family must have shape (n_obs, n_configs)")
-        object.__setattr__(self, "family", fam)
-        if self.grid is None:
-            applied = self.kernel.apply_inverse(fam.T).T
-        else:
-            cols = np.moveaxis(fam.reshape(self.grid.dims + (-1,)), -1, 0)
-            applied = np.moveaxis(self.kernel.apply_inverse(cols), 0, -1).reshape(fam.shape)
-        gram = self.weight * fam.T @ applied
-        d = np.diag(gram)
-        object.__setattr__(self, "pair_rate_inverse", d[:, None] + d[None, :] - gram - gram.T)
-
-    @property
-    def weight(self) -> float:
-        return self.grid.cell_volume if self.grid is not None else 1.0
+    @cached_property
+    def pair_rate_inverse(self) -> np.ndarray:
+        return self._pair_rate_table(inverse=True)
 
     def potential(self, signal_flat: np.ndarray) -> np.ndarray:
         """Diagonal of int signal_nu B_nu: the fed-back potential."""
@@ -193,14 +193,13 @@ def _step_guard(rho, increment, step):
             f"{STEP_GUARD_FRACTION * ref[k]:.3g}; reduce dt")
 
 
-def _conditioning(rho, spec: MonitoringSpec, noise_flat) -> np.ndarray:
-    """(1/2) iint gamma_rs {A_r - <A_r>, rho} dnoise_s, element-wise.
+def _conditioning(rho, c) -> np.ndarray:
+    """(1/2) iint gamma_rs {A_r - <A_r>, rho} dnoise_s, element-wise, from
+    the conditioning field c = MonitoringSpec.conditioning_field(noise).
 
     Exactly traceless path-wise: c(x) + c(y) - 2<c> contracts to zero
     against the diagonal of rho.
     """
-    w = spec.apply_kernel_flat(noise_flat)
-    c = spec.weight * np.einsum("ox,...o->...x", spec.family, w)
     cmean = np.einsum("...x,...x->...", c, _diag(rho).real)
     shifted = c[..., :, None] + c[..., None, :] - 2.0 * cmean[..., None, None]
     return 0.5 * shifted * rho
@@ -210,13 +209,20 @@ def _commutator(H, rho):
     return H @ rho - rho @ H
 
 
-def sme_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec, noise, dt: float,
-             step: int | None = None) -> np.ndarray:
-    """One Ito Euler step of the monitored dynamics without feedback."""
-    noise_flat = spec.flatten_noise(np.asarray(noise))
+def _free_increment(rho, H, spec: MonitoringSpec, field, dt: float) -> np.ndarray:
+    """Ito Euler increment of the monitored dynamics without feedback."""
     inc = -1j * dt * _commutator(H, rho)
     inc = inc - dt * 0.125 * spec.pair_rate * rho
-    inc = inc + dt * _conditioning(rho, spec, noise_flat)
+    return inc + dt * _conditioning(rho, field)
+
+
+def sme_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec, noise, dt: float,
+             step: int | None = None, field=None) -> np.ndarray:
+    """One Ito Euler step of the monitored dynamics without feedback
+    (field as in combined_step)."""
+    if field is None:
+        field = spec.conditioning_field(spec.flatten_noise(np.asarray(noise)))
+    inc = _free_increment(rho, H, spec, field, dt)
     _step_guard(rho, inc, step)
     return rho + inc
 
@@ -230,7 +236,8 @@ def feedback_step(rho_free: np.ndarray, potential, dt: float) -> np.ndarray:
 
 def combined_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
                   fb: FeedbackSpec | None, noise, dt: float,
-                  backaction=None, step: int | None = None) -> np.ndarray:
+                  backaction=None, step: int | None = None, field=None,
+                  signal=None) -> np.ndarray:
     """One step of the feedback-completed conditional master equation.
 
     Implements the equation the way it is derived: the free monitored Euler
@@ -246,15 +253,18 @@ def combined_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
     backaction (the diagonal of (1/2) int A_nu B_nu) is accepted for
     interface symmetry with me_step; the deterministic potential emerges
     here from the noise averages and is not added separately.  With fb None
-    this reduces to sme_step.
+    this reduces to sme_step.  field (spec.conditioning_field(noise)) and
+    signal (spec.means(rho) + noise) may be passed in when the caller
+    already holds them; otherwise they are computed here.
     """
     if fb is None:
-        return sme_step(rho, H, spec, noise, dt, step)
+        return sme_step(rho, H, spec, noise, dt, step, field=field)
     noise_flat = spec.flatten_noise(np.asarray(noise))
-    free = -1j * dt * _commutator(H, rho)
-    free = free - dt * 0.125 * spec.pair_rate * rho
-    free = free + dt * _conditioning(rho, spec, noise_flat)
-    signal = spec.means(rho) + noise_flat
+    if field is None:
+        field = spec.conditioning_field(noise_flat)
+    if signal is None:
+        signal = spec.means(rho) + noise_flat
+    free = _free_increment(rho, H, spec, field, dt)
     v = fb.potential(signal)
     vd = v[..., :, None] - v[..., None, :]
     inc = free - 1j * dt * vd * (rho + free) - 0.5 * dt * dt * vd * vd * rho
@@ -319,29 +329,30 @@ def hfb_family_identity_check(spec: MonitoringSpec, fb: FeedbackSpec,
 
 def sse_step(psi: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
              fb: FeedbackSpec | None, noise, dt: float,
-             step: int | None = None) -> np.ndarray:
+             step: int | None = None, field=None) -> np.ndarray:
     """Norm-preserving diffusive unravelling step.
 
     Drift and diffusion are the pure-state transcription of the monitored
     master equation (so projectors agree with the density-matrix step to
     O(dt^{3/2})); feedback is composed afterwards as an exact diagonal
     phase built from the full signal, exactly like the operational
-    definition.  The state is renormalized each step.
+    definition.  The state is renormalized each step.  field, when given,
+    is the step's precomputed spec.conditioning_field(noise).
     """
     noise_flat = spec.flatten_noise(np.asarray(noise))
+    if field is None:
+        field = spec.conditioning_field(noise_flat)
     prob = (psi.conj() * psi).real
     means = np.einsum("ox,...x->...o", spec.family, prob)
     # -(1/8) Q_gamma(A - <A>, A - <A>) evaluated per configuration
     applied_means = spec.apply_kernel_flat(means)
     cross = spec.weight * np.einsum("ox,...o->...x", spec.family, applied_means)
     qmm = spec.weight * np.einsum("...o,...o->...", means, applied_means)
-    quad = spec.self_quadratic() - 2.0 * cross + qmm[..., None]
+    quad = spec.self_quadratic - 2.0 * cross + qmm[..., None]
     # +(1/2) (gamma o dnoise) contracted with (A - <A>)
-    w = spec.apply_kernel_flat(noise_flat)
-    c = spec.weight * np.einsum("ox,...o->...x", spec.family, w)
-    cmean = np.einsum("...x,...x->...", c, prob)
+    cmean = np.einsum("...x,...x->...", field, prob)
     dpsi = -1j * dt * np.einsum("xy,...y->...x", H, psi)
-    dpsi = dpsi + dt * (-0.125 * quad + 0.5 * (c - cmean[..., None])) * psi
+    dpsi = dpsi + dt * (-0.125 * quad + 0.5 * (field - cmean[..., None])) * psi
     out = psi + dpsi
     if fb is not None:
         signal = means + noise_flat
@@ -382,11 +393,12 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
     unconditional runs the noise-averaged master equation instead (the
     seeds are then irrelevant; recorded signals are the observable means).
     Members advance together, one Model.advance call per step, in batches
-    of at most BATCH_BYTES of states and noise.  Member k draws NOISE_BLOCK
-    steps of noise per call from the Philox stream of seeds[k]; one block
-    draw equals as many single draws bit for bit and each step acts on
-    every member alone, so record k is fully determined by (model,
-    initial, dt, steps, seeds[k]).
+    of at most BATCH_BYTES of states, noise and conditioning fields.
+    Member k draws NOISE_BLOCK steps of noise per call from the Philox
+    stream of seeds[k], and the block's conditioning fields are computed
+    right after the draw.  Block draws and block fields equal per-step
+    ones bit for bit and each step acts on every member alone, so record
+    k is fully determined by (model, initial, dt, steps, seeds[k]).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -434,7 +446,8 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
             rec.snapshots.append((istep * dt, state.copy()))
 
     records = []
-    width = max(1, BATCH_BYTES // (initial.nbytes + 8 * NOISE_BLOCK * n_obs))
+    block_bytes = 8 * NOISE_BLOCK * (n_obs + initial.shape[-1]) if draws else 0
+    width = max(1, BATCH_BYTES // (initial.nbytes + block_bytes))
     for start in range(0, len(seeds), width):
         batch = [new_record(seed) for seed in seeds[start:start + width]]
         rngs = [np.random.Generator(np.random.Philox(rec.seed)) for rec in batch]
@@ -445,12 +458,16 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
                 signal = None
             elif unconditional:
                 state, signal = model.advance_unconditional(state, dt, step=i, pure=pure)
+            elif not draws:
+                state, signal = model.advance(state, dt, None, step=i, pure=pure)
             else:
-                if draws and (i - 1) % NOISE_BLOCK == 0:
-                    block = np.stack([model.monitoring.sample_noise_flat(
+                b = (i - 1) % NOISE_BLOCK
+                if b == 0:
+                    noise = np.stack([model.monitoring.sample_noise_flat(
                         dt, rng, (min(NOISE_BLOCK, steps - i + 1),)) for rng in rngs], axis=1)
-                noise = block[(i - 1) % NOISE_BLOCK] if draws else None
-                state, signal = model.advance(state, dt, noise, step=i, pure=pure)
+                    fields = model.monitoring.conditioning_field(noise)
+                state, signal = model.advance(state, dt, noise[b], step=i, pure=pure,
+                                              field=fields[b])
             if i == rec_steps[j]:
                 for k, rec in enumerate(batch):
                     record(rec, j, i, state[k], None if signal is None else signal[k])

@@ -218,11 +218,12 @@ class Model:
         return self.spec.particles
 
     def advance(self, state: np.ndarray, dt: float, noise, step: int | None = None,
-                pure: bool | None = None):
+                pure: bool | None = None, field=None):
         """One step; returns (state', signal or None).  Dispatches on the
         model kind and on pure: whether the states, which may carry leading
         batch axes, are state vectors (default: only a 1-d state is).  noise
-        is the step's flat signal noise, (..., n_obs); baselines take None."""
+        is the step's flat signal noise, (..., n_obs); baselines take None.
+        field: the step's monitoring.conditioning_field(noise), if known."""
         if pure is None:
             pure = state.ndim == 1
         if self.kind in MONITORED_KINDS:
@@ -230,12 +231,14 @@ class Model:
             if pure:
                 prob = (state.conj() * state).real
                 means = (spec.family @ prob[..., None])[..., 0]
-                new = sse_step(state, self.hamiltonian, spec, self.feedback, noise, dt, step=step)
-            else:
-                means = spec.means(state)
-                new = combined_step(state, self.hamiltonian, spec, self.feedback, noise, dt,
-                                    backaction=self.backaction, step=step)
-            return new, means + noise
+                new = sse_step(state, self.hamiltonian, spec, self.feedback, noise, dt,
+                               step=step, field=field)
+                return new, means + noise
+            signal = spec.means(state) + noise
+            new = combined_step(state, self.hamiltonian, spec, self.feedback, noise, dt,
+                                backaction=self.backaction, step=step, field=field,
+                                signal=signal)
+            return new, signal
         if self.kind == "sn":
             if not pure:
                 raise ValueError("the mean-field baseline evolves state vectors")

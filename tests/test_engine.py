@@ -499,6 +499,33 @@ class TestRunEnsemble:
         assert rec.snapshots[-1][1].tobytes() == rho.tobytes()
         assert rec.signals[-1].tobytes() == signal.tobytes()
 
+    def test_one_kernel_apply_per_noise_block(self, monkeypatch):
+        # the conditioning field of a noise block is computed once, not per step
+        model, psi = self.cat_model()
+        rho0 = np.outer(psi, psi.conj())
+        model.monitoring.pair_rate  # the rate table is built on first use, outside the count
+        calls = []
+        apply = CorrelationKernel.apply
+
+        def counting_apply(kernel, f):
+            calls.append(np.shape(f))
+            return apply(kernel, f)
+
+        monkeypatch.setattr(CorrelationKernel, "apply", counting_apply)
+        run_ensemble(rho0, model, self.dt, 600, [4], record_every=600,
+                     monitor_positivity=False)
+        assert len(calls) == -(-600 // engine.NOISE_BLOCK) == 3
+
+    def test_rate_tables_built_on_first_use(self):
+        model, psi = self.cat_model()
+        run_trajectory(psi, model, self.dt, 20, 0)
+        assert "pair_rate" not in vars(model.monitoring)  # the pure path never reads it
+        assert "pair_rate_inverse" not in vars(model.feedback)
+        run_trajectory(np.outer(psi, psi.conj()), model, self.dt, 20, 0,
+                       monitor_positivity=False)
+        assert "pair_rate" in vars(model.monitoring)
+        assert "pair_rate_inverse" not in vars(model.feedback)  # only me_step reads it
+
     @pytest.mark.parametrize("kind", ["sn", "pair"])
     def test_deterministic_baselines_batch(self, kind):
         grid = LatticeGrid((8,), 1.0)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from collapsesim import CorrelationKernel, LatticeGrid, coulomb_potential, smear
+from collapsesim.engine import MonitoringSpec
 from collapsesim.kernels import (MatrixKernel, axis_profile_3d,
                                  coulomb_multiplier, ewald_periodic_coulomb,
                                  periodic_image_correction,
@@ -114,6 +115,28 @@ class TestSampleNoise:
         rng = np.random.Generator(np.random.Philox(seed))
         singles = np.stack([kern.sample_noise(1e-3, rng) for _ in range(n)])
         assert block.tobytes() == singles.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["csl", "dp", "matrix"]),
+           dims=st.sampled_from([(2,), (8,), (6, 5), (4, 4, 4)]),
+           steps=st.integers(1, 300), members=st.integers(1, 4),
+           n_configs=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+    def test_block_conditioning_field_equals_per_step_bitwise(self, kind, dims, steps,
+                                                             members, n_configs, seed):
+        # the ensemble loop computes a whole noise block's field at once
+        grid = LatticeGrid(dims, 1.0)
+        rng = np.random.Generator(np.random.Philox(seed))
+        family = rng.random((grid.n_sites, n_configs))
+        if kind == "matrix":  # explicit observables: one per site, no grid
+            root = rng.standard_normal((grid.n_sites, grid.n_sites))
+            spec = MonitoringSpec(family=family,
+                                  kernel=MatrixKernel(root @ root.T + np.eye(grid.n_sites)))
+        else:
+            kern = CorrelationKernel(kind, grid, gamma=0.7, kappa=2.0, G=0.3)
+            spec = MonitoringSpec(family=family, kernel=kern, grid=grid)
+        block = spec.sample_noise_flat(1e-3, rng, (steps, members))
+        per_step = np.stack([spec.conditioning_field(block[t]) for t in range(steps)])
+        assert spec.conditioning_field(block).tobytes() == per_step.tobytes()
 
     def test_dp_covariance_matches_inverse_kernel(self):
         # Monte Carlo covariance oracle against gamma^-1 / dt
