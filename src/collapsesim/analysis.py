@@ -19,8 +19,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import ensemble_mean, me_step, run_ensemble
-from .kernels import coulomb_multiplier, smear_multiplier, smeared_point_profile
-from .models import Model, ModelSpec, kappa_decoherence_coefficient
+from .kernels import CorrelationKernel, periodic_image_correction
+from .lattice import ParticleSet
+from .models import (Model, ModelSpec, build_backaction_hamiltonian, config_fields,
+                     kappa_decoherence_coefficient)
 
 
 @dataclass(frozen=True)
@@ -47,37 +49,15 @@ class DecoherenceProfile:
         return self.intrinsic + self.backaction
 
 
-def _config_fields(spec: ModelSpec, config) -> tuple[np.ndarray, np.ndarray]:
-    """(smeared density, feedback potential) fields of one configuration."""
-    grid, particles = spec.grid, spec.particles
-    config = np.asarray(config, int).reshape(particles.count)
-    prof_sig = smeared_point_profile(grid, spec.sigma)
-    prof_sharp = smeared_point_profile(grid, 0.0)
-    dens = np.zeros(grid.dims)
-    sharp = np.zeros(grid.dims)
-    for n, m in enumerate(particles.masses):
-        shift = grid.site_multi(config[n])
-        dens += m * np.roll(prof_sig, shift, axis=tuple(range(grid.ndim)))
-        sharp += m * np.roll(prof_sharp, shift, axis=tuple(range(grid.ndim)))
-    mult = coulomb_multiplier(grid, spec.G)
-    if spec.resolved_feedback_smearing:
-        mult = mult * smear_multiplier(grid, spec.sigma)
-    phi = grid.apply_multiplier(sharp, mult)
-    return dens, phi
-
-
 def closed_form_rate(spec: ModelSpec, x_config, y_config) -> RateEntry:
     """Decay rate of rho_xy under the noise-averaged generator, from the
     kernel quadratic forms of the field differences between the two
     configurations."""
-    from .kernels import CorrelationKernel
-
     kernel = CorrelationKernel(kind=spec.resolved_kernel_kind, grid=spec.grid,
                                gamma=spec.gamma, kappa=spec.kappa, G=spec.G)
-    dens_x, phi_x = _config_fields(spec, x_config)
-    dens_y, phi_y = _config_fields(spec, y_config)
-    ddens = dens_x - dens_y
-    dphi = phi_x - phi_y
+    dens, phi = config_fields(spec, [x_config, y_config])
+    ddens = dens[0] - dens[1]
+    dphi = phi[0] - phi[1]
     intrinsic = 0.125 * kernel.quad(ddens, ddens)
     backaction = 0.5 * kernel.quad_inverse(dphi, dphi)
     x = np.asarray(x_config, int).reshape(-1)
@@ -107,9 +87,8 @@ def united_dp_rate(spec: ModelSpec, x_config, y_config) -> float:
     if not spec.resolved_feedback_smearing:
         raise ValueError("the united form needs the smeared potential")
     grid = spec.grid
-    _, phi_x = _config_fields(spec, x_config)
-    _, phi_y = _config_fields(spec, y_config)
-    F = grid.fft(phi_x - phi_y)
+    _, phi = config_fields(spec, [x_config, y_config])
+    F = grid.fft(phi[0] - phi[1])
     grad_sq = float(np.sum(grid.k_squared * np.abs(F) ** 2).real
                     * grid.cell_volume / grid.n_sites)
     return kappa_decoherence_coefficient(spec.kappa) / (8.0 * np.pi * spec.G) * grad_sq
@@ -264,28 +243,24 @@ def pair_potential_curve(spec: ModelSpec, separations, axis: int = 0,
     potentials; on a cubic 3d grid the periodic-image contribution can be
     removed with the Ewald Green function, exposing the bare Newton law.
     """
-    from .kernels import periodic_image_correction
-    from .models import ModelSpec as _MS, build_backaction_hamiltonian
-    from .lattice import ParticleSet
-
     grid, particles = spec.grid, spec.particles
     if particles.count != 2:
         raise ValueError("pair potential curves need exactly two particles")
     m1, m2 = particles.masses
     self_energy = 0.0
     for m in (m1, m2):
-        one = _MS(kind=spec.kind, grid=grid, particles=ParticleSet([m]),
-                  sigma=spec.sigma, gamma=spec.gamma, kappa=spec.kappa, G=spec.G,
-                  feedback_smearing=spec.feedback_smearing, kernel_kind=spec.kernel_kind)
+        one = replace(spec, particles=ParticleSet([m]))
         self_energy += build_backaction_hamiltonian(one, configs=[[0]]).values[0]
     box = grid.dims[axis] * grid.spacing[axis]
     cubic3d = grid.ndim == 3 and len(set(grid.dims)) == 1 and len(set(grid.spacing)) == 1
-    rows = []
+    configs = []
     for d in separations:
         multi = [0] * grid.ndim
         multi[axis] = int(d)
-        cfg = [[0, grid.site_index(multi)]]
-        v = build_backaction_hamiltonian(spec, configs=cfg).values[0] - self_energy
+        configs.append([0, grid.site_index(multi)])
+    pair = build_backaction_hamiltonian(spec, configs=configs).values
+    rows = []
+    for d, v in zip(separations, pair - self_energy):
         sep = float(d) * grid.spacing[axis]
         vc = v
         if corrected and cubic3d and sep > 0:

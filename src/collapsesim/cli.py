@@ -33,7 +33,7 @@ from .config import ConfigError, RunConfig, build_initial_state, load_config
 # run_trajectory is not called here; bench/spans.py looks it up as cli.run_trajectory
 from .engine import run_ensemble, run_trajectory  # noqa: F401
 from .lattice import GuardError
-from .models import (LATTICE_MAPPING_FORMULA, PRESETS, build_model,
+from .models import (LATTICE_MAPPING_FORMULA, MONITORED_KINDS, PRESETS, build_model,
                      preset_lattice_values)
 
 EXIT_OK = 0
@@ -114,7 +114,16 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
+def _require_rate_model(cfg: RunConfig, what: str) -> None:
+    """Closed-form rates need one monitored particle (see decoherence_profile)."""
+    if cfg.spec.particles.count != 1 or cfg.spec.kind not in MONITORED_KINDS:
+        raise ConfigError([f"analyze {what} needs one particle and a monitored model kind "
+                           f"({', '.join(MONITORED_KINDS)}); the config has "
+                           f"{cfg.spec.particles.count} particles, kind {cfg.spec.kind!r}"])
+
+
 def _analyze_rate(cfg: RunConfig, out_dir: Path) -> int:
+    _require_rate_model(cfg, "rate")
     block = cfg.analyze.get("rate", {})
     seps = block.get("separations", list(range(0, max(2, min(cfg.spec.grid.dims) // 4 + 1))))
     axis = int(block.get("axis", 0))
@@ -127,6 +136,9 @@ def _analyze_rate(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _analyze_pair_potential(cfg: RunConfig, out_dir: Path) -> int:
+    if cfg.spec.particles.count != 2:
+        raise ConfigError([f"analyze pair-potential needs exactly two particles; "
+                           f"the config has {cfg.spec.particles.count}"])
     block = cfg.analyze.get("pair_potential", {})
     seps = block.get("separations")
     if seps is None:
@@ -143,6 +155,7 @@ def _analyze_pair_potential(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _analyze_kappa_scan(cfg: RunConfig, out_dir: Path) -> int:
+    _require_rate_model(cfg, "kappa-scan")
     block = cfg.analyze.get("kappa_scan", {})
     kappas = block.get("kappas", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
     sep = int(block.get("separation", 3))

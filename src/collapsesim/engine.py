@@ -16,8 +16,9 @@ non-Hamiltonian terms act element-wise on the density matrix, the
 conditioning term is traceless at finite step size, and standalone
 feedback is an exact diagonal phase conjugation.
 
-States may carry leading batch axes (rho: (..., n, n); noise fields:
-(..., grid dims)); all step functions broadcast over them.
+States and noise may carry leading batch axes (rho: (..., n, n); noise:
+flat (..., n_obs), as MonitoringSpec.sample_noise_flat draws it); all step
+functions broadcast over them.
 
 run_ensemble is the one stepping loop: it draws each seed's noise in blocks
 of NOISE_BLOCK steps and computes a block's state-independent conditioning
@@ -129,6 +130,10 @@ class MonitoringSpec(_DiagonalFamily):
         """c(x) = int dr A_r(x) (gamma o dnoise)(r), the state-independent part
         of the conditioning term, (..., n_obs) -> (..., n_configs); each leading
         index is transformed alone, so a block of steps gives the per-step bits."""
+        noise_flat = np.asarray(noise_flat)
+        if noise_flat.shape[-1:] != self.family.shape[:1]:
+            raise ValueError(f"noise must be flat, (..., {self.family.shape[0]}); "
+                             f"got shape {noise_flat.shape}")
         w = self.apply_kernel_flat(noise_flat)
         return self.weight * np.einsum("ox,...o->...x", self.family, w)
 
@@ -136,13 +141,6 @@ class MonitoringSpec(_DiagonalFamily):
         """Signal noise with covariance gamma^-1/dt, flat observable index."""
         raw = self.kernel.sample_noise(dt, rng, size)
         return raw.reshape(tuple(size) + (self.family.shape[0],))
-
-    def flatten_noise(self, noise: np.ndarray) -> np.ndarray:
-        n_obs = self.family.shape[0]
-        if noise.shape[-1] == n_obs and (self.grid is None or noise.ndim == 1
-                                         or noise.shape[-self.grid.ndim:] != self.grid.dims):
-            return noise
-        return noise.reshape(noise.shape[:-self.grid.ndim] + (n_obs,))
 
     def means(self, rho: np.ndarray) -> np.ndarray:
         """<A_nu> for every monitored observable."""
@@ -221,7 +219,7 @@ def sme_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec, noise, dt: fl
     """One Ito Euler step of the monitored dynamics without feedback
     (field as in combined_step)."""
     if field is None:
-        field = spec.conditioning_field(spec.flatten_noise(np.asarray(noise)))
+        field = spec.conditioning_field(noise)
     inc = _free_increment(rho, H, spec, field, dt)
     _step_guard(rho, inc, step)
     return rho + inc
@@ -236,8 +234,7 @@ def feedback_step(rho_free: np.ndarray, potential, dt: float) -> np.ndarray:
 
 def combined_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
                   fb: FeedbackSpec | None, noise, dt: float,
-                  backaction=None, step: int | None = None, field=None,
-                  signal=None) -> np.ndarray:
+                  step: int | None = None, field=None, signal=None) -> np.ndarray:
     """One step of the feedback-completed conditional master equation.
 
     Implements the equation the way it is derived: the free monitored Euler
@@ -250,20 +247,17 @@ def combined_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
     exact conjugation to O(dt^{3/2}).  Hermiticity and the unit trace are
     preserved identically (every feedback term is a commutator).
 
-    backaction (the diagonal of (1/2) int A_nu B_nu) is accepted for
-    interface symmetry with me_step; the deterministic potential emerges
-    here from the noise averages and is not added separately.  With fb None
-    this reduces to sme_step.  field (spec.conditioning_field(noise)) and
-    signal (spec.means(rho) + noise) may be passed in when the caller
-    already holds them; otherwise they are computed here.
+    noise is flat, (..., n_obs).  With fb None this reduces to sme_step.
+    field (spec.conditioning_field(noise)) and signal (spec.means(rho) +
+    noise) may be passed in when the caller already holds them; otherwise
+    they are computed here.
     """
     if fb is None:
         return sme_step(rho, H, spec, noise, dt, step, field=field)
-    noise_flat = spec.flatten_noise(np.asarray(noise))
     if field is None:
-        field = spec.conditioning_field(noise_flat)
+        field = spec.conditioning_field(noise)
     if signal is None:
-        signal = spec.means(rho) + noise_flat
+        signal = spec.means(rho) + noise
     free = _free_increment(rho, H, spec, field, dt)
     v = fb.potential(signal)
     vd = v[..., :, None] - v[..., None, :]
@@ -339,9 +333,8 @@ def sse_step(psi: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
     definition.  The state is renormalized each step.  field, when given,
     is the step's precomputed spec.conditioning_field(noise).
     """
-    noise_flat = spec.flatten_noise(np.asarray(noise))
     if field is None:
-        field = spec.conditioning_field(noise_flat)
+        field = spec.conditioning_field(noise)
     prob = (psi.conj() * psi).real
     means = np.einsum("ox,...x->...o", spec.family, prob)
     # -(1/8) Q_gamma(A - <A>, A - <A>) evaluated per configuration
@@ -355,8 +348,7 @@ def sse_step(psi: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
     dpsi = dpsi + dt * (-0.125 * quad + 0.5 * (field - cmean[..., None])) * psi
     out = psi + dpsi
     if fb is not None:
-        signal = means + noise_flat
-        out = np.exp(-1j * dt * fb.potential(signal)) * out
+        out = np.exp(-1j * dt * fb.potential(means + noise)) * out
     norm = np.linalg.norm(out, axis=-1, keepdims=True)
     if np.any(norm < 0.1):
         raise GuardError("norm-collapse", step, "state norm fell below 0.1 before renormalization")

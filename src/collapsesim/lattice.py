@@ -198,23 +198,12 @@ def _field_values(f) -> np.ndarray:
     return f.values if isinstance(f, DiagonalField) else np.asarray(f)
 
 
-def rolled_profile_values(grid: LatticeGrid, profile: np.ndarray, at_sites: np.ndarray) -> np.ndarray:
-    """profile((r - x) mod L) for all grid sites r and the given site indices x.
-
-    Returns shape (n_sites, len(at_sites)).  Used to translate one smeared
-    point profile to every particle position without re-running FFTs.
-    """
-    M = grid.n_sites
-    at_sites = np.asarray(at_sites, int)
-    r_multi = np.array(np.unravel_index(np.arange(M), grid.dims))  # (ndim, M)
-    x_multi = np.array(np.unravel_index(at_sites, grid.dims))  # (ndim, n_x)
-    flat = profile.reshape(-1)
-    diff = 0
-    strides = np.cumprod((1,) + grid.dims[:0:-1])[::-1]  # C-order strides
-    for ax in range(grid.ndim):
-        d = (r_multi[ax][:, None] - x_multi[ax][None, :]) % grid.dims[ax]
-        diff = diff + d * strides[ax]
-    return flat[diff]
+def displacement_index(grid: LatticeGrid, a, b) -> np.ndarray:
+    """Flat site index of the displacement (a - b) mod dims between the
+    sites with flat indices a and b (integer arrays, broadcast together)."""
+    am = np.unravel_index(np.asarray(a, int), grid.dims)
+    bm = np.unravel_index(np.asarray(b, int), grid.dims)
+    return np.ravel_multi_index(tuple(p - q for p, q in zip(am, bm)), grid.dims, mode="wrap")
 
 
 def mass_density_field(grid: LatticeGrid, particles: ParticleSet, site) -> DiagonalField:

@@ -32,8 +32,8 @@ from .engine import (FeedbackSpec, MonitoringSpec, _step_guard, combined_step,
 from .kernels import (CorrelationKernel, axis_profile_3d, coulomb_multiplier,
                       coulomb_potential, smear_multiplier, smeared_point_profile)
 from .lattice import (DiagonalField, GuardError, LatticeGrid, LatticeUnits,
-                      ParticleSet, config_sites, external_potential_diagonal,
-                      kinetic_hamiltonian, rolled_profile_values)
+                      ParticleSet, config_sites, displacement_index,
+                      external_potential_diagonal, kinetic_hamiltonian)
 
 MONITORED_KINDS = ("generic", "csl", "dp")
 MODEL_KINDS = MONITORED_KINDS + ("sn", "pair")
@@ -82,67 +82,66 @@ class ModelSpec:
         return self.resolved_kernel_kind == "dp"
 
 
-def density_family(grid: LatticeGrid, particles: ParticleSet, sigma: float) -> np.ndarray:
-    """Diagonal values of the (smeared) mass density at every site.
-
-    Returns F with F[r, x] = sum_n m_n g_sigma(r - x_n) for configuration x;
-    sigma = 0 gives the sharp point density.
-    """
-    prof = smeared_point_profile(grid, sigma)
-    sites = config_sites(grid, particles)
-    fam = np.zeros((grid.n_sites, sites.shape[0]))
-    for n, m in enumerate(particles.masses):
-        fam += m * rolled_profile_values(grid, prof, sites[:, n])
-    return fam
-
-
-def newton_family(grid: LatticeGrid, particles: ParticleSet, G: float,
-                  smeared: bool, sigma: float) -> np.ndarray:
-    """Diagonal values of the Newton potential operator at every site.
-
-    Phi is slaved to the sharp density; the optional smearing convolves the
-    result with g_sigma (required for the Coulomb-correlated kernel).
-    """
-    mult = coulomb_multiplier(grid, G)
-    if smeared:
-        mult = mult * smear_multiplier(grid, sigma)
-    sharp = density_family(grid, particles, 0.0)
-    cols = np.moveaxis(sharp.reshape(grid.dims + (-1,)), -1, 0)
-    out = grid.apply_multiplier(cols, mult)
-    return np.moveaxis(out, 0, -1).reshape(sharp.shape)
-
-
-def _density_stack(grid, particles, sigma, configs) -> np.ndarray:
-    """Smeared density fields for an explicit list of configurations,
-    shape (n_probe, *grid.dims)."""
-    prof = smeared_point_profile(grid, sigma)
-    configs = np.asarray(configs, int).reshape(len(configs), particles.count)
-    stack = np.zeros((configs.shape[0], grid.n_sites))
-    for n, m in enumerate(particles.masses):
-        stack += m * rolled_profile_values(grid, prof, configs[:, n]).T
-    return stack.reshape((configs.shape[0],) + grid.dims)
-
-
-def build_backaction_hamiltonian(spec: ModelSpec, configs=None) -> DiagonalField:
-    """Emergent deterministic potential V(x), evaluated literally per
-    configuration: build the smeared density of x, solve the Poisson
-    equation, contract the two fields.
+def config_fields(spec: ModelSpec, configs=None) -> tuple[np.ndarray, np.ndarray]:
+    """Smeared mass density rho_sigma(.; x) and the Newton potential Phi(.; x)
+    it sources, for each configuration x; each of shape (n, *grid.dims).
 
     configs: optional (n, N) array of per-particle site indices; default is
-    every joint configuration.  The result never depends on the kernel
-    strength parameters gamma and kappa.
+    every joint configuration.  Phi is slaved to the sharp density and is
+    convolved with g_sigma when spec.resolved_feedback_smearing (required
+    for the Coulomb-correlated kernel).  The package's one builder of both
+    fields: the families, V(x) and the closed-form rates all read it.
     """
     grid, particles = spec.grid, spec.particles
     if configs is None:
         configs = config_sites(grid, particles)
-    dens = _density_stack(grid, particles, spec.sigma, configs)
-    phi_mult = coulomb_multiplier(grid, spec.G)
+    configs = np.asarray(configs, int).reshape(-1, particles.count)
+    shape = (configs.shape[0],) + grid.dims
+    profile = smeared_point_profile(grid, spec.sigma).reshape(-1)
+    point = smeared_point_profile(grid, 0.0).reshape(-1)
+    dens = np.zeros((configs.shape[0], grid.n_sites))
+    sharp = np.zeros_like(dens)
+    r = np.arange(grid.n_sites)
+    for n, m in enumerate(particles.masses):
+        shifted = displacement_index(grid, r, configs[:, n, None])  # site of r - x_n
+        dens += m * profile[shifted]
+        sharp += m * point[shifted]
+    mult = coulomb_multiplier(grid, spec.G)
     if spec.resolved_feedback_smearing:
-        phi_mult = phi_mult * smear_multiplier(grid, spec.sigma)
-    sharp = _density_stack(grid, particles, 0.0, configs)
-    phi = grid.apply_multiplier(sharp, phi_mult)
+        mult = mult * smear_multiplier(grid, spec.sigma)
+    phi = grid.apply_multiplier(sharp.reshape(shape), mult)
+    return dens.reshape(shape), np.ascontiguousarray(phi)
+
+
+def density_family(grid: LatticeGrid, particles: ParticleSet, sigma: float) -> np.ndarray:
+    """Diagonal values of the (smeared) mass density at every site.
+
+    Returns F with F[r, x] = sum_n m_n g_sigma(r - x_n) for configuration x;
+    sigma = 0 gives the sharp point density.  A view of config_fields.
+    """
+    # kind 'sn' accepts any sigma; config_fields reads only the field parameters
+    dens = config_fields(ModelSpec(kind="sn", grid=grid, particles=particles, sigma=sigma))[0]
+    return np.ascontiguousarray(dens.reshape(len(dens), -1).T)
+
+
+def newton_family(grid: LatticeGrid, particles: ParticleSet, G: float,
+                  smeared: bool, sigma: float) -> np.ndarray:
+    """Diagonal values of the Newton potential operator at every site, in
+    the layout of density_family; a view of config_fields."""
+    phi = config_fields(ModelSpec(kind="sn", grid=grid, particles=particles, sigma=sigma,
+                                  G=G, feedback_smearing=smeared))[1]
+    return np.ascontiguousarray(phi.reshape(len(phi), -1).T)
+
+
+def build_backaction_hamiltonian(spec: ModelSpec, configs=None) -> DiagonalField:
+    """Emergent deterministic potential V(x), evaluated literally per
+    configuration: contract the smeared density of x with the potential it
+    sources (config_fields; configs as there).  The result never depends on
+    the kernel strength parameters gamma and kappa.
+    """
+    dens, phi = config_fields(spec, configs)
     n = dens.shape[0]
-    vals = 0.5 * grid.cell_volume * np.sum(
+    vals = 0.5 * spec.grid.cell_volume * np.sum(
         dens.reshape(n, -1) * phi.reshape(n, -1), axis=1)
     return DiagonalField(vals)
 
@@ -174,22 +173,10 @@ def pair_potential_diagonal(grid: LatticeGrid, particles: ParticleSet, G: float,
         w_axis = coulomb_potential(delta, grid, G).reshape(-1)
     sites = config_sites(grid, particles)
     vals = np.zeros(sites.shape[0])
-    if embedded_3d or grid.ndim == 1:
-        lookup = w_axis
-        for n in range(particles.count):
-            for p in range(n + 1, particles.count):
-                d = (sites[:, n] - sites[:, p]) % grid.dims[0]
-                vals += particles.masses[n] * particles.masses[p] * lookup[d]
-    else:
-        strides = np.cumprod((1,) + grid.dims[:0:-1])[::-1]
-        for n in range(particles.count):
-            for p in range(n + 1, particles.count):
-                flat = 0
-                for ax in range(grid.ndim):
-                    dn = (np.array(np.unravel_index(sites[:, n], grid.dims))[ax]
-                          - np.array(np.unravel_index(sites[:, p], grid.dims))[ax]) % grid.dims[ax]
-                    flat = flat + dn * strides[ax]
-                vals += particles.masses[n] * particles.masses[p] * w_axis[flat]
+    for n in range(particles.count):
+        for p in range(n + 1, particles.count):
+            d = displacement_index(grid, sites[:, n], sites[:, p])
+            vals += particles.masses[n] * particles.masses[p] * w_axis[d]
     return vals
 
 
@@ -236,8 +223,7 @@ class Model:
                 return new, means + noise
             signal = spec.means(state) + noise
             new = combined_step(state, self.hamiltonian, spec, self.feedback, noise, dt,
-                                backaction=self.backaction, step=step, field=field,
-                                signal=signal)
+                                step=step, field=field, signal=signal)
             return new, signal
         if self.kind == "sn":
             if not pure:

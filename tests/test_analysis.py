@@ -121,8 +121,7 @@ class TestFitOffdiagonalDecay:
                 noise = np.stack([model.monitoring.kernel.sample_noise(dt, r)
                                   for r in rngs])
                 rhos = combined_step(rhos, model.hamiltonian, model.monitoring,
-                                     model.feedback, noise, dt,
-                                     backaction=model.backaction)
+                                     model.feedback, noise, dt)
                 series[s] = abs(rhos[:, x, y].mean())
             rates.append(fit_offdiagonal_decay(dt * np.arange(steps + 1), series))
         rates = np.array(rates)

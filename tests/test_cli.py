@@ -1,11 +1,15 @@
 import csv
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 from collapsesim.cli import main
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "run_config.yaml"
 
 
 def write_config(path, data):
@@ -182,6 +186,59 @@ class TestAnalyze:
         report = json.loads((tmp_path / "linearity.json").read_text())
         assert report["linear"] is True
         assert report["trace_distance"] < report["tolerance"]
+
+    def test_pair_potential_needs_two_particles_exit_2(self, tmp_path, capsys):
+        assert main(["analyze", "pair-potential", "--config", str(DEMO_CONFIG),
+                     "--out", str(tmp_path)]) == 2
+        assert "exactly two particles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what", ["rate", "kappa-scan"])
+    def test_rate_tables_need_one_particle_exit_2(self, tmp_path, capsys, what):
+        data = base_config()
+        data["particles"] = data["particles"] * 2
+        cfg = write_config(tmp_path / "two.yaml", data)
+        assert main(["analyze", what, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "needs one particle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what", ["rate", "kappa-scan"])
+    def test_rate_tables_need_monitored_kind_exit_2(self, tmp_path, capsys, what):
+        data = base_config(model={"kind": "sn", "G": 0.1})
+        cfg = write_config(tmp_path / "sn.yaml", data)
+        assert main(["analyze", what, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "monitored model kind" in capsys.readouterr().err
+
+
+class TestAnalyzeBytes:
+    """Frozen SHA-256 of the closed-form tables: a change to any of their
+    bytes must be deliberate."""
+
+    @pytest.mark.parametrize("what, name, digest", [
+        ("rate", "rate.csv",
+         "a11b8952f33e5b0f110a5805fbed84b732e496ab062e4b8db8280c0b3db3a98c"),
+        ("kappa-scan", "kappa_scan.csv",
+         "a480681f85241269fabe3959750fa787cabe580f759176afe238424adeb56e82"),
+    ], ids=["rate", "kappa-scan"])
+    def test_demo_tables(self, tmp_path, what, name, digest):
+        assert main(["analyze", what, "--config", str(DEMO_CONFIG),
+                     "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    def test_pair_potential_table(self, tmp_path):
+        data = {
+            "grid": {"dims": [6, 6, 6], "spacing": 1.0},
+            "particles": [
+                {"mass": 1.0, "initial": {"type": "gaussian", "center": [1.0] * 3,
+                                          "width": 1.0}},
+                {"mass": 2.0, "initial": {"type": "gaussian", "center": [4.0] * 3,
+                                          "width": 1.0}}],
+            "model": {"kind": "dp", "sigma": 1.1, "kappa": 2.0, "G": 1.0},
+            "analyze": {"pair_potential": {"separations": [0, 1, 2, 3]}},
+        }
+        cfg = write_config(tmp_path / "pair.yaml", data)
+        assert main(["analyze", "pair-potential", "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "pair_potential.csv").read_bytes()).hexdigest()
+        assert digest == "4b44ee9ad378b934a8afec93937bb297a34885b2633c315ee051dc37892aec12"
 
 
 class TestPresets:

@@ -229,6 +229,24 @@ class TestCombinedStep:
             assert abs(np.trace(rho).real - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("step", ["sme", "combined", "sse"])
+def test_grid_shaped_noise_is_rejected(step, rng):
+    # noise is flat, (..., n_obs); a (4, 4) field on a 16-site 2-d grid is not
+    spec = ModelSpec(kind="csl", grid=LatticeGrid((4, 4), 1.0), particles=ParticleSet([1.0]),
+                     G=0.2)
+    model = build_model(spec)
+    mon, fb, H = model.monitoring, model.feedback, model.hamiltonian
+    noise = mon.kernel.sample_noise(1e-3, rng)
+    assert noise.shape == (4, 4)
+    psi = random_state(rng, 16)
+    rho = np.outer(psi, psi.conj())
+    calls = {"sme": lambda: sme_step(rho, H, mon, noise, 1e-3),
+             "combined": lambda: combined_step(rho, H, mon, fb, noise, 1e-3),
+             "sse": lambda: sse_step(psi, H, mon, fb, noise, 1e-3)}
+    with pytest.raises(ValueError, match="noise must be flat"):
+        calls[step]()
+
+
 class TestHfbIdentity:
     def test_equal_fields(self, rng):
         a = rng.standard_normal(6)

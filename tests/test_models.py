@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collapsesim import (LatticeGrid, ParticleSet, build_backaction_hamiltonian,
                          build_model, exact_pair_step, expectation,
                          kappa_decoherence_coefficient, me_step, sn_step)
-from collapsesim.lattice import momentum_operator
-from collapsesim.models import (ModelSpec, density_family, mean_density,
-                                pair_potential_diagonal, preset_lattice_values,
-                                PRESETS)
+from collapsesim.lattice import config_sites, momentum_operator
+from collapsesim.models import (ModelSpec, config_fields, density_family, mean_density,
+                                newton_family, pair_potential_diagonal,
+                                preset_lattice_values, PRESETS)
 
 from conftest import random_density_matrix
 from oracles import periodic_coulomb_modesum, smeared_coulomb_profile
@@ -349,6 +350,35 @@ class TestExternalPotential:
         sites = config_sites(grid, parts)
         expect = v1[sites[:, 0]] + v2[sites[:, 1]]
         np.testing.assert_allclose(diag, expect, atol=1e-14)
+
+
+class TestConfigFields:
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.lists(st.integers(2, 4), min_size=1, max_size=3),
+           spacing=st.floats(0.5, 2.0),
+           masses=st.lists(st.floats(0.1, 5.0), min_size=1, max_size=2),
+           sigma=st.floats(0.1, 2.0), G=st.floats(0.0, 3.0), smeared=st.booleans(),
+           data=st.data())
+    def test_one_path_bitwise(self, dims, spacing, masses, sigma, G, smeared, data):
+        # the families are views of config_fields, any subset of rows has the
+        # bits of the full batch, and V(x) does not depend on the batch
+        grid, parts = LatticeGrid(dims, spacing), ParticleSet(masses)
+        spec = ModelSpec(kind="csl", grid=grid, particles=parts, sigma=sigma, G=G,
+                         feedback_smearing=smeared)
+        n_cfg = grid.n_sites ** parts.count
+        idx = data.draw(st.lists(st.integers(0, n_cfg - 1), min_size=1, max_size=6))
+        configs = config_sites(grid, parts)[idx]
+        dens, phi = config_fields(spec, configs)
+        assert dens.shape == phi.shape == (len(idx),) + grid.dims
+        assert dens.flags.c_contiguous and phi.flags.c_contiguous
+        dfam = density_family(grid, parts, sigma)
+        nfam = newton_family(grid, parts, G, smeared, sigma)
+        assert dfam.flags.c_contiguous and nfam.flags.c_contiguous
+        assert dens.tobytes() == np.ascontiguousarray(dfam[:, idx].T).tobytes()
+        assert phi.tobytes() == np.ascontiguousarray(nfam[:, idx].T).tobytes()
+        batched = build_backaction_hamiltonian(spec, configs).values
+        single = [build_backaction_hamiltonian(spec, [c]).values[0] for c in configs]
+        assert batched.tobytes() == np.array(single).tobytes()
 
 
 class TestDensityFamily:
