@@ -249,7 +249,8 @@ def pair_potential_curve(spec: ModelSpec, separations, axis: int = 0,
     m1, m2 = particles.masses
     self_energy = 0.0
     for m in (m1, m2):
-        one = replace(spec, particles=ParticleSet([m]))
+        one = replace(spec, kind="sn", particles=ParticleSet([m]),  # 'pair' needs 2 particles
+                      feedback_smearing=spec.resolved_feedback_smearing)
         self_energy += build_backaction_hamiltonian(one, configs=[[0]]).values[0]
     box = grid.dims[axis] * grid.spacing[axis]
     cubic3d = grid.ndim == 3 and len(set(grid.dims)) == 1 and len(set(grid.spacing)) == 1

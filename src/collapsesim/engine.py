@@ -357,7 +357,8 @@ def sse_step(psi: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
 
 @dataclass
 class TrajectoryRecord:
-    """Time series of one seeded run plus integrity diagnostics."""
+    """Time series of one seeded run plus integrity diagnostics.  State
+    vectors are recorded in O(n); their purity is 1 by definition."""
 
     seed: int
     times: np.ndarray
@@ -391,12 +392,16 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
     right after the draw.  Block draws and block fields equal per-step
     ones bit for bit and each step acts on every member alone, so record
     k is fully determined by (model, initial, dt, steps, seeds[k]).
+    State vectors are recorded in O(n) from |psi_x|^2 and psi_x psi_y*,
+    with purity 1 by definition; monitor_positivity needs a density matrix.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     seeds = list(seeds)
     initial = np.asarray(initial, complex)
     pure = initial.ndim == 1
+    if monitor_positivity and pure:
+        raise ValueError("monitor_positivity needs a density matrix: projectors are positive")
     if monitor_positivity is None:
         monitor_positivity = (not pure) and initial.shape[-1] <= 128
     draws = model.monitoring is not None and not unconditional
@@ -405,7 +410,7 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
     rec_steps = sorted(set(range(0, steps + 1, record_every)) | {steps})
     times = dt * np.asarray(rec_steps, float)
     n_rec = len(rec_steps)
-    offpairs = np.asarray(offdiagonal_pairs, int).reshape(-1, 2)
+    xs, ys = np.asarray(offdiagonal_pairs, int).reshape(-1, 2).T
 
     def new_record(seed):
         return TrajectoryRecord(
@@ -413,24 +418,25 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
             positions=np.empty((n_rec, model.particles.count)),
             density_means=np.empty((n_rec, n_obs)) if (record_density and n_obs) else None,
             signals=np.empty((n_rec, n_obs)) if (record_signal and n_obs) else None,
-            offdiagonals=np.empty((n_rec, len(offpairs))) if len(offpairs) else None,
+            offdiagonals=np.empty((n_rec, len(xs))) if len(xs) else None,
             min_eigenvalue=np.empty(n_rec) if monitor_positivity else None)
 
     def record(rec, j, istep, state, last_signal):
-        rho = np.outer(state, state.conj()) if pure else state
-        p = np.diagonal(rho).real
+        p = (state * state.conj()).real if pure else np.diagonal(state).real
         tr = p.sum()
         rec.trace[j] = tr
-        rec.purity[j] = np.einsum("xy,yx->", rho, rho).real / (tr * tr)
+        # a projector's tr rho^2 is (tr rho)^2: never build rho for a state vector
+        rec.purity[j] = 1.0 if pure else np.einsum("xy,yx->", state, state).real / (tr * tr)
         rec.positions[j] = model.position_coordinates @ p / tr
         if rec.density_means is not None:
             rec.density_means[j] = model.monitoring.family @ p
         if rec.signals is not None:
             rec.signals[j] = last_signal if last_signal is not None else model.monitoring.family @ p
         if rec.offdiagonals is not None:
-            rec.offdiagonals[j] = [abs(rho[x, y]) for x, y in offpairs]
+            coherences = state[xs] * state[ys].conj() if pure else state[xs, ys]
+            rec.offdiagonals[j] = [abs(v) for v in coherences]
         if rec.min_eigenvalue is not None:
-            wmin = float(np.linalg.eigvalsh(rho).min())
+            wmin = float(np.linalg.eigvalsh(state).min())
             rec.min_eigenvalue[j] = wmin
             if wmin < -1e-8:
                 rec.positivity_warnings.append((istep, wmin))

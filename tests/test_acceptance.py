@@ -210,8 +210,11 @@ def test_criterion_07_conditional_purity_scaling():
                 noise[i] = rng.standard_normal((steps, 2)) * amp / np.sqrt(dt)
             rhos = np.broadcast_to(rho0, (b, 2, 2)).copy()
             for s in range(steps):
+                if s % 1000 == 0:  # state-independent conditioning fields, 1000 steps at once
+                    fields = model.monitoring.conditioning_field(
+                        noise[:, s:s + 1000].transpose(1, 0, 2))
                 rhos = sme_step(rhos, model.hamiltonian, model.monitoring,
-                                noise[:, s], dt)
+                                noise[:, s], dt, field=fields[s % 1000])
             tr = np.einsum("bxx->b", rhos).real
             purity = np.einsum("bxy,byx->b", rhos, rhos).real / tr**2
             collected.append(1.0 - purity)

@@ -111,6 +111,21 @@ class TestRun:
         rate_d4 = table[table[:, 0] == 4.0, 3][0]
         assert fitted == pytest.approx(rate_d4, rel=0.01)
 
+    def test_pure_demo_trajectory_bytes(self, tmp_path):
+        # frozen SHA-256 of the state-vector path: the demo run with
+        # representation 'pure' (records read psi directly, purity exactly 1)
+        data = yaml.safe_load(DEMO_CONFIG.read_text())
+        data["integration"].update(representation="pure", steps=200)
+        cfg = write_config(tmp_path / "pure.yaml", data)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        digests = [hashlib.sha256((tmp_path / "out" / f"trajectory_{i:04d}.csv")
+                                  .read_bytes()).hexdigest() for i in range(4)]
+        assert digests == [
+            "d2d77f7410017d73ce66827e3939c75b4fe8895913e38c9712635656ef930ec0",
+            "2184b784e471937e999b2526a1bd6a9b999d0e62f0789f6e5691b33813ac1809",
+            "5b3f4bacc500ec84fedacb19469b1d6857cd3c6067b4f61f2f7c4f0535732557",
+            "53029ba0697f26ab65b3a172638d7092b3ebc7bb68b06f1ed5e0702922424712"]
+
     def test_invalid_config_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "bad.yaml", {"grid": {"dims": [8]}})
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -186,6 +201,25 @@ class TestAnalyze:
         report = json.loads((tmp_path / "linearity.json").read_text())
         assert report["linear"] is True
         assert report["trace_distance"] < report["tolerance"]
+
+    def test_pair_potential_on_pair_kind(self, tmp_path):
+        # the one-particle self-energy specs must not inherit kind 'pair'
+        data = {
+            "grid": {"dims": [6, 6, 6], "spacing": 1.0},
+            "particles": [
+                {"mass": 1.0, "initial": {"type": "gaussian", "center": [1.0] * 3,
+                                          "width": 1.0}},
+                {"mass": 2.0, "initial": {"type": "gaussian", "center": [4.0] * 3,
+                                          "width": 1.0}}],
+            "model": {"kind": "pair", "G": 1.0},
+            "analyze": {"pair_potential": {"separations": [1, 2, 3]}},
+        }
+        cfg = write_config(tmp_path / "pair.yaml", data)
+        assert main(["analyze", "pair-potential", "--config", cfg,
+                     "--out", str(tmp_path)]) == 0
+        header, table = read_csv(tmp_path / "pair_potential.csv")
+        assert header[-1].startswith("newton_ratio")
+        assert np.isfinite(table[:, -1]).all()
 
     def test_pair_potential_needs_two_particles_exit_2(self, tmp_path, capsys):
         assert main(["analyze", "pair-potential", "--config", str(DEMO_CONFIG),

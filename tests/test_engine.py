@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collapsesim import (LatticeGrid, MatrixKernel, ParticleSet, build_model,
                          combined_step, ensemble_mean, expectation,
@@ -558,3 +561,80 @@ class TestRunEnsemble:
         for i in range(1, 21):
             state, _ = model.advance(state, 1e-3, None, step=i)
         np.testing.assert_allclose(a, state, atol=1e-14)
+
+
+class TestPureRecord:
+    """State vectors are recorded from psi itself: every field equals the
+    projector formulas bit for bit, and purity is 1 by definition."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["csl", "dp"]),
+           dims=st.sampled_from([(8,), (6, 5), (4, 4, 4)]),
+           G=st.floats(0.01, 0.5), state_seed=st.integers(0, 2**32 - 1),
+           seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+           record_every=st.integers(1, 3), data=st.data())
+    def test_fields_match_projector_formulas(self, kind, dims, G, state_seed, seeds,
+                                             record_every, data):
+        grid = LatticeGrid(dims, 1.0)
+        model = build_model(ModelSpec(kind=kind, grid=grid, particles=ParticleSet([1.0]),
+                                      sigma=1.0, G=G))
+        n = grid.n_sites
+        psi = random_state(np.random.default_rng(state_seed), n)
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        pairs = data.draw(st.lists(pair, min_size=1, max_size=4))
+        x = data.draw(st.integers(0, n - 1))
+        pairs += [(x, x), pairs[0], pairs[0][::-1]]
+
+        stepped = []  # (states, signals) after every step, seen through Model.advance
+        advance = model.advance
+
+        def spy(*args, **kwargs):
+            out = advance(*args, **kwargs)
+            stepped.append(tuple(a.copy() for a in out))
+            return out
+
+        model.advance = spy
+        steps = 5
+        recs = run_ensemble(psi, model, 1e-3, steps, seeds, record_every=record_every,
+                            record_density=True, record_signal=True,
+                            offdiagonal_pairs=pairs)
+        rec_steps = sorted(set(range(0, steps + 1, record_every)) | {steps})
+        family = model.monitoring.family
+        for k, rec in enumerate(recs):
+            assert rec.purity.tobytes() == np.ones(len(rec_steps)).tobytes()
+            assert rec.min_eigenvalue is None
+            for j, i in enumerate(rec_steps):
+                state = psi if i == 0 else stepped[i - 1][0][k]
+                rho = np.outer(state, state.conj())
+                p = np.diagonal(rho).real
+                tr = p.sum()
+                assert rec.trace[j].tobytes() == tr.tobytes()
+                positions = model.position_coordinates @ p / tr
+                assert rec.positions[j].tobytes() == positions.tobytes()
+                assert rec.density_means[j].tobytes() == (family @ p).tobytes()
+                signal = family @ p if i == 0 else stepped[i - 1][1][k]
+                assert rec.signals[j].tobytes() == signal.tobytes()
+                expect = np.array([abs(rho[a, b]) for a, b in pairs])
+                assert rec.offdiagonals[j].tobytes() == expect.tobytes()
+
+    def test_positivity_monitoring_needs_density_matrix(self):
+        model, psi = TestRunEnsemble.cat_model()
+        with pytest.raises(ValueError, match="density matrix"):
+            run_trajectory(psi, model, 1e-4, 5, 0, monitor_positivity=True)
+
+    def test_record_memory_below_one_projector(self):
+        # n_cfg = 1024: a projector would take 16 MiB; the run must not build one
+        grid = LatticeGrid((32, 32), 1.0)
+        model = build_model(ModelSpec(kind="csl", grid=grid, particles=ParticleSet([1.0]),
+                                      sigma=1.0, G=0.1))
+        n = grid.n_sites
+        psi = random_state(np.random.default_rng(0), n)
+        model.monitoring.self_quadratic  # a (n_obs, n) table built on first use, outside the count
+        tracemalloc.start()
+        try:
+            run_trajectory(psi, model, 1e-3, 4, 0, record_density=True, record_signal=True,
+                           offdiagonal_pairs=[(0, 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * n
