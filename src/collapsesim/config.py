@@ -50,12 +50,6 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
 
-def _get(section, key, default=None):
-    if section is None:
-        return default
-    return section.get(key, default)
-
-
 def parse_config(data: dict) -> RunConfig:
     errors = []
     if not isinstance(data, dict):
@@ -237,5 +231,5 @@ def build_initial_state(cfg: RunConfig) -> np.ndarray:
     psi = None
     for init in cfg.initial:
         one = single_particle_state(grid, init)
-        psi = one if psi is None else np.kron(psi, one)
+        psi = one if psi is None else np.outer(psi, one).ravel()
     return psi

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 HBAR_SI = 1.054571817e-34  # J s
 
@@ -233,26 +234,22 @@ def _single_particle_kinetic(grid: LatticeGrid, mass: float) -> np.ndarray:
     return 0.5 * (h + h.T)  # symmetrize away FFT roundoff
 
 
-def _embed(grid: LatticeGrid, particles: ParticleSet, op: np.ndarray, n: int) -> np.ndarray:
-    """Kronecker-embed a one-particle operator at particle slot n."""
-    M, N = grid.n_sites, particles.count
-    out = np.array([[1.0]])
-    for j in range(N):
-        out = np.kron(out, op if j == n else np.eye(M))
-    return out
-
-
 def kinetic_hamiltonian(grid: LatticeGrid, particles: ParticleSet) -> np.ndarray:
     """Free many-body Hamiltonian: sum_n k_n^2/(2 m_n), spectral discretization.
 
     Dense Hermitian matrix over the configuration basis; particles with the
-    kinetic flag off contribute nothing.
+    kinetic flag off contribute nothing.  Each one-particle matrix is added in
+    place into the entries where every other particle stays put.
     """
-    n_cfg = n_configs(grid, particles)
-    H = np.zeros((n_cfg, n_cfg))
+    M, N = grid.n_sites, particles.count
+    H = np.zeros((M**N, M**N))
     for n, m in enumerate(particles.masses):
         if particles.kinetic[n]:
-            H += _embed(grid, particles, _single_particle_kinetic(grid, m), n)
+            a, b = M**n, M ** (N - n - 1)  # configurations before and after slot n
+            s = H.reshape(a, M, b, a, M, b).strides
+            # block[i, j] is the (M, M) slab H[(i, :, j), (i, :, j)]
+            block = as_strided(H, (a, b, M, M), (s[0] + s[3], s[2] + s[5], s[1], s[4]))
+            block += _single_particle_kinetic(grid, m)
     return H
 
 
@@ -266,22 +263,6 @@ def external_potential_diagonal(grid: LatticeGrid, particles: ParticleSet) -> np
         if v is not None:
             diag += v.reshape(-1)[sites[:, n]]
     return diag
-
-
-def momentum_operator(grid: LatticeGrid, particles: ParticleSet, axis: int = 0) -> np.ndarray:
-    """Total momentum along one axis: sum_n k_axis(n), spectral, Hermitian."""
-    M = grid.n_sites
-    ks = np.meshgrid(*grid.k_axes, indexing="ij")
-    mult = ks[axis]
-    eye = np.eye(M).reshape(grid.dims + (M,))
-    cols = grid.ifft(grid.fft(np.moveaxis(eye, -1, 0)) * mult)
-    p1 = cols.reshape(M, M).T
-    p1 = 0.5 * (p1 + p1.conj().T)
-    n_cfg = n_configs(grid, particles)
-    P = np.zeros((n_cfg, n_cfg), complex)
-    for n in range(particles.count):
-        P += _embed(grid, particles, p1, n)
-    return P
 
 
 def apply_double_commutator(D, rho: np.ndarray, other=None, weight: float = 1.0) -> np.ndarray:

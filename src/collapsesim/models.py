@@ -257,7 +257,7 @@ def build_model(spec: ModelSpec) -> Model:
     H = kinetic_hamiltonian(grid, particles)
     ext = external_potential_diagonal(grid, particles)
     if np.any(ext):
-        H = H + np.diag(ext)
+        H.reshape(-1)[:: len(ext) + 1] += ext  # same bits as H + diag(ext): H holds no -0.0
 
     sites = config_sites(grid, particles)
     coords0 = grid.axis_coordinates[0]

@@ -2,7 +2,8 @@
 
 Every routine here deliberately avoids the code paths it is used to check:
 dense matrix algebra instead of element-wise field updates, scalar
-arithmetic instead of vectorized engine steps, real-space sums and scipy
+arithmetic instead of vectorized engine steps, Kronecker sums instead of
+in-place many-body assembly, real-space sums and scipy
 quadrature instead of spectral multiplication, and a damped mode sum
 instead of the packaged erfc-split Ewald green function.
 """
@@ -13,6 +14,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh
 from scipy.special import erf, erfc
+
+from collapsesim.lattice import _single_particle_kinetic
 
 
 # -- dense matrix oracles -----------------------------------------------------
@@ -39,6 +42,42 @@ def spectral_propagator(H: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) by exact diagonalization."""
     w, v = eigh(H)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def _kron_embed(grid, particles, op: np.ndarray, n: int) -> np.ndarray:
+    """Kronecker-embed a one-particle operator at particle slot n."""
+    M, N = grid.n_sites, particles.count
+    out = np.array([[1.0]])
+    for j in range(N):
+        out = np.kron(out, op if j == n else np.eye(M))
+    return out
+
+
+def kron_sum_hamiltonian(grid, particles) -> np.ndarray:
+    """Free many-body Hamiltonian as sum_n kron(I, .., h_n, .., I), in the
+    same particle order and from a zeroed H, so its bytes are comparable."""
+    n_cfg = grid.n_sites ** particles.count
+    H = np.zeros((n_cfg, n_cfg))
+    for n, m in enumerate(particles.masses):
+        if particles.kinetic[n]:
+            H += _kron_embed(grid, particles, _single_particle_kinetic(grid, m), n)
+    return H
+
+
+def momentum_operator(grid, particles, axis: int = 0) -> np.ndarray:
+    """Total momentum along one axis: sum_n k_axis(n), spectral, Hermitian."""
+    M = grid.n_sites
+    ks = np.meshgrid(*grid.k_axes, indexing="ij")
+    mult = ks[axis]
+    eye = np.eye(M).reshape(grid.dims + (M,))
+    cols = grid.ifft(grid.fft(np.moveaxis(eye, -1, 0)) * mult)
+    p1 = cols.reshape(M, M).T
+    p1 = 0.5 * (p1 + p1.conj().T)
+    n_cfg = grid.n_sites ** particles.count
+    P = np.zeros((n_cfg, n_cfg), complex)
+    for n in range(particles.count):
+        P += _kron_embed(grid, particles, p1, n)
+    return P
 
 
 # -- scalar two-level oracle --------------------------------------------------

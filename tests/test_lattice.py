@@ -1,14 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collapsesim import (DiagonalField, LatticeGrid, ParticleSet,
                          apply_double_commutator, kinetic_hamiltonian,
                          mass_density_field)
-from collapsesim.lattice import (config_sites, momentum_operator, n_configs,
-                                 check_density_matrix)
+from collapsesim.lattice import config_sites, n_configs, check_density_matrix
 
 from conftest import random_density_matrix
-from oracles import dense_double_commutator
+from oracles import dense_double_commutator, kron_sum_hamiltonian, momentum_operator
 
 
 class TestMassDensityField:
@@ -71,7 +73,37 @@ class TestKineticHamiltonian:
         h1 = kinetic_hamiltonian(grid, ParticleSet([1.0]))
         h2 = kinetic_hamiltonian(grid, ParticleSet([3.0]))
         expect = np.kron(h1, np.eye(4)) + np.kron(np.eye(4), h2)
-        np.testing.assert_allclose(H, expect, atol=1e-12)
+        assert np.array_equal(H, expect)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dims=st.lists(st.integers(2, 6), min_size=1, max_size=3))
+    def test_matches_kron_sum_bitwise(self, data, dims):
+        # the in-place assembly equals the Kronecker sum byte for byte, zero signs included
+        n_sites = int(np.prod(dims))
+        n_particles = data.draw(st.integers(1, max(k for k in (1, 2, 3) if n_sites**k <= 512)))
+        spacing = data.draw(st.lists(st.floats(0.3, 3.0), min_size=len(dims),
+                                     max_size=len(dims)))
+        masses = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n_particles,
+                                    max_size=n_particles))
+        kinetic = data.draw(st.lists(st.booleans(), min_size=n_particles,
+                                     max_size=n_particles))
+        grid = LatticeGrid(dims, spacing)
+        parts = ParticleSet(masses, kinetic=kinetic)
+        got = kinetic_hamiltonian(grid, parts)
+        assert got.tobytes() == kron_sum_hamiltonian(grid, parts).tobytes()
+
+    def test_memory_one_copy_of_h(self):
+        # two particles on 6x6 (n_cfg = 1296): no full-size temporary beside H
+        grid = LatticeGrid((6, 6), 1.0)
+        parts = ParticleSet([1.0, 2.0])
+        kinetic_hamiltonian(grid, ParticleSet([1.0]))  # warm the grid's cached tables
+        tracemalloc.start()
+        try:
+            H = kinetic_hamiltonian(grid, parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * H.nbytes
 
 
 class TestDoubleCommutator:

@@ -5,13 +5,14 @@ from hypothesis import given, settings, strategies as st
 from collapsesim import (LatticeGrid, ParticleSet, build_backaction_hamiltonian,
                          build_model, exact_pair_step, expectation,
                          kappa_decoherence_coefficient, me_step, sn_step)
-from collapsesim.lattice import config_sites, momentum_operator
+from collapsesim.lattice import (config_sites, external_potential_diagonal,
+                                kinetic_hamiltonian)
 from collapsesim.models import (ModelSpec, config_fields, density_family, mean_density,
                                 newton_family, pair_potential_diagonal,
                                 preset_lattice_values, PRESETS)
 
 from conftest import random_density_matrix
-from oracles import periodic_coulomb_modesum, smeared_coulomb_profile
+from oracles import momentum_operator, periodic_coulomb_modesum, smeared_coulomb_profile
 
 
 def csl_spec(grid, particles, **kw):
@@ -350,6 +351,20 @@ class TestExternalPotential:
         sites = config_sites(grid, parts)
         expect = v1[sites[:, 0]] + v2[sites[:, 1]]
         np.testing.assert_allclose(diag, expect, atol=1e-14)
+
+    def test_in_place_diagonal_bitwise(self):
+        # kinetic particles with an external potential each: H is the kinetic
+        # matrix plus diag(ext) bit for bit, zero signs included
+        grid = LatticeGrid((4, 3), (1.0, 0.7))
+        rng = np.random.default_rng(3)
+        v1, v2 = rng.standard_normal(12), rng.standard_normal(12)
+        v1[0] = -0.0
+        parts = ParticleSet([1.0, 2.5], external=[v1, v2])
+        model = build_model(ModelSpec(kind="csl", grid=grid, particles=parts,
+                                      sigma=1.0, G=0.1))
+        ext = external_potential_diagonal(grid, parts)
+        expect = kinetic_hamiltonian(grid, parts) + np.diag(ext)
+        assert model.hamiltonian.tobytes() == expect.tobytes()
 
 
 class TestConfigFields:
