@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import GuardError, LatticeGrid, _field_values
+from .lattice import GuardError, LatticeGrid, ManyBodyHamiltonian, _field_values
 
 STEP_GUARD_FRACTION = 0.1  # reject Euler steps with |increment|_1 above this fraction of |rho|_1
 NOISE_BLOCK = 256  # steps of noise drawn per seed in one call
@@ -181,14 +181,31 @@ def generate_signal(rho: np.ndarray, spec: MonitoringSpec, dt: float, rng, size=
 
 
 def _step_guard(rho, increment, step):
+    """Trip unless |increment|_1 <= STEP_GUARD_FRACTION * |rho|_1 for each
+    member.  nan compares False, so it trips too; an inf in rho reaches the
+    increment of every step as nan (0 * inf in a complex product)."""
     inc = np.ravel(np.abs(increment).sum(axis=(-2, -1)))
     ref = np.ravel(np.abs(rho).sum(axis=(-2, -1)))
-    k = np.argmax(inc > STEP_GUARD_FRACTION * ref)  # each member against its own |rho|_1
-    if inc[k] > STEP_GUARD_FRACTION * ref[k]:
+    ok = inc <= STEP_GUARD_FRACTION * ref  # each member against its own |rho|_1
+    k = np.argmin(ok)
+    if not ok[k]:
+        if not np.isfinite(inc[k] + ref[k]):
+            raise GuardError("step-size", step, "non-finite state or increment")
         raise GuardError(
             "step-size", step,
             f"|increment|_1 = {inc[k]:.3g} exceeds {STEP_GUARD_FRACTION:g} * |rho|_1 = "
             f"{STEP_GUARD_FRACTION * ref[k]:.3g}; reduce dt")
+
+
+def _normalize(out, step, what):
+    """out / |out| per state vector; the norm-collapse guard trips on a
+    norm below 0.1 or a non-finite one."""
+    norm = np.linalg.norm(out, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(norm)):
+        raise GuardError("norm-collapse", step, f"{what} made the state non-finite")
+    if np.any(norm < 0.1):
+        raise GuardError("norm-collapse", step, f"{what} collapsed the norm below 0.1")
+    return out / norm
 
 
 def _conditioning(rho, c) -> np.ndarray:
@@ -321,7 +338,7 @@ def hfb_family_identity_check(spec: MonitoringSpec, fb: FeedbackSpec,
     return bool(np.abs(lhs - rhs).max() <= tol)
 
 
-def sse_step(psi: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
+def sse_step(psi: np.ndarray, H: ManyBodyHamiltonian, spec: MonitoringSpec,
              fb: FeedbackSpec | None, noise, dt: float,
              step: int | None = None, field=None) -> np.ndarray:
     """Norm-preserving diffusive unravelling step.
@@ -330,8 +347,9 @@ def sse_step(psi: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
     master equation (so projectors agree with the density-matrix step to
     O(dt^{3/2})); feedback is composed afterwards as an exact diagonal
     phase built from the full signal, exactly like the operational
-    definition.  The state is renormalized each step.  field, when given,
-    is the step's precomputed spec.conditioning_field(noise).
+    definition.  The state is renormalized each step.  H applies the
+    Hamiltonian (a model's hamiltonian_operator).  field, when given, is
+    the step's precomputed spec.conditioning_field(noise).
     """
     if field is None:
         field = spec.conditioning_field(noise)
@@ -344,15 +362,12 @@ def sse_step(psi: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
     quad = spec.self_quadratic - 2.0 * cross + qmm[..., None]
     # +(1/2) (gamma o dnoise) contracted with (A - <A>)
     cmean = np.einsum("...x,...x->...", field, prob)
-    dpsi = -1j * dt * np.einsum("xy,...y->...x", H, psi)
+    dpsi = -1j * dt * H.apply(psi)
     dpsi = dpsi + dt * (-0.125 * quad + 0.5 * (field - cmean[..., None])) * psi
     out = psi + dpsi
     if fb is not None:
         out = np.exp(-1j * dt * fb.potential(means + noise)) * out
-    norm = np.linalg.norm(out, axis=-1, keepdims=True)
-    if np.any(norm < 0.1):
-        raise GuardError("norm-collapse", step, "state norm fell below 0.1 before renormalization")
-    return out / norm
+    return _normalize(out, step, "unravelling step")
 
 
 @dataclass

@@ -24,14 +24,15 @@ Model kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
-from .engine import (FeedbackSpec, MonitoringSpec, _step_guard, combined_step,
+from .engine import (FeedbackSpec, MonitoringSpec, _normalize, _step_guard, combined_step,
                      me_step, sse_step)
 from .kernels import (CorrelationKernel, axis_profile_3d, coulomb_multiplier,
                       coulomb_potential, smear_multiplier, smeared_point_profile)
-from .lattice import (DiagonalField, GuardError, LatticeGrid, LatticeUnits,
+from .lattice import (DiagonalField, LatticeGrid, LatticeUnits, ManyBodyHamiltonian,
                       ParticleSet, config_sites, displacement_index,
                       external_potential_diagonal, kinetic_hamiltonian)
 
@@ -180,17 +181,33 @@ def pair_potential_diagonal(grid: LatticeGrid, particles: ParticleSet, G: float,
     return vals
 
 
+def dense_hamiltonian(grid: LatticeGrid, particles: ParticleSet, ext: np.ndarray) -> np.ndarray:
+    """The many-body H as a dense matrix: kinetic part plus the external
+    potential diagonal ext."""
+    H = kinetic_hamiltonian(grid, particles)
+    if np.any(ext):
+        H.reshape(-1)[:: len(ext) + 1] += ext  # same bits as H + diag(ext): H holds no -0.0
+    return H
+
+
 @dataclass
 class Model:
-    """A fully wired model: immutable after build, shareable across workers."""
+    """A fully wired model, shareable across workers.  Its fields are fixed
+    at build; the dense Hamiltonian is built on first use."""
 
     spec: ModelSpec
-    hamiltonian: np.ndarray
+    hamiltonian_operator: ManyBodyHamiltonian
     monitoring: MonitoringSpec | None
     feedback: FeedbackSpec | None
     backaction: np.ndarray | None
     position_coordinates: np.ndarray  # (n_particles, n_configs), axis-0 coordinate
     pair_potential: np.ndarray | None = None
+
+    @cached_property
+    def hamiltonian(self) -> np.ndarray:
+        """Dense H, shared with hamiltonian_operator.  Density-matrix steps
+        read it; state vectors read it only where einsum is the faster apply."""
+        return self.hamiltonian_operator.dense
 
     @property
     def kind(self) -> str:
@@ -218,7 +235,7 @@ class Model:
             if pure:
                 prob = (state.conj() * state).real
                 means = (spec.family @ prob[..., None])[..., 0]
-                new = sse_step(state, self.hamiltonian, spec, self.feedback, noise, dt,
+                new = sse_step(state, self.hamiltonian_operator, spec, self.feedback, noise, dt,
                                step=step, field=field)
                 return new, means + noise
             signal = spec.means(state) + noise
@@ -231,9 +248,8 @@ class Model:
             return sn_step(state, self, dt, step=step), None
         # exact pair baseline: plain unitary Euler
         if pure:
-            k = np.einsum("xy,...y->...x", self.hamiltonian, state) + self.pair_potential * state
-            new = state - 1j * dt * k
-            return new / np.linalg.norm(new, axis=-1, keepdims=True), None
+            k = self.hamiltonian_operator.apply(state) + self.pair_potential * state
+            return _normalize(state - 1j * dt * k, step, "pair step"), None
         return exact_pair_step(state, self, dt, step=step), None
 
     def advance_unconditional(self, state: np.ndarray, dt: float, step: int | None = None,
@@ -254,10 +270,8 @@ class Model:
 def build_model(spec: ModelSpec) -> Model:
     """Wire monitored observables, kernel, feedback and baselines per spec."""
     grid, particles = spec.grid, spec.particles
-    H = kinetic_hamiltonian(grid, particles)
     ext = external_potential_diagonal(grid, particles)
-    if np.any(ext):
-        H.reshape(-1)[:: len(ext) + 1] += ext  # same bits as H + diag(ext): H holds no -0.0
+    H = ManyBodyHamiltonian(grid, particles, ext, partial(dense_hamiltonian, grid, particles, ext))
 
     sites = config_sites(grid, particles)
     coords0 = grid.axis_coordinates[0]
@@ -281,8 +295,11 @@ def build_model(spec: ModelSpec) -> Model:
             embedded = grid.ndim == 1
         pair_diag = pair_potential_diagonal(grid, particles, spec.G, embedded)
 
-    return Model(spec=spec, hamiltonian=H, monitoring=monitoring, feedback=feedback,
-                 backaction=backaction, position_coordinates=pos, pair_potential=pair_diag)
+    model = Model(spec=spec, hamiltonian_operator=H, monitoring=monitoring, feedback=feedback,
+                  backaction=backaction, position_coordinates=pos, pair_potential=pair_diag)
+    if H.dense_is_faster(ext.shape):
+        model.hamiltonian  # a single state's apply reads it too: build it with the model
+    return model
 
 
 def mean_density(grid: LatticeGrid, particles: ParticleSet, prob: np.ndarray) -> np.ndarray:
@@ -314,12 +331,8 @@ def sn_step(psi: np.ndarray, model: Model, dt: float, step: int | None = None) -
     v = np.zeros(prob.shape)
     for n, m in enumerate(particles.masses):
         v += m * phi_flat[..., sites[:, n]]
-    knew = np.einsum("xy,...y->...x", model.hamiltonian, psi) + v * psi
-    out = psi - 1j * dt * knew
-    nrm = np.linalg.norm(out, axis=-1, keepdims=True)
-    if np.any(nrm < 0.1):
-        raise GuardError("norm-collapse", step, "mean-field step collapsed the norm")
-    return out / nrm
+    knew = model.hamiltonian_operator.apply(psi) + v * psi
+    return _normalize(psi - 1j * dt * knew, step, "mean-field step")
 
 
 def exact_pair_step(rho: np.ndarray, model: Model, dt: float,

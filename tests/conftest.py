@@ -8,6 +8,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from collapsesim import LatticeGrid, ParticleSet
 
+from oracles import einsum_apply
+
 
 @pytest.fixture
 def rng():
@@ -39,3 +41,14 @@ def random_density_matrix(rng, n):
 def random_state(rng, n):
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return psi / np.linalg.norm(psi)
+
+
+class DenseOperator:
+    """A dense (n, n) matrix with the apply that sse_step calls, by the
+    einsum oracle."""
+
+    def __init__(self, H):
+        self.H = H
+
+    def apply(self, psi):
+        return einsum_apply(self.H, psi)

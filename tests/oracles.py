@@ -38,6 +38,11 @@ def dense_expectation(d: np.ndarray, rho: np.ndarray) -> float:
     return float(np.trace(np.diag(d) @ rho).real)
 
 
+def einsum_apply(H: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """H psi over the dense matrix for state vectors with leading batch axes."""
+    return np.einsum("xy,...y->...x", H, psi)
+
+
 def spectral_propagator(H: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) by exact diagonalization."""
     w, v = eigh(H)

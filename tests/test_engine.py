@@ -16,7 +16,7 @@ from collapsesim.kernels import CorrelationKernel
 from collapsesim.lattice import GuardError
 from collapsesim.models import ModelSpec, density_family, newton_family
 
-from conftest import random_density_matrix, random_state
+from conftest import DenseOperator, random_density_matrix, random_state
 from oracles import (dense_expectation, dense_hcal, scalar_sme_step_2x2,
                      spectral_propagator)
 
@@ -245,7 +245,7 @@ def test_grid_shaped_noise_is_rejected(step, rng):
     rho = np.outer(psi, psi.conj())
     calls = {"sme": lambda: sme_step(rho, H, mon, noise, 1e-3),
              "combined": lambda: combined_step(rho, H, mon, fb, noise, 1e-3),
-             "sse": lambda: sse_step(psi, H, mon, fb, noise, 1e-3)}
+             "sse": lambda: sse_step(psi, model.hamiltonian_operator, mon, fb, noise, 1e-3)}
     with pytest.raises(ValueError, match="noise must be flat"):
         calls[step]()
 
@@ -345,7 +345,7 @@ class TestSseStep:
         _, mon, fb = grid_specs()
         psi = random_state(rng, 8)
         noise = mon.sample_noise_flat(1e-4, rng)
-        out = sse_step(psi, np.zeros((8, 8)), mon, fb, noise, 1e-4)
+        out = sse_step(psi, DenseOperator(np.zeros((8, 8))), mon, fb, noise, 1e-4)
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-14)
 
     def test_projector_purity_stays_one(self, rng):
@@ -353,7 +353,7 @@ class TestSseStep:
         psi = random_state(rng, 8)
         for _ in range(50):
             noise = mon.sample_noise_flat(1e-4, rng)
-            psi = sse_step(psi, np.zeros((8, 8)), mon, fb, noise, 1e-4)
+            psi = sse_step(psi, DenseOperator(np.zeros((8, 8))), mon, fb, noise, 1e-4)
         rho = np.outer(psi, psi.conj())
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
 
@@ -373,7 +373,7 @@ class TestSseStep:
             xi = mon.sample_noise_flat(1.0, rng)
             for i, dt in enumerate(dts):
                 noise = xi / np.sqrt(dt)
-                psi1 = sse_step(psi0, H, mon, fb, noise, dt)
+                psi1 = sse_step(psi0, DenseOperator(H), mon, fb, noise, dt)
                 rho_sse = np.outer(psi1, psi1.conj())
                 rho_dm = combined_step(rho0, H, mon, fb, noise, dt)
                 rho_dm = rho_dm / np.trace(rho_dm).real
@@ -638,3 +638,41 @@ class TestPureRecord:
         finally:
             tracemalloc.stop()
         assert peak < 16 * n * n
+
+    def test_two_particle_pure_run_below_dense_hamiltonian(self):
+        # n_cfg = 1296: the dense H would take 8 n^2 bytes; neither the build
+        # nor a pure run of two particles makes it
+        grid = LatticeGrid((6, 6), 1.0)
+        n = grid.n_sites**2
+        psi = random_state(np.random.default_rng(0), n)
+        tracemalloc.start()
+        try:
+            model = build_model(ModelSpec(kind="dp", grid=grid, particles=ParticleSet([1.0, 1.0]),
+                                          sigma=1.0, G=0.05))
+            run_trajectory(psi, model, 1e-3, 4, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's own notes on inf and nan
+class TestNonFiniteGuards:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_step_size_guard(self, rng, bad):
+        _, mon, fb = grid_specs()
+        rho = random_density_matrix(rng, 8)
+        rho[2, 5] = bad
+        noise = mon.sample_noise_flat(1e-4, rng)
+        with pytest.raises(GuardError, match="'step-size' tripped at step 4: non-finite"):
+            combined_step(rho, np.zeros((8, 8)), mon, fb, noise, 1e-4, step=4)
+
+    @pytest.mark.parametrize("kind", ["csl", "sn", "pair"])
+    def test_norm_collapse_guard(self, kind):
+        # sse_step, sn_step and the pair step: a NaN entry stops the run at step 1
+        model = build_model(ModelSpec(kind=kind, grid=LatticeGrid((4,), 1.0),
+                                      particles=ParticleSet([1.0, 1.0]), G=0.1))
+        psi = random_state(np.random.default_rng(0), 16)
+        psi[3] = np.nan
+        with pytest.raises(GuardError, match="'norm-collapse' tripped at step 1: .* non-finite"):
+            run_trajectory(psi, model, 1e-3, 3, 0)

@@ -8,9 +8,11 @@ from collapsesim import (DiagonalField, LatticeGrid, ParticleSet,
                          apply_double_commutator, kinetic_hamiltonian,
                          mass_density_field)
 from collapsesim.lattice import config_sites, n_configs, check_density_matrix
+from collapsesim.models import ModelSpec, build_model
 
 from conftest import random_density_matrix
-from oracles import dense_double_commutator, kron_sum_hamiltonian, momentum_operator
+from oracles import (dense_double_commutator, einsum_apply, kron_sum_hamiltonian,
+                     momentum_operator)
 
 
 class TestMassDensityField:
@@ -104,6 +106,49 @@ class TestKineticHamiltonian:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * H.nbytes
+
+
+class TestHamiltonianApply:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dims=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1),
+           batch=st.sampled_from([(), (1,), (3,), (2, 2)]))
+    def test_matches_einsum_bitwise(self, data, dims, seed, batch):
+        # the per-particle apply adds each row's nonzero products in einsum's
+        # order: same bytes on either side of the selection rule
+        n_sites = int(np.prod(dims))
+        n_particles = data.draw(st.integers(1, max(k for k in (1, 2, 3, 4)
+                                                   if n_sites**k <= 4096)))
+        masses = data.draw(st.lists(st.floats(0.1, 10.0), min_size=n_particles,
+                                    max_size=n_particles))
+        kinetic = data.draw(st.lists(st.booleans(), min_size=n_particles,
+                                     max_size=n_particles))
+        rng = np.random.default_rng(seed)
+        external = []
+        for with_potential in data.draw(st.lists(st.booleans(), min_size=n_particles,
+                                                 max_size=n_particles)):
+            v = rng.standard_normal(n_sites) if with_potential else None
+            if v is not None:
+                v[rng.random(n_sites) < 0.3] = -0.0
+            external.append(v)
+        parts = ParticleSet(masses, kinetic=kinetic, external=external)
+        model = build_model(ModelSpec(kind="sn", grid=LatticeGrid(dims), particles=parts))
+        n = n_sites**n_particles
+        psi = rng.standard_normal(batch + (n,)) + 1j * rng.standard_normal(batch + (n,))
+        expect = einsum_apply(model.hamiltonian, psi).tobytes()
+        op = model.hamiltonian_operator
+        assert op.apply(psi).tobytes() == expect
+        op.dense_is_faster = lambda shape: False  # the per-particle side on every shape
+        assert op.apply(psi).tobytes() == expect
+
+    def test_selection_sides(self):
+        # one particle: every row is dense, einsum wins; two on 8x8: 127 of 4096
+        one = build_model(ModelSpec(kind="sn", grid=LatticeGrid((8, 8)),
+                                    particles=ParticleSet([1.0]))).hamiltonian_operator
+        assert one.dense_is_faster((64,)) and one.dense_is_faster((16, 64))
+        two = build_model(ModelSpec(kind="sn", grid=LatticeGrid((8, 8)),
+                                    particles=ParticleSet([1.0, 1.0]))).hamiltonian_operator
+        assert not two.dense_is_faster((4096,)) and not two.dense_is_faster((16, 4096))
 
 
 class TestDoubleCommutator:

@@ -1,17 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from collapsesim import (LatticeGrid, ParticleSet, build_backaction_hamiltonian,
                          build_model, exact_pair_step, expectation,
-                         kappa_decoherence_coefficient, me_step, sn_step)
+                         kappa_decoherence_coefficient, me_step, run_ensemble, sn_step)
 from collapsesim.lattice import (config_sites, external_potential_diagonal,
                                 kinetic_hamiltonian)
 from collapsesim.models import (ModelSpec, config_fields, density_family, mean_density,
                                 newton_family, pair_potential_diagonal,
                                 preset_lattice_values, PRESETS)
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, random_state
 from oracles import momentum_operator, periodic_coulomb_modesum, smeared_coulomb_profile
 
 
@@ -365,6 +367,51 @@ class TestExternalPotential:
         ext = external_potential_diagonal(grid, parts)
         expect = kinetic_hamiltonian(grid, parts) + np.diag(ext)
         assert model.hamiltonian.tobytes() == expect.tobytes()
+
+
+class TestTwoParticlePureDigests:
+    # frozen SHA-256 of the records and final states of two-particle
+    # state-vector runs, which step through the per-particle apply of H
+    @staticmethod
+    def digest(records):
+        h = hashlib.sha256()
+        for rec in records:
+            for name in ("times", "trace", "purity", "positions", "density_means",
+                         "signals", "offdiagonals"):
+                value = getattr(rec, name)
+                if value is not None:
+                    h.update(np.ascontiguousarray(value).tobytes())
+            h.update(rec.snapshots[-1][1].tobytes())
+        return h.hexdigest()
+
+    grid = LatticeGrid((6, 6), 1.0)
+
+    def test_monitored_dp(self):
+        model = build_model(ModelSpec(kind="dp", grid=self.grid, particles=ParticleSet([1.0, 2.5]),
+                                      sigma=1.0, kappa=2.0, G=0.05))
+        psi = random_state(np.random.default_rng(1), 1296)
+        recs = run_ensemble(psi, model, 1e-3, 5, [3, 4], record_density=True,
+                            record_signal=True, offdiagonal_pairs=[(0, 1), (5, 700)],
+                            snapshot_every=5)
+        assert self.digest(recs) == (
+            "794eaf3accc5ecfb76fff4a8a74673a2440f37d0118a87bc4df1c6b994a878dc")
+
+    def test_mean_field(self):
+        model = build_model(ModelSpec(kind="sn", grid=self.grid,
+                                      particles=ParticleSet([1.0, 1.0]), G=0.5))
+        psi = random_state(np.random.default_rng(2), 1296)
+        recs = run_ensemble(psi, model, 1e-3, 5, [0], snapshot_every=5)
+        assert self.digest(recs) == (
+            "6194e0477648540cec292af6de4e5fda1d2aabe78791ac570f69a85ef4554d35")
+
+    def test_pair_with_external_potentials(self):
+        ext = np.random.default_rng(5).standard_normal((2, 36))
+        model = build_model(ModelSpec(kind="pair", grid=self.grid, G=0.5,
+                                      particles=ParticleSet([1.0, 2.0], external=list(ext))))
+        psi = random_state(np.random.default_rng(3), 1296)
+        recs = run_ensemble(psi, model, 1e-3, 5, [0], snapshot_every=5)
+        assert self.digest(recs) == (
+            "047696a52179f8dc2dc06f8e87e35a6e07f4902b2a05db5f11dc7abfc5f99109")
 
 
 class TestConfigFields:
