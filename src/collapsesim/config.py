@@ -24,6 +24,9 @@ import yaml
 from .lattice import LatticeGrid, ParticleSet
 from .models import MODEL_KINDS, ModelSpec
 
+# libyaml's parser when PyYAML has it: yaml.SafeLoader's constructors, 7x faster
+SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ConfigError(ValueError):
     """Invalid run configuration; .errors lists every problem found."""
@@ -187,7 +190,7 @@ def parse_config(data: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        data = yaml.load(fh, Loader=SAFE_LOADER)
     return parse_config(data)
 
 

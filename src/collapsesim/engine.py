@@ -39,6 +39,7 @@ from .lattice import GuardError, LatticeGrid, ManyBodyHamiltonian, _field_values
 STEP_GUARD_FRACTION = 0.1  # reject Euler steps with |increment|_1 above this fraction of |rho|_1
 NOISE_BLOCK = 256  # steps of noise drawn per seed in one call
 BATCH_BYTES = 1 << 25  # states plus noise blocks that run_ensemble steps at once
+REAL_SPLIT_MAX_N = 16  # largest n whose real-split commutator matches zgemm's bytes (tested)
 
 
 def _diag(rho: np.ndarray) -> np.ndarray:
@@ -51,14 +52,6 @@ def expectation(rho: np.ndarray, observable):
     p = _diag(rho).real
     out = np.einsum("...x,x->...", p, d)
     return float(out) if out.ndim == 0 else out
-
-
-def hcal_apply(observable, rho: np.ndarray) -> np.ndarray:
-    """{D - <D>, rho}: the traceless, Hermiticity-preserving conditioning map."""
-    d = _field_values(observable)
-    mean = np.asarray(expectation(rho, d))
-    shifted = d[:, None] + d[None, :] - 2.0 * mean[..., None, None]
-    return shifted * rho
 
 
 @dataclass(frozen=True)
@@ -169,32 +162,24 @@ class FeedbackSpec(_DiagonalFamily):
         return 0.5 * self.weight * np.einsum("ox,ox->x", monitoring.family, self.family)
 
 
-def generate_signal(rho: np.ndarray, spec: MonitoringSpec, dt: float, rng, size=()):
-    """Signal = <A_nu> + noise and the noise itself; rng None is the
-    zero-noise testing hook."""
-    means = spec.means(rho)
-    if rng is None:
-        noise = np.zeros(tuple(size) + (spec.family.shape[0],))
-    else:
-        noise = spec.sample_noise_flat(dt, rng, size)
-    return means + noise, noise
-
-
 def _step_guard(rho, increment, step):
     """Trip unless |increment|_1 <= STEP_GUARD_FRACTION * |rho|_1 for each
     member.  nan compares False, so it trips too; an inf in rho reaches the
-    increment of every step as nan (0 * inf in a complex product)."""
-    inc = np.ravel(np.abs(increment).sum(axis=(-2, -1)))
-    ref = np.ravel(np.abs(rho).sum(axis=(-2, -1)))
+    increment of every step as nan (0 * inf in the complex product of a real
+    rate or field with rho)."""
+    inc = np.abs(increment).sum(axis=(-2, -1))
+    ref = np.abs(rho).sum(axis=(-2, -1))
     ok = inc <= STEP_GUARD_FRACTION * ref  # each member against its own |rho|_1
-    k = np.argmin(ok)
-    if not ok[k]:
-        if not np.isfinite(inc[k] + ref[k]):
-            raise GuardError("step-size", step, "non-finite state or increment")
-        raise GuardError(
-            "step-size", step,
-            f"|increment|_1 = {inc[k]:.3g} exceeds {STEP_GUARD_FRACTION:g} * |rho|_1 = "
-            f"{STEP_GUARD_FRACTION * ref[k]:.3g}; reduce dt")
+    if ok.all():
+        return
+    k = np.argmin(ok.ravel())
+    inc_k, ref_k = inc.ravel()[k], ref.ravel()[k]
+    if not np.isfinite(inc_k + ref_k):
+        raise GuardError("step-size", step, "non-finite state or increment")
+    raise GuardError(
+        "step-size", step,
+        f"|increment|_1 = {inc_k:.3g} exceeds {STEP_GUARD_FRACTION:g} * |rho|_1 = "
+        f"{STEP_GUARD_FRACTION * ref_k:.3g}; reduce dt")
 
 
 def _normalize(out, step, what):
@@ -221,7 +206,15 @@ def _conditioning(rho, c) -> np.ndarray:
 
 
 def _commutator(H, rho):
-    return H @ rho - rho @ H
+    """H @ rho - rho @ H, rho with leading batch axes.  A real H with n <=
+    REAL_SPLIT_MAX_N runs as real dgemms on the float views of rho and rho^T,
+    not as numpy's promoted zgemm: the same bytes, save that an exactly zero
+    entry may take the other sign (README, performance notes)."""
+    if H.dtype != np.float64 or rho.dtype != np.complex128 or rho.shape[-1] > REAL_SPLIT_MAX_N:
+        return H @ rho - rho @ H
+    left = H @ np.ascontiguousarray(rho).view(np.float64)
+    right_t = H.T @ np.ascontiguousarray(np.swapaxes(rho, -1, -2)).view(np.float64)
+    return left.view(np.complex128) - np.swapaxes(right_t.view(np.complex128), -1, -2)
 
 
 def _free_increment(rho, H, spec: MonitoringSpec, field, dt: float) -> np.ndarray:
@@ -436,7 +429,7 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
             offdiagonals=np.empty((n_rec, len(xs))) if len(xs) else None,
             min_eigenvalue=np.empty(n_rec) if monitor_positivity else None)
 
-    def record(rec, j, istep, state, last_signal):
+    def record(rec, j, istep, state, last_signal, wmin):
         p = (state * state.conj()).real if pure else np.diagonal(state).real
         tr = p.sum()
         rec.trace[j] = tr
@@ -451,7 +444,6 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
             coherences = state[xs] * state[ys].conj() if pure else state[xs, ys]
             rec.offdiagonals[j] = [abs(v) for v in coherences]
         if rec.min_eigenvalue is not None:
-            wmin = float(np.linalg.eigvalsh(state).min())
             rec.min_eigenvalue[j] = wmin
             if wmin < -1e-8:
                 rec.positivity_warnings.append((istep, wmin))
@@ -482,8 +474,11 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
                 state, signal = model.advance(state, dt, noise[b], step=i, pure=pure,
                                               field=fields[b])
             if i == rec_steps[j]:
+                # one batched call, each member's eigenvalues bit for bit its own
+                wmins = np.linalg.eigvalsh(state).min(axis=-1) if monitor_positivity else None
                 for k, rec in enumerate(batch):
-                    record(rec, j, i, state[k], None if signal is None else signal[k])
+                    record(rec, j, i, state[k], None if signal is None else signal[k],
+                           None if wmins is None else float(wmins[k]))
                 j += 1
         records += batch
     level, frame = 2, sys._getframe(1)  # warn at the first caller outside this module

@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 import yaml
 
+from collapsesim import config
 from collapsesim.cli import main
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "run_config.yaml"
+YAML_LOADERS = [
+    pytest.param(yaml.SafeLoader, id="python"),
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml",
+                 marks=pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                                          reason="PyYAML built without libyaml")),
+]
 
 
 def write_config(path, data):
@@ -129,6 +136,21 @@ class TestRun:
     def test_invalid_config_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "bad.yaml", {"grid": {"dims": [8]}})
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("loader", YAML_LOADERS)
+    def test_malformed_yaml_exit_2(self, tmp_path, monkeypatch, capsys, loader):
+        monkeypatch.setattr(config, "SAFE_LOADER", loader)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("grid: {dims: [8]\nparticles: [\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loader", YAML_LOADERS)
+    def test_loaders_parse_demo_config_alike(self, monkeypatch, loader):
+        monkeypatch.setattr(config, "SAFE_LOADER", loader)
+        raw = config.load_config(DEMO_CONFIG).raw
+        reference = yaml.load(DEMO_CONFIG.read_text(), Loader=yaml.SafeLoader)
+        assert raw == reference and repr(raw) == repr(reference)  # repr tells 1 from 1.0
 
     def test_guard_trip_exit_3(self, tmp_path, capsys):
         data = base_config()

@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from collapsesim import (LatticeGrid, MatrixKernel, ParticleSet, build_model,
                          combined_step, ensemble_mean, expectation,
-                         feedback_step, generate_signal, hcal_apply,
-                         hfb_identity_check, me_step, run_ensemble, run_trajectory,
-                         sme_step, sse_step)
+                         feedback_step, hfb_identity_check, me_step, run_ensemble,
+                         run_trajectory, sme_step, sse_step)
 from collapsesim import engine
-from collapsesim.engine import (FeedbackSpec, MonitoringSpec, _step_guard,
-                                hfb_family_identity_check)
+from collapsesim.engine import (FeedbackSpec, MonitoringSpec, _commutator, _conditioning,
+                                _step_guard, hfb_family_identity_check)
 from collapsesim.kernels import CorrelationKernel
 from collapsesim.lattice import GuardError
 from collapsesim.models import ModelSpec, density_family, newton_family
@@ -57,46 +56,97 @@ class TestExpectation:
 
 
 class TestHcal:
+    """The conditioning map {D - <D>, rho}, which _conditioning applies halved."""
+
     def test_traceless(self, rng):
         d = rng.standard_normal(7)
         rho = random_density_matrix(rng, 7)
-        assert abs(np.trace(hcal_apply(d, rho))) < 1e-12
+        assert abs(np.trace(_conditioning(rho, d))) < 1e-12
 
     def test_constant_gives_zero(self, rng):
         rho = random_density_matrix(rng, 4)
-        assert np.abs(hcal_apply(np.full(4, 1.3), rho)).max() < 1e-13
+        assert np.abs(_conditioning(rho, np.full(4, 1.3))).max() < 1e-13
 
     def test_matches_dense_anticommutator_oracle(self, rng):
         d = rng.standard_normal(8)
         rho = random_density_matrix(rng, 8)
-        np.testing.assert_allclose(hcal_apply(d, rho), dense_hcal(d, rho),
+        np.testing.assert_allclose(2.0 * _conditioning(rho, d), dense_hcal(d, rho),
                                    atol=1e-12)
 
 
-class TestGenerateSignal:
-    def test_zero_noise_hook(self, rng):
-        _, mon, _ = grid_specs()
-        rho = random_density_matrix(rng, 8)
-        signal, noise = generate_signal(rho, mon, dt=1e-3, rng=None)
-        assert np.abs(noise).max() == 0.0
-        np.testing.assert_allclose(signal, mon.means(rho), atol=1e-14)
-
+class TestSignalNoise:
     def test_ensemble_mean_of_signal(self, rng):
         _, mon, _ = grid_specs()
         rho = random_density_matrix(rng, 8)
         n = 10_000
-        signal, _ = generate_signal(rho, mon, dt=1.0, rng=rng, size=(n,))
+        signal = mon.means(rho) + mon.sample_noise_flat(1.0, rng, (n,))
         err = np.abs(signal.mean(axis=0) - mon.means(rho)).max()
         assert err < 5.0 / np.sqrt(n)
 
     def test_csl_distinct_sites_uncorrelated(self, rng):
         _, mon, _ = grid_specs(gamma=1.0)
-        rho = random_density_matrix(rng, 8)
         n = 10_000
-        _, noise = generate_signal(rho, mon, dt=1.0, rng=rng, size=(n,))
+        noise = mon.sample_noise_flat(1.0, rng, (n,))
         a, b = noise[:, 1], noise[:, 5]
         corr = np.mean(a * b) / (a.std() * b.std())
         assert abs(corr) < 4.0 / np.sqrt(n)
+
+
+def commutator_inputs(n, batch, symmetric, log_scale, hermitian, layout, seed,
+                      zero_fraction=0.0):
+    """Real H (n, n) and complex rho (*batch, n, n) for the commutator tests;
+    layout 'c' is C-contiguous, 'transposed' and 'strided' are views."""
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((n, n)) * 10.0**log_scale
+    H[rng.random((n, n)) < zero_fraction] = 0.0
+    if symmetric:
+        H = H + H.T
+    rho = rng.standard_normal(batch + (n, 2 * n)) + 1j * rng.standard_normal(batch + (n, 2 * n))
+    rho[rng.random(rho.shape) < zero_fraction] = 0.0
+    rho = rho[..., ::2] if layout == "strided" else rho[..., :n]
+    if hermitian:
+        rho = rho + np.swapaxes(rho, -1, -2).conj()
+    if layout == "transposed":
+        rho = np.swapaxes(rho, -1, -2)
+    return H, rho
+
+
+commutator_cases = dict(
+    batch=st.sampled_from([(), (1,), (3,), (2, 2)]), symmetric=st.booleans(),
+    log_scale=st.floats(-3.0, 3.0), hermitian=st.booleans(),
+    layout=st.sampled_from(["c", "transposed", "strided"]), seed=st.integers(0, 2**32 - 1))
+
+
+class TestCommutator:
+    """_commutator runs a real H on small matrices as a real product on the
+    float view of rho; it must give numpy's complex product's bytes."""
+
+    @pytest.mark.parametrize("n", range(1, engine.REAL_SPLIT_MAX_N + 1))
+    @settings(max_examples=12, deadline=None)
+    @given(**commutator_cases)
+    def test_real_split_bitwise_up_to_bound(self, n, batch, symmetric, log_scale, hermitian,
+                                            layout, seed):
+        H, rho = commutator_inputs(n, batch, symmetric, log_scale, hermitian, layout, seed)
+        assert _commutator(H, rho).tobytes() == (H @ rho - rho @ H).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 5, engine.REAL_SPLIT_MAX_N])
+    @settings(max_examples=20, deadline=None)
+    @given(**commutator_cases)
+    def test_exact_zeros_equal_up_to_their_sign(self, n, batch, symmetric, log_scale,
+                                                hermitian, layout, seed):
+        # lattice Hamiltonians are sparse: where a product entry is exactly
+        # zero the two kernels may disagree on its sign, and only there
+        H, rho = commutator_inputs(n, batch, symmetric, log_scale, hermitian, layout, seed,
+                                   zero_fraction=0.5)
+        got, want = _commutator(H, rho), H @ rho - rho @ H
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+    @pytest.mark.parametrize("n, complex_h", [(17, False), (512, False), (4, True)])
+    def test_zgemm_above_bound_or_for_complex_h(self, n, complex_h):
+        H, rho = commutator_inputs(n, (), True, 0.0, False, "c", n)
+        if complex_h:
+            H = H + 1j * H.T
+        assert _commutator(H, rho).tobytes() == (H @ rho - rho @ H).tobytes()
 
 
 class TestSmeStep:
@@ -500,6 +550,8 @@ class TestRunEnsemble:
             one = run_trajectory(initial, model, self.dt, self.steps, seed, **self.options)
             assert_records_bitwise_equal(a, one)
             assert_records_bitwise_equal(b, one)
+        if representation == "density":  # one batched eigvalsh call per record step
+            assert all(rec.positivity_warnings for rec in batched)
 
     def test_blocked_noise_matches_per_step_draws(self):
         # reference loop: a fresh single draw every step, as the stream is read

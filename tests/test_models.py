@@ -422,8 +422,9 @@ class TestConfigFields:
            sigma=st.floats(0.1, 2.0), G=st.floats(0.0, 3.0), smeared=st.booleans(),
            data=st.data())
     def test_one_path_bitwise(self, dims, spacing, masses, sigma, G, smeared, data):
-        # the families are views of config_fields, any subset of rows has the
-        # bits of the full batch, and V(x) does not depend on the batch
+        # the families are views of config_fields (build_model's from one
+        # call), any subset of rows has the bits of the full batch, and V(x)
+        # does not depend on the batch
         grid, parts = LatticeGrid(dims, spacing), ParticleSet(masses)
         spec = ModelSpec(kind="csl", grid=grid, particles=parts, sigma=sigma, G=G,
                          feedback_smearing=smeared)
@@ -438,6 +439,9 @@ class TestConfigFields:
         assert dfam.flags.c_contiguous and nfam.flags.c_contiguous
         assert dens.tobytes() == np.ascontiguousarray(dfam[:, idx].T).tobytes()
         assert phi.tobytes() == np.ascontiguousarray(nfam[:, idx].T).tobytes()
+        model = build_model(spec)
+        assert model.monitoring.family.tobytes() == dfam.tobytes()
+        assert model.feedback.family.tobytes() == nfam.tobytes()
         batched = build_backaction_hamiltonian(spec, configs).values
         single = [build_backaction_hamiltonian(spec, [c]).values[0] for c in configs]
         assert batched.tobytes() == np.array(single).tobytes()
