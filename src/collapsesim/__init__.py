@@ -2,8 +2,7 @@
 measurement signal sources a classical Newton field."""
 
 from .lattice import (DiagonalField, GuardError, LatticeGrid, LatticeUnits,
-                      ParticleSet, apply_double_commutator, kinetic_hamiltonian,
-                      mass_density_field)
+                      ParticleSet, kinetic_hamiltonian)
 from .kernels import CorrelationKernel, MatrixKernel, coulomb_potential, smear
 from .engine import (FeedbackSpec, MonitoringSpec, TrajectoryRecord,
                      combined_step, ensemble_mean, expectation, feedback_step,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import ensemble_mean, me_step, run_ensemble
+from .engine import ensemble_mean, run_ensemble
 from .kernels import CorrelationKernel, periodic_image_correction
 from .lattice import ParticleSet
 from .models import (Model, ModelSpec, build_backaction_hamiltonian, config_fields,
@@ -121,20 +121,6 @@ def fit_offdiagonal_decay(times: np.ndarray, offdiagonal: np.ndarray,
         raise ValueError("off-diagonal signal below the noise floor")
     slope = np.polyfit(times[keep], np.log(mag[keep]), 1)[0]
     return -float(slope)
-
-
-def me_offdiagonal_series(model: Model, rho0: np.ndarray, x: int, y: int,
-                          dt: float, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """|rho_xy(t)| under the noise-averaged master equation."""
-    rho = np.asarray(rho0, complex).copy()
-    times = dt * np.arange(steps + 1)
-    series = np.empty(steps + 1)
-    series[0] = abs(rho[x, y])
-    for i in range(1, steps + 1):
-        rho = me_step(rho, model.hamiltonian, model.monitoring, model.feedback, dt,
-                      backaction=model.backaction, step=i)
-        series[i] = abs(rho[x, y])
-    return times, series
 
 
 def kappa_scan(spec: ModelSpec, kappas, separation: int, axis: int = 0):

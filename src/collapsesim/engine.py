@@ -78,13 +78,23 @@ class _DiagonalFamily:
         """Measure of the observable index: cell volume on a grid, else 1."""
         return self.grid.cell_volume if self.grid is not None else 1.0
 
-    def apply_kernel_columns(self, fam: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """gamma o f (or gamma^-1 o f) column-by-column for an (n_obs, n_cols) stack."""
+    def _kernel_column_chunks(self, fam: np.ndarray, inverse: bool):
+        """(slice, gamma o f or gamma^-1 o f) per chunk of the columns of an
+        (n_obs, n_cols) stack; on a grid the chunks are grid.fft_chunks."""
         op = self.kernel.apply_inverse if inverse else self.kernel.apply
         if self.grid is None:
-            return op(fam.T).T
-        cols = np.moveaxis(fam.reshape(self.grid.dims + (-1,)), -1, 0)
-        return np.moveaxis(op(cols), 0, -1).reshape(fam.shape)
+            yield slice(0, fam.shape[1]), op(fam.T).T
+            return
+        for sl in self.grid.fft_chunks(fam.shape[1]):
+            cols = np.moveaxis(fam[:, sl].reshape(self.grid.dims + (-1,)), -1, 0)
+            yield sl, np.moveaxis(op(cols), 0, -1).reshape(len(fam), -1)
+
+    def apply_kernel_columns(self, fam: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """gamma o f (or gamma^-1 o f) column-by-column for an (n_obs, n_cols) stack."""
+        out = np.empty(fam.shape)
+        for sl, applied in self._kernel_column_chunks(fam, inverse):
+            out[:, sl] = applied
+        return out
 
     def _pair_rate_table(self, inverse: bool) -> np.ndarray:
         """Q(F(., x) - F(., y)) for all configuration pairs, from the Gram matrix."""
@@ -108,9 +118,12 @@ class MonitoringSpec(_DiagonalFamily):
 
     @cached_property
     def self_quadratic(self) -> np.ndarray:
-        """Q_gamma(A(., x), A(., x)) per configuration."""
-        applied = self.apply_kernel_columns(self.family)
-        return self.weight * np.einsum("ox,ox->x", self.family, applied)
+        """Q_gamma(A(., x), A(., x)) per configuration; each column's sum
+        reads no other column, so the chunks change no bits."""
+        out = np.empty(self.family.shape[1])
+        for sl, applied in self._kernel_column_chunks(self.family, inverse=False):
+            out[sl] = np.einsum("ox,ox->x", self.family[:, sl], applied)
+        return self.weight * out
 
     def apply_kernel_flat(self, vec: np.ndarray) -> np.ndarray:
         """gamma o v on flat observable vectors (batched on leading axes)."""

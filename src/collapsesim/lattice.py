@@ -27,6 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 HBAR_SI = 1.054571817e-34  # J s
+FFT_CHUNK_BYTES = 1 << 18  # complex FFT buffer per chunk of configurations or kernel columns
 
 
 class GuardError(RuntimeError):
@@ -105,6 +106,13 @@ class LatticeGrid:
     def ifft(self, F: np.ndarray) -> np.ndarray:
         axes = tuple(range(F.ndim - self.ndim, F.ndim))
         return np.fft.ifftn(F, axes=axes)
+
+    def fft_chunks(self, count: int) -> list[slice]:
+        """Slices of count fields over the grid, each at least one field and
+        otherwise at most FFT_CHUNK_BYTES of complex spectra.  FFTs treat the
+        fields of a batch one by one, so the chunks change no bits."""
+        step = max(1, FFT_CHUNK_BYTES // (16 * self.n_sites))
+        return [slice(s, min(s + step, count)) for s in range(0, count, step)]
 
     def apply_multiplier(self, f: np.ndarray, mult: np.ndarray) -> np.ndarray:
         """Circular convolution by a kernel given as a spectral multiplier."""
@@ -206,25 +214,12 @@ def _field_values(f) -> np.ndarray:
 def displacement_index(grid: LatticeGrid, a, b) -> np.ndarray:
     """Flat site index of the displacement (a - b) mod dims between the
     sites with flat indices a and b (integer arrays, broadcast together)."""
-    am = np.unravel_index(np.asarray(a, int), grid.dims)
-    bm = np.unravel_index(np.asarray(b, int), grid.dims)
+    a, b = np.asarray(a, int), np.asarray(b, int)
+    # unravel flat copies: numpy 2.4's unravel_index returns wrong sites for
+    # an (n, 1) array with n > 8192, one iterator buffer
+    am = [i.reshape(a.shape) for i in np.unravel_index(a.ravel(), grid.dims)]
+    bm = [i.reshape(b.shape) for i in np.unravel_index(b.ravel(), grid.dims)]
     return np.ravel_multi_index(tuple(p - q for p, q in zip(am, bm)), grid.dims, mode="wrap")
-
-
-def mass_density_field(grid: LatticeGrid, particles: ParticleSet, site) -> DiagonalField:
-    """Point mass density at one lattice site, as a configuration diagonal.
-
-    Value on configuration (x_1..x_N) is sum_n m_n delta(site, x_n)/cell_volume.
-    """
-    if not np.isscalar(site):
-        site = grid.site_index(site)
-    if site < 0 or site >= grid.n_sites:
-        raise ValueError("site index out of range")
-    sites = config_sites(grid, particles)
-    vals = np.zeros(sites.shape[0])
-    for n, m in enumerate(particles.masses):
-        vals += m * (sites[:, n] == site)
-    return DiagonalField(vals / grid.cell_volume)
 
 
 def _single_particle_kinetic(grid: LatticeGrid, mass: float) -> np.ndarray:
@@ -346,33 +341,6 @@ def external_potential_diagonal(grid: LatticeGrid, particles: ParticleSet) -> np
         if v is not None:
             diag += v.reshape(-1)[sites[:, n]]
     return diag
-
-
-def apply_double_commutator(D, rho: np.ndarray, other=None, weight: float = 1.0) -> np.ndarray:
-    """-w [D, [D', rho]] for diagonal D, D' (D' defaults to D), element-wise.
-
-    Element (x, y) is -w (D(x)-D(y)) (D'(x)-D'(y)) rho_xy; this is the
-    single-kernel decoherence increment (per unit rate) of the master
-    equations integrated by the engine.
-    """
-    d = _field_values(D).astype(float)
-    d2 = d if other is None else _field_values(other).astype(float)
-    if d.shape[-1] != rho.shape[-1] or d2.shape[-1] != rho.shape[-1]:
-        raise ValueError("field and density matrix dimensions do not match")
-    dd = d[..., :, None] - d[..., None, :]
-    dd2 = dd if other is None else d2[..., :, None] - d2[..., None, :]
-    return -weight * dd * dd2 * rho
-
-
-def check_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> None:
-    """Raise if rho is not Hermitian, unit-trace and positive within tol."""
-    if np.abs(rho - rho.conj().T).max() > tol:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise ValueError("density matrix trace is not 1")
-    w = np.linalg.eigvalsh(rho)
-    if w.min() < -tol:
-        raise ValueError(f"density matrix has negative eigenvalue {w.min():g}")
 
 
 @dataclass(frozen=True)

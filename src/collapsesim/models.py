@@ -83,6 +83,36 @@ class ModelSpec:
         return self.resolved_kernel_kind == "dp"
 
 
+def _field_chunks(spec: ModelSpec, configs: np.ndarray):
+    """(slice, density, potential) per chunk of the (n, N) site array
+    configs, the fields flat, (c, n_sites); grid.fft_chunks sizes the
+    chunks.  Each configuration's gather, sum over particles and FFT reads
+    no other configuration, so the fields do not depend on the chunks."""
+    grid, particles = spec.grid, spec.particles
+    profile = smeared_point_profile(grid, spec.sigma).reshape(-1)
+    point = smeared_point_profile(grid, 0.0).reshape(-1)
+    mult = coulomb_multiplier(grid, spec.G)
+    if spec.resolved_feedback_smearing:
+        mult = mult * smear_multiplier(grid, spec.sigma)
+    r = np.arange(grid.n_sites)
+    for sl in grid.fft_chunks(len(configs)):
+        dens = np.zeros((sl.stop - sl.start, grid.n_sites))
+        sharp = np.zeros_like(dens)
+        for n, m in enumerate(particles.masses):
+            shifted = displacement_index(grid, r, configs[sl, n, None])  # site of r - x_n
+            dens += m * profile[shifted]
+            sharp += m * point[shifted]
+        phi = grid.apply_multiplier(sharp.reshape((len(dens),) + grid.dims), mult)
+        yield sl, dens, phi.reshape(len(dens), -1)
+
+
+def _sites(spec: ModelSpec, configs) -> np.ndarray:
+    """configs as an (n, N) site array; every configuration when None."""
+    if configs is None:
+        return config_sites(spec.grid, spec.particles)
+    return np.asarray(configs, int).reshape(-1, spec.particles.count)
+
+
 def config_fields(spec: ModelSpec, configs=None) -> tuple[np.ndarray, np.ndarray]:
     """Smeared mass density rho_sigma(.; x) and the Newton potential Phi(.; x)
     it sources, for each configuration x; each of shape (n, *grid.dims).
@@ -90,52 +120,44 @@ def config_fields(spec: ModelSpec, configs=None) -> tuple[np.ndarray, np.ndarray
     configs: optional (n, N) array of per-particle site indices; default is
     every joint configuration.  Phi is slaved to the sharp density and is
     convolved with g_sigma when spec.resolved_feedback_smearing (required
-    for the Coulomb-correlated kernel).  The package's one builder of both
-    fields: the families, V(x) and the closed-form rates all read it.
+    for the Coulomb-correlated kernel).  The package's one field path: the
+    families, V(x) and the closed-form rates all read its chunks.
     """
-    grid, particles = spec.grid, spec.particles
-    if configs is None:
-        configs = config_sites(grid, particles)
-    configs = np.asarray(configs, int).reshape(-1, particles.count)
-    shape = (configs.shape[0],) + grid.dims
-    profile = smeared_point_profile(grid, spec.sigma).reshape(-1)
-    point = smeared_point_profile(grid, 0.0).reshape(-1)
-    dens = np.zeros((configs.shape[0], grid.n_sites))
-    sharp = np.zeros_like(dens)
-    r = np.arange(grid.n_sites)
-    for n, m in enumerate(particles.masses):
-        shifted = displacement_index(grid, r, configs[:, n, None])  # site of r - x_n
-        dens += m * profile[shifted]
-        sharp += m * point[shifted]
-    mult = coulomb_multiplier(grid, spec.G)
-    if spec.resolved_feedback_smearing:
-        mult = mult * smear_multiplier(grid, spec.sigma)
-    phi = grid.apply_multiplier(sharp.reshape(shape), mult)
-    return dens.reshape(shape), np.ascontiguousarray(phi)
+    configs = _sites(spec, configs)
+    dens = np.empty((len(configs), spec.grid.n_sites))
+    phi = np.empty_like(dens)
+    for sl, d, p in _field_chunks(spec, configs):
+        dens[sl], phi[sl] = d, p
+    shape = (len(configs),) + spec.grid.dims
+    return dens.reshape(shape), phi.reshape(shape)
 
 
-def _family(fields: np.ndarray) -> np.ndarray:
-    """Per-configuration fields (n, *dims) in family layout F[r, x]."""
-    return np.ascontiguousarray(fields.reshape(len(fields), -1).T)
+def _families(spec: ModelSpec, configs=None) -> tuple[np.ndarray, np.ndarray]:
+    """config_fields in family layout F[r, x], written chunk by chunk."""
+    configs = _sites(spec, configs)
+    dfam = np.empty((spec.grid.n_sites, len(configs)))
+    nfam = np.empty_like(dfam)
+    for sl, d, p in _field_chunks(spec, configs):
+        dfam[:, sl], nfam[:, sl] = d.T, p.T
+    return dfam, nfam
 
 
 def density_family(grid: LatticeGrid, particles: ParticleSet, sigma: float) -> np.ndarray:
     """Diagonal values of the (smeared) mass density at every site.
 
     Returns F with F[r, x] = sum_n m_n g_sigma(r - x_n) for configuration x;
-    sigma = 0 gives the sharp point density.  A view of config_fields.
+    sigma = 0 gives the sharp point density.  The fields of config_fields.
     """
-    # kind 'sn' accepts any sigma; config_fields reads only the field parameters
-    return _family(config_fields(ModelSpec(kind="sn", grid=grid, particles=particles,
-                                           sigma=sigma))[0])
+    # kind 'sn' accepts any sigma; the fields read only the field parameters
+    return _families(ModelSpec(kind="sn", grid=grid, particles=particles, sigma=sigma))[0]
 
 
 def newton_family(grid: LatticeGrid, particles: ParticleSet, G: float,
                   smeared: bool, sigma: float) -> np.ndarray:
     """Diagonal values of the Newton potential operator at every site, in
-    the layout of density_family; a view of config_fields."""
-    return _family(config_fields(ModelSpec(kind="sn", grid=grid, particles=particles,
-                                           sigma=sigma, G=G, feedback_smearing=smeared))[1])
+    the layout of density_family; the fields of config_fields."""
+    return _families(ModelSpec(kind="sn", grid=grid, particles=particles,
+                               sigma=sigma, G=G, feedback_smearing=smeared))[1]
 
 
 def build_backaction_hamiltonian(spec: ModelSpec, configs=None) -> DiagonalField:
@@ -144,10 +166,10 @@ def build_backaction_hamiltonian(spec: ModelSpec, configs=None) -> DiagonalField
     sources (config_fields; configs as there).  The result never depends on
     the kernel strength parameters gamma and kappa.
     """
-    dens, phi = config_fields(spec, configs)
-    n = dens.shape[0]
-    vals = 0.5 * spec.grid.cell_volume * np.sum(
-        dens.reshape(n, -1) * phi.reshape(n, -1), axis=1)
+    configs = _sites(spec, configs)
+    vals = np.empty(len(configs))
+    for sl, dens, phi in _field_chunks(spec, configs):
+        vals[sl] = 0.5 * spec.grid.cell_volume * np.sum(dens * phi, axis=1)
     return DiagonalField(vals)
 
 
@@ -287,9 +309,7 @@ def build_model(spec: ModelSpec) -> Model:
         kk = spec.resolved_kernel_kind
         kernel = CorrelationKernel(kind=kk, grid=grid, gamma=spec.gamma,
                                    kappa=spec.kappa, G=spec.G)
-        # density_family's and newton_family's bytes from one call; the fields
-        # die here, kept alive they raised the dense3d benchmark's peak RSS by 2 MB
-        dfam, nfam = map(_family, config_fields(spec))
+        dfam, nfam = _families(spec, sites)
         monitoring = MonitoringSpec(family=dfam, kernel=kernel, grid=grid, sigma=spec.sigma)
         feedback = FeedbackSpec(family=nfam, kernel=kernel, grid=grid,
                                 smeared=spec.resolved_feedback_smearing)

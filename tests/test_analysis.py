@@ -4,13 +4,19 @@ import pytest
 from collapsesim import (LatticeGrid, ParticleSet, build_model, combined_step,
                          closed_form_rate, decoherence_profile,
                          fit_offdiagonal_decay, kappa_scan, linearity_witness,
-                         pair_potential_curve, trace_distance)
-from collapsesim.analysis import (backaction_prefactor_report,
-                                  me_offdiagonal_series, united_dp_rate)
+                         pair_potential_curve, run_ensemble, trace_distance)
+from collapsesim.analysis import backaction_prefactor_report, united_dp_rate
 from collapsesim.models import ModelSpec
 
 from oracles import (delta_inverse_r_squared_integral,
                      periodic_delta_phi_squared)
+
+
+def me_offdiagonal_series(model, rho0, x, y, dt, steps):
+    """|rho_xy(t)| under the noise-averaged master equation."""
+    rec = run_ensemble(rho0, model, dt, steps, [0], unconditional=True,
+                       offdiagonal_pairs=[(x, y)], monitor_positivity=False)[0]
+    return rec.times, rec.offdiagonals[:, 0]
 
 
 def one_particle_spec(kind="csl", n=16, ndim=1, **kw):

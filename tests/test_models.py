@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from collapsesim import (LatticeGrid, ParticleSet, build_backaction_hamiltonian,
                          build_model, exact_pair_step, expectation,
                          kappa_decoherence_coefficient, me_step, run_ensemble, sn_step)
+from collapsesim import lattice
 from collapsesim.lattice import (config_sites, external_potential_diagonal,
                                 kinetic_hamiltonian)
 from collapsesim.models import (ModelSpec, config_fields, density_family, mean_density,
@@ -445,6 +448,55 @@ class TestConfigFields:
         batched = build_backaction_hamiltonian(spec, configs).values
         single = [build_backaction_hamiltonian(spec, [c]).values[0] for c in configs]
         assert batched.tobytes() == np.array(single).tobytes()
+
+
+class TestChunks:
+    @staticmethod
+    def tables(spec, configs):
+        model = build_model(spec)
+        out = [*config_fields(spec), *config_fields(spec, configs),
+               density_family(spec.grid, spec.particles, spec.sigma),
+               newton_family(spec.grid, spec.particles, spec.G,
+                             spec.resolved_feedback_smearing, spec.sigma),
+               model.monitoring.family, model.feedback.family, model.backaction,
+               build_backaction_hamiltonian(spec).values, model.monitoring.self_quadratic]
+        if len(model.backaction) <= 1024:  # (n_cfg, n_cfg) tables
+            out += [model.monitoring.pair_rate, model.feedback.pair_rate_inverse]
+        return [a.tobytes() for a in out]
+
+    @settings(max_examples=30, deadline=None)
+    @given(dims=st.lists(st.integers(2, 4), min_size=1, max_size=3),
+           count=st.integers(1, 2), kind=st.sampled_from(["csl", "dp"]),
+           sigma=st.floats(0.1, 2.0), smeared=st.booleans(), per_chunk=st.integers(1, 5),
+           data=st.data())
+    def test_tables_do_not_depend_on_chunk_size(self, dims, count, kind, sigma, smeared,
+                                                per_chunk, data):
+        grid = LatticeGrid(dims, 1.0)
+        spec = ModelSpec(kind=kind, grid=grid, particles=ParticleSet([1.0, 2.5][:count]),
+                         sigma=sigma, G=0.7, feedback_smearing=smeared)
+        idx = data.draw(st.lists(st.integers(0, grid.n_sites**count - 1), min_size=1,
+                                 max_size=6))
+        configs = config_sites(grid, spec.particles)[idx]
+        default = self.tables(spec, configs)
+        # per_chunk configurations or kernel columns per chunk
+        with mock.patch.object(lattice, "FFT_CHUNK_BYTES", 16 * grid.n_sites * per_chunk):
+            assert self.tables(spec, configs) == default
+
+    def test_set_up_memory_within_families(self):
+        # two particles on 8x8 (n_cfg 4096): building the model and its
+        # self_quadratic holds chunks of the fields, not whole copies
+        spec = ModelSpec(kind="dp", grid=LatticeGrid((8, 8)), particles=ParticleSet([1.0, 1.0]),
+                         sigma=1.0, G=0.05, feedback_smearing=True)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            model = build_model(spec)
+            model.monitoring.self_quadratic
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        families = model.monitoring.family.nbytes + model.feedback.family.nbytes
+        assert peak <= families + 2 * 2**20
 
 
 class TestDensityFamily:
