@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from .lattice import LatticeGrid, ParticleSet
-from .models import MODEL_KINDS, ModelSpec
+from .models import MODEL_KINDS, MONITORED_KINDS, ModelSpec
 
 # libyaml's parser when PyYAML has it: yaml.SafeLoader's constructors, 7x faster
 SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -167,6 +167,9 @@ def parse_config(data: dict) -> RunConfig:
         for s in osec.get("signal_sites", []):
             if not isinstance(s, int) or not (0 <= s < grid.n_sites):
                 errors.append(f"output.signal_sites: bad site {s!r}")
+    if osec.get("signal_sites") and kind is not None and kind not in MONITORED_KINDS:
+        errors.append(f"output.signal_sites: model kind {kind!r} records no signal; "
+                      f"only {MONITORED_KINDS} are monitored")
     snapshot_every = osec.get("snapshot_every", 0)
     if not isinstance(snapshot_every, int) or snapshot_every < 0:
         errors.append("output.snapshot_every: must be a nonnegative integer")

@@ -43,13 +43,13 @@ REAL_SPLIT_MAX_N = 16  # largest n whose real-split commutator matches zgemm's b
 
 
 def _diag(rho: np.ndarray) -> np.ndarray:
-    return np.diagonal(rho, axis1=-2, axis2=-1)
+    return rho.diagonal(0, -2, -1)  # the method: no Python wrapper on the step path
 
 
 def expectation(rho: np.ndarray, observable):
     """<D> = sum_x D(x) rho_xx for a diagonal observable."""
     d = _field_values(observable)
-    p = _diag(rho).real
+    p = _diag(np.asarray(rho)).real
     out = np.einsum("...x,x->...", p, d)
     return float(out) if out.ndim == 0 else out
 
@@ -206,16 +206,18 @@ def _normalize(out, step, what):
     return out / norm
 
 
-def _conditioning(rho, c) -> np.ndarray:
+def _conditioning(rho, c, out=None) -> np.ndarray:
     """(1/2) iint gamma_rs {A_r - <A_r>, rho} dnoise_s, element-wise, from
-    the conditioning field c = MonitoringSpec.conditioning_field(noise).
+    the conditioning field c = MonitoringSpec.conditioning_field(noise);
+    out, if given, receives it.
 
     Exactly traceless path-wise: c(x) + c(y) - 2<c> contracts to zero
     against the diagonal of rho.
     """
     cmean = np.einsum("...x,...x->...", c, _diag(rho).real)
     shifted = c[..., :, None] + c[..., None, :] - 2.0 * cmean[..., None, None]
-    return 0.5 * shifted * rho
+    np.multiply(0.5, shifted, out=shifted)
+    return np.multiply(shifted, rho, out=out)
 
 
 def _commutator(H, rho):
@@ -224,17 +226,45 @@ def _commutator(H, rho):
     not as numpy's promoted zgemm: the same bytes, save that an exactly zero
     entry may take the other sign (README, performance notes)."""
     if H.dtype != np.float64 or rho.dtype != np.complex128 or rho.shape[-1] > REAL_SPLIT_MAX_N:
-        return H @ rho - rho @ H
-    left = H @ np.ascontiguousarray(rho).view(np.float64)
-    right_t = H.T @ np.ascontiguousarray(np.swapaxes(rho, -1, -2)).view(np.float64)
-    return left.view(np.complex128) - np.swapaxes(right_t.view(np.complex128), -1, -2)
+        out = H @ rho
+        out -= rho @ H
+        return out
+    out = (H @ np.ascontiguousarray(rho).view(np.float64)).view(np.complex128)
+    right_t = H.T @ np.ascontiguousarray(rho.swapaxes(-1, -2)).view(np.float64)
+    out -= right_t.view(np.complex128).swapaxes(-1, -2)
+    return out
+
+
+# The increments below are computed in place, one operation at a time, with
+# the operations, their order and their left operands of the expressions in
+# their docstrings: numpy's complex product uses FMA, so a * b and b * a can
+# differ in the last bit (README, performance notes).
+
+def _on_batch(rho, *per_config):
+    """rho (..., n, n) and per-configuration arrays (..., k) as views on
+    their common leading axes, so every term has the increment's shape."""
+    batch = np.broadcast_shapes(rho.shape[:-2], *(a.shape[:-1] for a in per_config))
+    return (np.broadcast_to(rho, batch + rho.shape[-2:]),
+            *(np.broadcast_to(a, batch + a.shape[-1:]) for a in per_config))
+
+
+def _hamiltonian_term(H, rho, dt: float) -> np.ndarray:
+    """-1j * dt * [H, rho], in the commutator's array when that is complex:
+    the first term of every increment, which the others update in place."""
+    comm = _commutator(H, rho)
+    return np.multiply(-1j * dt, comm, out=comm if comm.dtype.kind == "c" else None)
 
 
 def _free_increment(rho, H, spec: MonitoringSpec, field, dt: float) -> np.ndarray:
-    """Ito Euler increment of the monitored dynamics without feedback."""
-    inc = -1j * dt * _commutator(H, rho)
-    inc = inc - dt * 0.125 * spec.pair_rate * rho
-    return inc + dt * _conditioning(rho, field)
+    """Ito Euler increment of the monitored dynamics without feedback,
+    -1j * dt * [H, rho] - dt * 0.125 * pair_rate * rho
+    + dt * _conditioning(rho, field), summed left to right."""
+    inc = _hamiltonian_term(H, rho, dt)
+    term = np.multiply(dt * 0.125 * spec.pair_rate, rho)
+    inc -= term
+    np.multiply(dt, _conditioning(rho, field, out=term), out=term)
+    inc += term
+    return inc
 
 
 def sme_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec, noise, dt: float,
@@ -243,9 +273,11 @@ def sme_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec, noise, dt: fl
     (field as in combined_step)."""
     if field is None:
         field = spec.conditioning_field(noise)
+    if field.shape[:-1] != rho.shape[:-2]:
+        rho, field = _on_batch(rho, field)
     inc = _free_increment(rho, H, spec, field, dt)
     _step_guard(rho, inc, step)
-    return rho + inc
+    return np.add(rho, inc, out=inc)
 
 
 def feedback_step(rho_free: np.ndarray, potential, dt: float) -> np.ndarray:
@@ -281,29 +313,51 @@ def combined_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
         field = spec.conditioning_field(noise)
     if signal is None:
         signal = spec.means(rho) + noise
-    free = _free_increment(rho, H, spec, field, dt)
-    v = fb.potential(signal)
-    vd = v[..., :, None] - v[..., None, :]
-    inc = free - 1j * dt * vd * (rho + free) - 0.5 * dt * dt * vd * vd * rho
+    if field.shape[:-1] != rho.shape[:-2] or signal.shape[:-1] != rho.shape[:-2]:
+        rho, field, signal = _on_batch(rho, field, signal)
+    inc = _free_increment(rho, H, spec, field, dt)
+    _feedback_terms(inc, rho, fb.potential(signal), dt)
     _step_guard(rho, inc, step)
-    return rho + inc
+    return np.add(rho, inc, out=inc)
+
+
+def _feedback_terms(inc, rho, v, dt: float) -> None:
+    """free -> free - 1j * dt * vd * (rho + free) - 0.5 * dt * dt * vd * vd * rho
+    in place on the free increment, with vd = v(x) - v(y)."""
+    vd = v[..., :, None] - v[..., None, :]
+    kick = np.multiply(1j * dt, vd)
+    np.multiply(kick, np.add(rho, inc), out=kick)
+    inc -= kick
+    curvature = np.multiply(0.5 * dt * dt, vd)
+    curvature *= vd
+    inc -= np.multiply(curvature, rho, out=kick)
 
 
 def me_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
             fb: FeedbackSpec | None, dt: float,
             backaction=None, step: int | None = None) -> np.ndarray:
     """Noise-averaged step: deterministic, linear, trace preserving and
-    completely positive (double commutators with nonnegative kernels)."""
-    inc = -1j * dt * _commutator(H, rho)
-    rate = 0.125 * spec.pair_rate
+    completely positive (double commutators with nonnegative kernels).  The
+    increment is -1j * dt * [H, rho] - 1j * dt * (b(x) - b(y)) * rho
+    - dt * rate * rho with rate = 0.125 * pair_rate + 0.5 * pair_rate_inverse
+    and b the back-action diagonal; without feedback only the first term
+    and the first part of rate."""
     if fb is not None:
         if backaction is None:
             backaction = fb.backaction_diagonal(spec)
-        inc = inc - 1j * dt * (backaction[..., :, None] - backaction[..., None, :]) * rho
-        rate = rate + 0.5 * fb.pair_rate_inverse
-    inc = inc - dt * rate * rho
+        if backaction.ndim > 1:
+            rho, backaction = _on_batch(rho, backaction)
+    inc = _hamiltonian_term(H, rho, dt)
+    rate = 0.125 * spec.pair_rate
+    term = None
+    if fb is not None:
+        term = np.multiply(1j * dt * (backaction[..., :, None] - backaction[..., None, :]), rho)
+        inc -= term
+        rate += 0.5 * fb.pair_rate_inverse
+    np.multiply(dt, rate, out=rate)
+    inc -= np.multiply(rate, rho, out=term)
     _step_guard(rho, inc, step)
-    return rho + inc
+    return np.add(rho, inc, out=inc)
 
 
 def hfb_identity_check(A, B, rho: np.ndarray, tol: float = 1e-12) -> bool:

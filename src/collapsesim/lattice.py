@@ -319,6 +319,8 @@ class ManyBodyHamiltonian:
         matrices, diagonal = self._terms
         M = self.grid.n_sites
         out = np.zeros(psi.shape, np.result_type(psi, float))
+        # cast once here, not in each multiply-add: the same products
+        matrices = [(p, h.astype(out.dtype, copy=False)) for p, h in matrices]
         for p, h in matrices:
             o, s = self._view(out, p), self._view(psi, p)
             for j in range(M - 1):

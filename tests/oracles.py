@@ -3,7 +3,8 @@
 Every routine here deliberately avoids the code paths it is used to check:
 dense matrix algebra instead of element-wise field updates, scalar
 arithmetic instead of vectorized engine steps, Kronecker sums instead of
-in-place many-body assembly, real-space sums and scipy
+in-place many-body assembly, chained expressions instead of in-place
+step arithmetic, real-space sums and scipy
 quadrature instead of spectral multiplication, and a damped mode sum
 instead of the packaged erfc-split Ewald green function.
 """
@@ -15,6 +16,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigh
 from scipy.special import erf, erfc
 
+from collapsesim.engine import _commutator, _diag
 from collapsesim.lattice import _single_particle_kinetic
 
 
@@ -122,6 +124,57 @@ def scalar_sme_step_2x2(rho, h, a, gamma, dA, dt):
         [r00 + dt * (c00 + s00), r01 + dt * (c01 + d01 + s01)],
         [r10 + dt * (c10 + d10 + s10), r11 + dt * (c11 + s11)],
     ])
+
+
+# -- expression-form density-matrix steps --------------------------------------
+# The engine's Euler steps as chained numpy expressions, one fresh temporary
+# per operation and without the step guard (which changes no value).  The
+# engine computes the same operations in place; these pin its bytes.
+# _commutator is pinned against numpy's complex product by its own tests.
+
+def expression_conditioning(rho, c):
+    cmean = np.einsum("...x,...x->...", c, _diag(rho).real)
+    shifted = c[..., :, None] + c[..., None, :] - 2.0 * cmean[..., None, None]
+    return 0.5 * shifted * rho
+
+
+def expression_free_increment(rho, H, spec, field, dt):
+    inc = -1j * dt * _commutator(H, rho)
+    inc = inc - dt * 0.125 * spec.pair_rate * rho
+    return inc + dt * expression_conditioning(rho, field)
+
+
+def expression_sme_step(rho, H, spec, noise, dt, field=None):
+    if field is None:
+        field = spec.conditioning_field(noise)
+    inc = expression_free_increment(rho, H, spec, field, dt)
+    return rho + inc
+
+
+def expression_combined_step(rho, H, spec, fb, noise, dt, field=None, signal=None):
+    if fb is None:
+        return expression_sme_step(rho, H, spec, noise, dt, field=field)
+    if field is None:
+        field = spec.conditioning_field(noise)
+    if signal is None:
+        signal = spec.means(rho) + noise
+    free = expression_free_increment(rho, H, spec, field, dt)
+    v = fb.potential(signal)
+    vd = v[..., :, None] - v[..., None, :]
+    inc = free - 1j * dt * vd * (rho + free) - 0.5 * dt * dt * vd * vd * rho
+    return rho + inc
+
+
+def expression_me_step(rho, H, spec, fb, dt, backaction=None):
+    inc = -1j * dt * _commutator(H, rho)
+    rate = 0.125 * spec.pair_rate
+    if fb is not None:
+        if backaction is None:
+            backaction = fb.backaction_diagonal(spec)
+        inc = inc - 1j * dt * (backaction[..., :, None] - backaction[..., None, :]) * rho
+        rate = rate + 0.5 * fb.pair_rate_inverse
+    inc = inc - dt * rate * rho
+    return rho + inc
 
 
 # -- real-space lattice oracles -----------------------------------------------

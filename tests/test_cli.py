@@ -152,6 +152,20 @@ class TestRun:
         reference = yaml.load(DEMO_CONFIG.read_text(), Loader=yaml.SafeLoader)
         assert raw == reference and repr(raw) == repr(reference)  # repr tells 1 from 1.0
 
+    @pytest.mark.parametrize("kind", ["sn", "pair"])
+    def test_signal_sites_need_monitored_kind_exit_2(self, tmp_path, capsys, kind):
+        # unmonitored kinds record no signal: the CSV header would name
+        # signal_site columns that no row fills
+        data = base_config(model={"kind": kind, "G": 0.1},
+                           output={"record_every": 10, "signal_sites": [2, 5]})
+        data["particles"] = data["particles"] * 2
+        data["integration"]["representation"] = "pure"
+        cfg = write_config(tmp_path / "run.yaml", data)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "output.signal_sites" in err and repr(kind) in err
+        assert not (tmp_path / "out").exists()
+
     def test_guard_trip_exit_3(self, tmp_path, capsys):
         data = base_config()
         data["model"]["G"] = 5.0

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from collapsesim import (LatticeGrid, MatrixKernel, ParticleSet, build_model,
                          combined_step, ensemble_mean, expectation,
@@ -16,7 +16,8 @@ from collapsesim.lattice import GuardError
 from collapsesim.models import ModelSpec, density_family, newton_family
 
 from conftest import DenseOperator, random_density_matrix, random_state
-from oracles import (dense_expectation, dense_hcal, scalar_sme_step_2x2,
+from oracles import (dense_expectation, dense_hcal, expression_combined_step,
+                     expression_me_step, expression_sme_step, scalar_sme_step_2x2,
                      spectral_propagator)
 
 
@@ -147,6 +148,94 @@ class TestCommutator:
         if complex_h:
             H = H + 1j * H.T
         assert _commutator(H, rho).tobytes() == (H @ rho - rho @ H).tobytes()
+
+
+def step_family(family, n, seed):
+    """(H, monitoring, feedback) on n configurations: one particle on an
+    n-site chain (csl or dp) or a random explicit family of 3 observables."""
+    if family == "matrix":
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((3, 3))
+        kernel = MatrixKernel(a @ a.T + 0.5 * np.eye(3))
+        H = rng.standard_normal((n, n))
+        return (H + H.T, MonitoringSpec(family=rng.standard_normal((3, n)), kernel=kernel),
+                FeedbackSpec(family=0.3 * rng.standard_normal((3, n)), kernel=kernel))
+    model = build_model(ModelSpec(kind=family, grid=LatticeGrid((n,), 1.0),
+                                  particles=ParticleSet([1.0]), sigma=1.0, G=0.2))
+    return model.hamiltonian, model.monitoring, model.feedback
+
+
+# (rho batch, noise batch); the last two broadcast rho against wider noise
+STEP_BATCHES = [((), ()), ((3,), (3,)), ((2, 2), (2, 2)), ((), (3,)), ((2, 1), (2, 3))]
+
+
+class TestInPlaceSteps:
+    """sme_step, combined_step and me_step compute their increments in
+    place; each must give the bytes of its chained-expression form."""
+
+    @pytest.mark.parametrize("kind", ["sme", "combined", "me"])
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from(list(range(1, 21)) + [64]), batches=st.sampled_from(STEP_BATCHES),
+           real=st.booleans(), feedback=st.booleans(), passed=st.booleans(),
+           family=st.sampled_from(["csl", "dp", "matrix"]), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_expression_form(self, kind, n, batches, real, feedback,
+                                              passed, family, seed):
+        assume(n > 1 or family == "matrix")  # a chain needs 2 sites
+        H, mon, fb = step_family(family, n, seed)
+        fb = fb if feedback else None
+        rng = np.random.default_rng(seed)
+        batch, noise_batch = batches
+        rho = np.stack([random_density_matrix(rng, n) for _ in range(int(np.prod(batch)))])
+        rho = rho.reshape(batch + (n, n))
+        if real:
+            rho = np.ascontiguousarray(rho.real)
+        noise = rng.standard_normal(noise_batch + mon.family.shape[:1])
+        field, signal = mon.conditioning_field(noise), mon.means(rho) + noise
+        # the largest dt that keeps the increment near 2% of rho: every term's
+        # last bits then reach the state, and the step guard stays quiet
+        rate = 0.125 * mon.pair_rate.max() + 2.0 * np.abs(H).sum(axis=1).max()
+        if fb is not None:
+            rate += (0.5 * fb.pair_rate_inverse.max() + np.ptp(fb.potential(signal))
+                     + np.ptp(fb.backaction_diagonal(mon)))
+        dt = 0.02 / (rate + np.abs(field).max() + 1e-3)
+        backaction = fb.backaction_diagonal(mon) if passed and fb is not None else None
+        field, signal = (field, signal) if passed else (None, None)
+        inputs = [a for a in (rho, noise, field, signal, backaction) if a is not None]
+        before = [a.tobytes() for a in inputs]
+        if kind == "sme":
+            got = sme_step(rho, H, mon, noise, dt, field=field)
+            want = expression_sme_step(rho, H, mon, noise, dt, field=field)
+        elif kind == "combined":
+            got = combined_step(rho, H, mon, fb, noise, dt, field=field, signal=signal)
+            want = expression_combined_step(rho, H, mon, fb, noise, dt, field=field,
+                                            signal=signal)
+        else:
+            got = me_step(rho, H, mon, fb, dt, backaction=backaction)
+            want = expression_me_step(rho, H, mon, fb, dt, backaction=backaction)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert [a.tobytes() for a in inputs] == before
+
+    def test_feedback_step_memory(self):
+        # one particle on 8^3 (n_cfg = 512), dp with smeared feedback: a warm
+        # step holds the increment, rho + increment, the kick and vd at most
+        model = build_model(ModelSpec(kind="dp", grid=LatticeGrid((8, 8, 8), 1.0),
+                                      particles=ParticleSet([1.0]), sigma=1.0, kappa=2.0,
+                                      G=0.05, feedback_smearing=True))
+        rng = np.random.default_rng(0)
+        psi = random_state(rng, 512)
+        rho = np.outer(psi, psi.conj())[None]
+        dt = 1e-3
+        noise = model.monitoring.sample_noise_flat(dt, rng, (2, 1))
+        fields = model.monitoring.conditioning_field(noise)
+        model.advance(rho, dt, noise[0], step=1, pure=False, field=fields[0])  # builds the tables
+        tracemalloc.start()
+        try:
+            model.advance(rho, dt, noise[1], step=2, pure=False, field=fields[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.6 * rho.nbytes
 
 
 class TestSmeStep:
