@@ -10,7 +10,7 @@ single trajectory stays (nearly) pure.
 import numpy as np
 
 from collapsesim import (LatticeGrid, ParticleSet, build_model, ensemble_mean,
-                         me_step, run_trajectory, trace_distance)
+                         run_ensemble, run_trajectory, trace_distance)
 from collapsesim.models import ModelSpec
 
 grid = LatticeGrid((2,), 1.0)
@@ -31,10 +31,8 @@ for seed in (0, 1, 2):
 print("\n== ensemble average vs the noise-free master equation ==")
 n_traj = 600
 mean = ensemble_mean(model, rho0, dt, steps, seeds=range(n_traj))
-rho_me = rho0.copy()
-for _ in range(steps):
-    rho_me = me_step(rho_me, model.hamiltonian, model.monitoring, model.feedback,
-                     dt, backaction=model.backaction)
+rho_me = run_ensemble(rho0, model, dt, steps, [0], record_every=steps, snapshot_every=steps,
+                      unconditional=True)[0].snapshots[-1][1]
 print(f"|rho_01| ensemble mean: {abs(mean[0, 1]):.5f}")
 print(f"|rho_01| master eq:     {abs(rho_me[0, 1]):.5f}")
 print(f"trace distance between the averages: "

@@ -27,7 +27,6 @@ from .models import (Model, ModelSpec, build_backaction_hamiltonian, config_fiel
 
 @dataclass(frozen=True)
 class RateEntry:
-    separation: float
     intrinsic: float
     backaction: float
 
@@ -60,21 +59,7 @@ def closed_form_rate(spec: ModelSpec, x_config, y_config) -> RateEntry:
     dphi = phi[0] - phi[1]
     intrinsic = 0.125 * kernel.quad(ddens, ddens)
     backaction = 0.5 * kernel.quad_inverse(dphi, dphi)
-    x = np.asarray(x_config, int).reshape(-1)
-    y = np.asarray(y_config, int).reshape(-1)
-    sep = _embedded_distance(spec, x, y)
-    return RateEntry(separation=sep, intrinsic=intrinsic, backaction=backaction)
-
-
-def _embedded_distance(spec: ModelSpec, x, y) -> float:
-    grid = spec.grid
-    tot = 0.0
-    for n in range(len(x)):
-        dx = np.array(grid.site_multi(x[n])) - np.array(grid.site_multi(y[n]))
-        for ax in range(grid.ndim):
-            dx[ax] = int(round(grid.minimal_image(dx[ax] * grid.spacing[ax], ax) / grid.spacing[ax]))
-        tot += float(np.sum((dx * np.array(grid.spacing)) ** 2))
-    return float(np.sqrt(tot))
+    return RateEntry(intrinsic=intrinsic, backaction=backaction)
 
 
 def united_dp_rate(spec: ModelSpec, x_config, y_config) -> float:

@@ -122,12 +122,20 @@ def _require_rate_model(cfg: RunConfig, what: str) -> None:
                            f"{cfg.spec.particles.count} particles, kind {cfg.spec.kind!r}"])
 
 
+def _axis(cfg: RunConfig, block: dict, what: str) -> int:
+    """The block's grid axis (default 0), one of the grid's own."""
+    axis, ndim = int(block.get("axis", 0)), cfg.spec.grid.ndim
+    if not 0 <= axis < ndim:
+        raise ConfigError([f"analyze {what}: axis must be in 0..{ndim - 1} on this "
+                           f"{ndim}-d grid; got {axis}"])
+    return axis
+
+
 def _analyze_rate(cfg: RunConfig, out_dir: Path) -> int:
     _require_rate_model(cfg, "rate")
     block = cfg.analyze.get("rate", {})
     seps = block.get("separations", list(range(0, max(2, min(cfg.spec.grid.dims) // 4 + 1))))
-    axis = int(block.get("axis", 0))
-    prof = analysis.decoherence_profile(cfg.spec, seps, axis=axis)
+    prof = analysis.decoherence_profile(cfg.spec, seps, axis=_axis(cfg, block, "rate"))
     rows = zip(prof.separations, prof.intrinsic, prof.backaction, prof.total)
     _write_csv(out_dir / "rate.csv",
                ["d (length)", "rate_intrinsic (1/time)",
@@ -145,7 +153,7 @@ def _analyze_pair_potential(cfg: RunConfig, out_dir: Path) -> int:
         L = cfg.spec.grid.dims[0]
         seps = list(range(1, L // 2 + 1))
     rows = analysis.pair_potential_curve(cfg.spec, seps,
-                                         axis=int(block.get("axis", 0)),
+                                         axis=_axis(cfg, block, "pair-potential"),
                                          corrected=bool(block.get("corrected", True)))
     _write_csv(out_dir / "pair_potential.csv",
                ["d (length)", "V_inter (energy)", "V_corrected (energy)",
@@ -159,7 +167,8 @@ def _analyze_kappa_scan(cfg: RunConfig, out_dir: Path) -> int:
     block = cfg.analyze.get("kappa_scan", {})
     kappas = block.get("kappas", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
     sep = int(block.get("separation", 3))
-    rows, best = analysis.kappa_scan(cfg.spec, kappas, sep)
+    rows, best = analysis.kappa_scan(cfg.spec, kappas, sep,
+                                     axis=_axis(cfg, block, "kappa-scan"))
     _write_csv(out_dir / "kappa_scan.csv",
                ["kappa (1)", "rate_total (1/time)", "is_minimum (0/1)"],
                ((k, r, 1.0 if k == best else 0.0) for k, r in rows))
@@ -170,10 +179,14 @@ def _analyze_linearity(cfg: RunConfig, out_dir: Path) -> int:
     block = cfg.analyze.get("linearity", {})
     t = float(block.get("time", 0.2))
     samples = int(block.get("samples", 200))
+    init, n = cfg.initial[0], cfg.spec.particles.count
+    if n != 1 or init.get("type") != "cat":
+        raise ConfigError([f"analyze linearity needs one particle in a cat initial state; the "
+                           f"config has {n} particles, particle 0 {init.get('type')!r}"])
+    if int(round(t / cfg.dt)) < 1 or samples < 1:
+        raise ConfigError([f"analyze linearity needs a time of at least one step (dt = "
+                           f"{cfg.dt:g}) and samples >= 1; got time {t:g}, samples {samples}"])
     model = build_model(cfg.spec)
-    init = cfg.initial[0]
-    if init.get("type") != "cat":
-        raise ConfigError(["analyze.linearity needs a cat initial state for particle 0"])
     from .config import single_particle_state
     grid = cfg.spec.grid
     a = single_particle_state(grid, {"type": "gaussian", "center": init["centers"][0],

@@ -46,14 +46,6 @@ def _diag(rho: np.ndarray) -> np.ndarray:
     return rho.diagonal(0, -2, -1)  # the method: no Python wrapper on the step path
 
 
-def expectation(rho: np.ndarray, observable):
-    """<D> = sum_x D(x) rho_xx for a diagonal observable."""
-    d = _field_values(observable)
-    p = _diag(np.asarray(rho)).real
-    out = np.einsum("...x,x->...", p, d)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class _DiagonalFamily:
     """Diagonal observables family[nu, x] (observable nu on configuration
@@ -458,8 +450,9 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
 
     initial may be a state vector (pure-state unravelling for monitored
     models; required for the mean-field baseline) or a density matrix.
-    unconditional runs the noise-averaged master equation instead (the
-    seeds are then irrelevant; recorded signals are the observable means).
+    unconditional runs the noise-averaged step instead, Model.advance with
+    noise None (the seeds are then irrelevant; recorded signals are the
+    observable means).
     Members advance together, one Model.advance call per step, in batches
     of at most BATCH_BYTES of states, noise and conditioning fields.
     Member k draws NOISE_BLOCK steps of noise per call from the Philox
@@ -525,21 +518,17 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
         rngs = [np.random.Generator(np.random.Philox(rec.seed)) for rec in batch]
         state = np.broadcast_to(initial, (len(batch),) + initial.shape).copy()
         j = 0
+        signal = noise = field = None
         for i in range(steps + 1):
-            if i == 0:
-                signal = None
-            elif unconditional:
-                state, signal = model.advance_unconditional(state, dt, step=i, pure=pure)
-            elif not draws:
-                state, signal = model.advance(state, dt, None, step=i, pure=pure)
-            else:
-                b = (i - 1) % NOISE_BLOCK
-                if b == 0:
-                    noise = np.stack([model.monitoring.sample_noise_flat(
-                        dt, rng, (min(NOISE_BLOCK, steps - i + 1),)) for rng in rngs], axis=1)
-                    fields = model.monitoring.conditioning_field(noise)
-                state, signal = model.advance(state, dt, noise[b], step=i, pure=pure,
-                                              field=fields[b])
+            if i > 0:
+                if draws:
+                    b = (i - 1) % NOISE_BLOCK
+                    if b == 0:
+                        noises = np.stack([model.monitoring.sample_noise_flat(
+                            dt, rng, (min(NOISE_BLOCK, steps - i + 1),)) for rng in rngs], axis=1)
+                        fields = model.monitoring.conditioning_field(noises)
+                    noise, field = noises[b], fields[b]
+                state, signal = model.advance(state, dt, noise, step=i, pure=pure, field=field)
             if i == rec_steps[j]:
                 # one batched call, each member's eigenvalues bit for bit its own
                 wmins = np.linalg.eigvalsh(state).min(axis=-1) if monitor_positivity else None

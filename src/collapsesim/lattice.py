@@ -95,9 +95,6 @@ class LatticeGrid:
         """Flatten a per-axis site tuple into a single site index."""
         return int(np.ravel_multi_index(tuple(int(i) for i in np.atleast_1d(multi)), self.dims))
 
-    def site_multi(self, index: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.unravel_index(int(index), self.dims))
-
     def fft(self, f: np.ndarray) -> np.ndarray:
         """Unnormalized FFT over the trailing grid axes (leading axes = batch)."""
         axes = tuple(range(f.ndim - self.ndim, f.ndim))
@@ -156,14 +153,6 @@ class ParticleSet:
     def count(self) -> int:
         return len(self.masses)
 
-    @property
-    def total_mass(self) -> float:
-        return float(sum(self.masses))
-
-
-def n_configs(grid: LatticeGrid, particles: ParticleSet) -> int:
-    return grid.n_sites ** particles.count
-
 
 def config_sites(grid: LatticeGrid, particles: ParticleSet) -> np.ndarray:
     """Site index of each particle for every joint configuration.
@@ -180,8 +169,7 @@ def config_sites(grid: LatticeGrid, particles: ParticleSet) -> np.ndarray:
 class DiagonalField:
     """Real function on joint configuration space (a position-diagonal operator).
 
-    values[x] is the operator's eigenvalue on configuration x.  Products of
-    diagonal operators are pointwise products of their value arrays.
+    values[x] is the operator's eigenvalue on configuration x.
     """
 
     values: np.ndarray
@@ -191,17 +179,6 @@ class DiagonalField:
         if not np.all(np.isfinite(v)):
             raise ValueError("diagonal field must be finite everywhere")
         object.__setattr__(self, "values", v)
-
-    def __add__(self, other):
-        return DiagonalField(self.values + _field_values(other))
-
-    def __sub__(self, other):
-        return DiagonalField(self.values - _field_values(other))
-
-    def __mul__(self, other):
-        return DiagonalField(self.values * _field_values(other))
-
-    __rmul__ = __mul__
 
     def spread(self) -> float:
         return float(self.values.max() - self.values.min())
@@ -371,6 +348,3 @@ class LatticeUnits:
 
     def length(self, x_m: float) -> float:
         return x_m / self.length_m
-
-    def time(self, t_s: float) -> float:
-        return t_s / self.time_s

@@ -247,17 +247,26 @@ class Model:
     def particles(self) -> ParticleSet:
         return self.spec.particles
 
-    def advance(self, state: np.ndarray, dt: float, noise, step: int | None = None,
+    def advance(self, state: np.ndarray, dt: float, noise=None, step: int | None = None,
                 pure: bool | None = None, field=None):
         """One step; returns (state', signal or None).  Dispatches on the
-        model kind and on pure: whether the states, which may carry leading
-        batch axes, are state vectors (default: only a 1-d state is).  noise
-        is the step's flat signal noise, (..., n_obs); baselines take None.
-        field: the step's monitoring.conditioning_field(noise), if known."""
+        model kind, on noise and on pure: whether the states, which may carry
+        leading batch axes, are state vectors (default: only a 1-d state is).
+        noise is the step's flat signal noise, (..., n_obs); on a monitored
+        kind None takes the noise-averaged step, the linear master equation,
+        whose signal is the observable means of the new density matrix.
+        Baselines take None.  field: the step's
+        monitoring.conditioning_field(noise), if known."""
         if pure is None:
             pure = state.ndim == 1
         if self.kind in MONITORED_KINDS:
             spec = self.monitoring
+            if noise is None:
+                if pure:
+                    raise ValueError("the unconditional evolution needs a density matrix")
+                new = me_step(state, self.hamiltonian, spec, self.feedback, dt,
+                              backaction=self.backaction, step=step)
+                return new, spec.means(new)
             if pure:
                 prob = (state.conj() * state).real
                 means = (spec.family @ prob[..., None])[..., 0]
@@ -277,20 +286,6 @@ class Model:
             k = self.hamiltonian_operator.apply(state) + self.pair_potential * state
             return _normalize(state - 1j * dt * k, step, "pair step"), None
         return exact_pair_step(state, self, dt, step=step), None
-
-    def advance_unconditional(self, state: np.ndarray, dt: float, step: int | None = None,
-                              pure: bool | None = None):
-        """Noise-averaged step: the linear master equation for monitored
-        kinds, the (already deterministic) baseline step otherwise."""
-        if pure is None:
-            pure = state.ndim == 1
-        if self.kind in MONITORED_KINDS:
-            if pure:
-                raise ValueError("the unconditional evolution needs a density matrix")
-            new = me_step(state, self.hamiltonian, self.monitoring, self.feedback,
-                          dt, backaction=self.backaction, step=step)
-            return new, self.monitoring.means(new)
-        return self.advance(state, dt, None, step=step, pure=pure)
 
 
 def build_model(spec: ModelSpec) -> Model:

@@ -36,10 +36,6 @@ def dense_hcal(d: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return X @ rho + rho @ X
 
 
-def dense_expectation(d: np.ndarray, rho: np.ndarray) -> float:
-    return float(np.trace(np.diag(d) @ rho).real)
-
-
 def einsum_apply(H: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """H psi over the dense matrix for state vectors with leading batch axes."""
     return np.einsum("xy,...y->...x", H, psi)

@@ -223,15 +223,19 @@ class TestAnalyze:
         assert table[0, 0] == 0.0
         assert np.abs(table[0, 1:]).max() < 1e-14
 
-    def test_linearity_report(self, tmp_path):
+    @staticmethod
+    def linearity_config(**block):
         data = base_config()
         data["particles"] = [{"mass": 1.0,
                               "initial": {"type": "cat", "centers": [[2.0], [6.0]],
                                           "width": 0.7}}]
         data["model"] = {"kind": "csl", "sigma": 1.0, "gamma": 1.0, "G": 0.1}
         data["integration"] = {"dt": 1e-4, "steps": 100, "seed": 3, "ensemble": 1}
-        data["analyze"] = {"linearity": {"time": 0.01, "samples": 20}}
-        cfg = write_config(tmp_path / "lin.yaml", data)
+        data["analyze"] = {"linearity": {"time": 0.01, "samples": 20, **block}}
+        return data
+
+    def test_linearity_report(self, tmp_path):
+        cfg = write_config(tmp_path / "lin.yaml", self.linearity_config())
         assert main(["analyze", "linearity", "--config", cfg,
                      "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "linearity.json").read_text())
@@ -276,6 +280,31 @@ class TestAnalyze:
         cfg = write_config(tmp_path / "sn.yaml", data)
         assert main(["analyze", what, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "monitored model kind" in capsys.readouterr().err
+
+    def test_linearity_needs_one_particle_exit_2(self, tmp_path, capsys):
+        data = self.linearity_config()
+        data["particles"] = data["particles"] * 2
+        cfg = write_config(tmp_path / "lin.yaml", data)
+        assert main(["analyze", "linearity", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "needs one particle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block", [{"time": 4e-5}, {"samples": 0}],
+                             ids=["time-below-one-step", "no-samples"])
+    def test_linearity_needs_a_step_and_a_sample_exit_2(self, tmp_path, capsys, block):
+        cfg = write_config(tmp_path / "lin.yaml", self.linearity_config(**block))
+        assert main(["analyze", "linearity", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "at least one step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis", [1, -1])
+    @pytest.mark.parametrize("what", ["rate", "kappa-scan", "pair-potential"])
+    def test_axis_outside_grid_exit_2(self, tmp_path, capsys, what, axis):
+        data = base_config()
+        if what == "pair-potential":
+            data["particles"] = data["particles"] * 2
+        data["analyze"] = {what.replace("-", "_"): {"axis": axis}}
+        cfg = write_config(tmp_path / "axis.yaml", data)
+        assert main(["analyze", what, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "axis must be in 0..0" in capsys.readouterr().err
 
 
 class TestAnalyzeBytes:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from collapsesim import (LatticeGrid, MatrixKernel, ParticleSet, build_model,
-                         combined_step, ensemble_mean, expectation,
-                         feedback_step, hfb_identity_check, me_step, run_ensemble,
-                         run_trajectory, sme_step, sse_step)
+                         combined_step, ensemble_mean, exact_pair_step, feedback_step,
+                         hfb_identity_check, me_step, run_ensemble, run_trajectory,
+                         sme_step, sse_step)
 from collapsesim import engine
 from collapsesim.engine import (FeedbackSpec, MonitoringSpec, _commutator, _conditioning,
                                 _step_guard, hfb_family_identity_check)
@@ -16,9 +16,8 @@ from collapsesim.lattice import GuardError
 from collapsesim.models import ModelSpec, density_family, newton_family
 
 from conftest import DenseOperator, random_density_matrix, random_state
-from oracles import (dense_expectation, dense_hcal, expression_combined_step,
-                     expression_me_step, expression_sme_step, scalar_sme_step_2x2,
-                     spectral_propagator)
+from oracles import (dense_hcal, expression_combined_step, expression_me_step,
+                     expression_sme_step, scalar_sme_step_2x2, spectral_propagator)
 
 
 def toy_monitoring(a_values, gamma=1.0):
@@ -36,24 +35,6 @@ def grid_specs(n=8, sigma=1.0, gamma=1.0, G=0.2, smear_fb=False):
     fb = FeedbackSpec(family=newton_family(grid, parts, G, smear_fb, sigma),
                       kernel=kernel, grid=grid, smeared=smear_fb)
     return grid, mon, fb
-
-
-class TestExpectation:
-    def test_constant_observable(self, rng):
-        rho = random_density_matrix(rng, 5)
-        assert expectation(rho, np.full(5, 3.2)) == pytest.approx(3.2, abs=1e-12)
-
-    def test_position_eigenstate(self, rng):
-        d = rng.standard_normal(6)
-        rho = np.zeros((6, 6), complex)
-        rho[2, 2] = 1.0
-        assert expectation(rho, d) == pytest.approx(d[2], abs=1e-14)
-
-    def test_matches_dense_trace_oracle(self, rng):
-        d = rng.standard_normal(9)
-        rho = random_density_matrix(rng, 9)
-        assert expectation(rho, d) == pytest.approx(dense_expectation(d, rho),
-                                                    abs=1e-12)
 
 
 class TestHcal:
@@ -529,9 +510,8 @@ class TestSseStep:
         psi0 = np.array([1.0, 1.0], complex) / np.sqrt(2.0)
         n_traj, steps, dt = 300, 200, 1e-3
         acc = np.zeros((2, 2), complex)
-        for seed in range(n_traj):
-            rec = run_trajectory(psi0, model, dt, steps, seed=seed,
-                                 record_every=steps, snapshot_every=steps)
+        for rec in run_ensemble(psi0, model, dt, steps, range(n_traj),
+                                record_every=steps, snapshot_every=steps):
             _, psi = rec.snapshots[-1]
             acc += np.outer(psi, psi.conj())
         mean = acc / n_traj
@@ -702,6 +682,52 @@ class TestRunEnsemble:
         for i in range(1, 21):
             state, _ = model.advance(state, 1e-3, None, step=i)
         np.testing.assert_allclose(a, state, atol=1e-14)
+
+    @pytest.mark.parametrize("dims", [(8,), (4, 4)])
+    @pytest.mark.parametrize("kind", ["csl", "dp"])
+    def test_unconditional_equals_me_step_loop(self, kind, dims):
+        # the noise-averaged run is Model.advance without noise: me_step with
+        # the model's back-action, its signal the means of the new state
+        grid = LatticeGrid(dims, 1.0)
+        model = build_model(ModelSpec(kind=kind, grid=grid, particles=ParticleSet([1.0]),
+                                      sigma=1.0, G=0.1))
+        psi = random_state(np.random.default_rng(3), grid.n_sites)
+        rho = np.outer(psi, psi.conj())
+        steps = 12
+        recs = run_ensemble(rho, model, self.dt, steps, [0, 1], record_signal=True,
+                            snapshot_every=steps, monitor_positivity=False,
+                            unconditional=True)
+        mon = model.monitoring
+        signals = [mon.family @ np.diagonal(rho).real]
+        for i in range(1, steps + 1):
+            rho = me_step(rho, model.hamiltonian, mon, model.feedback, self.dt,
+                          backaction=model.backaction, step=i)
+            signals.append(mon.means(rho))
+        for rec in recs:
+            assert rec.snapshots[-1][1].tobytes() == rho.tobytes()
+            assert rec.signals.tobytes() == np.array(signals).tobytes()
+
+    def test_pair_unconditional_equals_exact_pair_step_loop(self):
+        grid = LatticeGrid((4,), 1.0)
+        model = build_model(ModelSpec(kind="pair", grid=grid, particles=ParticleSet([1.0, 2.0]),
+                                      G=0.3))
+        psi = random_state(np.random.default_rng(4), 16)
+        rho0 = np.outer(psi, psi.conj())
+        steps = 12
+        recs = run_ensemble(rho0, model, self.dt, steps, [0, 1], snapshot_every=steps,
+                            monitor_positivity=False, unconditional=True)
+        rho = rho0
+        for i in range(1, steps + 1):
+            rho = exact_pair_step(rho, model, self.dt, step=i)
+        for rec in recs:
+            assert rec.snapshots[-1][1].tobytes() == rho.tobytes()
+
+    def test_noise_averaged_step_needs_density_matrix(self):
+        model, psi = self.cat_model()
+        with pytest.raises(ValueError, match="density matrix"):
+            model.advance(psi, self.dt)
+        with pytest.raises(ValueError, match="density matrix"):
+            run_ensemble(psi, model, self.dt, 3, [0], unconditional=True)
 
 
 class TestPureRecord:

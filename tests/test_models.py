@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from collapsesim import (LatticeGrid, ParticleSet, build_backaction_hamiltonian,
-                         build_model, exact_pair_step, expectation,
-                         kappa_decoherence_coefficient, me_step, run_ensemble, sn_step)
+                         build_model, exact_pair_step, kappa_decoherence_coefficient,
+                         me_step, run_ensemble, sn_step)
 from collapsesim import lattice
 from collapsesim.lattice import (config_sites, external_potential_diagonal,
                                 kinetic_hamiltonian)
@@ -505,7 +505,7 @@ class TestDensityFamily:
         parts = ParticleSet([1.0, 2.5])
         fam = density_family(grid, parts, sigma=1.0)
         totals = fam.sum(axis=0) * grid.cell_volume
-        np.testing.assert_allclose(totals, parts.total_mass, rtol=1e-12)
+        np.testing.assert_allclose(totals, sum(parts.masses), rtol=1e-12)
 
     def test_mean_density_from_marginals(self, rng):
         grid = LatticeGrid((5,), 1.0)
