@@ -122,20 +122,49 @@ def _require_rate_model(cfg: RunConfig, what: str) -> None:
                            f"{cfg.spec.particles.count} particles, kind {cfg.spec.kind!r}"])
 
 
+def _number(value, kind, what: str, key: str):
+    """value as an int (a whole number) or a finite float; anything else,
+    booleans included, exits 2 naming the key and the value."""
+    try:
+        number = kind(value)
+        valid = not isinstance(value, bool) and np.isfinite(number) and number == float(value)
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        noun = "a whole number" if kind is int else "a finite number"
+        raise ConfigError([f"analyze {what}: {key} must be {noun}; got {value!r}"])
+    return number
+
+
 def _axis(cfg: RunConfig, block: dict, what: str) -> int:
     """The block's grid axis (default 0), one of the grid's own."""
-    axis, ndim = int(block.get("axis", 0)), cfg.spec.grid.ndim
+    axis, ndim = _number(block.get("axis", 0), int, what, "axis"), cfg.spec.grid.ndim
     if not 0 <= axis < ndim:
         raise ConfigError([f"analyze {what}: axis must be in 0..{ndim - 1} on this "
                            f"{ndim}-d grid; got {axis}"])
     return axis
 
 
+def _separations(cfg: RunConfig, seps, axis: int, what: str, key: str = "separations"):
+    """Separations as whole site counts along the axis, each inside the grid."""
+    if not isinstance(seps, list):
+        raise ConfigError([f"analyze {what}: {key} must be a list; got {seps!r}"])
+    length = cfg.spec.grid.dims[axis]
+    seps = [_number(d, int, what, key) for d in seps]
+    outside = [d for d in seps if not 0 <= d < length]
+    if outside:
+        raise ConfigError([f"analyze {what}: {key} must be in 0..{length - 1} sites along "
+                           f"axis {axis}; got {', '.join(map(str, outside))}"])
+    return seps
+
+
 def _analyze_rate(cfg: RunConfig, out_dir: Path) -> int:
     _require_rate_model(cfg, "rate")
     block = cfg.analyze.get("rate", {})
+    axis = _axis(cfg, block, "rate")
     seps = block.get("separations", list(range(0, max(2, min(cfg.spec.grid.dims) // 4 + 1))))
-    prof = analysis.decoherence_profile(cfg.spec, seps, axis=_axis(cfg, block, "rate"))
+    prof = analysis.decoherence_profile(cfg.spec, _separations(cfg, seps, axis, "rate"),
+                                        axis=axis)
     rows = zip(prof.separations, prof.intrinsic, prof.backaction, prof.total)
     _write_csv(out_dir / "rate.csv",
                ["d (length)", "rate_intrinsic (1/time)",
@@ -148,13 +177,13 @@ def _analyze_pair_potential(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError([f"analyze pair-potential needs exactly two particles; "
                            f"the config has {cfg.spec.particles.count}"])
     block = cfg.analyze.get("pair_potential", {})
+    axis = _axis(cfg, block, "pair-potential")
     seps = block.get("separations")
     if seps is None:
-        L = cfg.spec.grid.dims[0]
-        seps = list(range(1, L // 2 + 1))
-    rows = analysis.pair_potential_curve(cfg.spec, seps,
-                                         axis=_axis(cfg, block, "pair-potential"),
-                                         corrected=bool(block.get("corrected", True)))
+        seps = list(range(1, cfg.spec.grid.dims[axis] // 2 + 1))
+    rows = analysis.pair_potential_curve(cfg.spec,
+                                         _separations(cfg, seps, axis, "pair-potential"),
+                                         axis=axis, corrected=bool(block.get("corrected", True)))
     _write_csv(out_dir / "pair_potential.csv",
                ["d (length)", "V_inter (energy)", "V_corrected (energy)",
                 "newton_ratio (1)"],
@@ -166,9 +195,13 @@ def _analyze_kappa_scan(cfg: RunConfig, out_dir: Path) -> int:
     _require_rate_model(cfg, "kappa-scan")
     block = cfg.analyze.get("kappa_scan", {})
     kappas = block.get("kappas", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
-    sep = int(block.get("separation", 3))
-    rows, best = analysis.kappa_scan(cfg.spec, kappas, sep,
-                                     axis=_axis(cfg, block, "kappa-scan"))
+    if not isinstance(kappas, list) or not all(
+            _number(k, float, "kappa-scan", "kappas") > 0 for k in kappas):
+        raise ConfigError([f"analyze kappa-scan: kappas must be a list of positive "
+                           f"numbers; got {kappas!r}"])
+    axis = _axis(cfg, block, "kappa-scan")
+    (sep,) = _separations(cfg, [block.get("separation", 3)], axis, "kappa-scan", "separation")
+    rows, best = analysis.kappa_scan(cfg.spec, kappas, sep, axis=axis)
     _write_csv(out_dir / "kappa_scan.csv",
                ["kappa (1)", "rate_total (1/time)", "is_minimum (0/1)"],
                ((k, r, 1.0 if k == best else 0.0) for k, r in rows))
@@ -177,8 +210,8 @@ def _analyze_kappa_scan(cfg: RunConfig, out_dir: Path) -> int:
 
 def _analyze_linearity(cfg: RunConfig, out_dir: Path) -> int:
     block = cfg.analyze.get("linearity", {})
-    t = float(block.get("time", 0.2))
-    samples = int(block.get("samples", 200))
+    t = _number(block.get("time", 0.2), float, "linearity", "time")
+    samples = _number(block.get("samples", 200), int, "linearity", "samples")
     init, n = cfg.initial[0], cfg.spec.particles.count
     if n != 1 or init.get("type") != "cat":
         raise ConfigError([f"analyze linearity needs one particle in a cat initial state; the "

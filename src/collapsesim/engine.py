@@ -213,18 +213,35 @@ def _conditioning(rho, c, out=None) -> np.ndarray:
 
 
 def _commutator(H, rho):
-    """H @ rho - rho @ H, rho with leading batch axes.  A real H with n <=
+    """H @ rho - rho @ H, rho with leading batch axes, in numpy's bytes save
+    that an exactly zero entry may take the other sign.  A real H with n <=
     REAL_SPLIT_MAX_N runs as real dgemms on the float views of rho and rho^T,
-    not as numpy's promoted zgemm: the same bytes, save that an exactly zero
-    entry may take the other sign (README, performance notes)."""
-    if H.dtype != np.float64 or rho.dtype != np.complex128 or rho.shape[-1] > REAL_SPLIT_MAX_N:
-        out = H @ rho
-        out -= rho @ H
+    not as numpy's promoted zgemm.  Above that n, a symmetric real H and an
+    exactly Hermitian rho take one product X = H @ rho and return X - X^dagger:
+    rho @ H = X^dagger adds the same products in the same order (README,
+    performance notes)."""
+    real_h = H.dtype == np.float64 and rho.dtype == np.complex128
+    if real_h and rho.shape[-1] <= REAL_SPLIT_MAX_N:
+        out = (H @ np.ascontiguousarray(rho).view(np.float64)).view(np.complex128)
+        right_t = H.T @ np.ascontiguousarray(rho.swapaxes(-1, -2)).view(np.float64)
+        out -= right_t.view(np.complex128).swapaxes(-1, -2)
         return out
-    out = (H @ np.ascontiguousarray(rho).view(np.float64)).view(np.complex128)
-    right_t = H.T @ np.ascontiguousarray(rho.swapaxes(-1, -2)).view(np.float64)
-    out -= right_t.view(np.complex128).swapaxes(-1, -2)
+    out = H @ rho
+    if real_h and _hermitian_pair(H, rho):
+        out -= out.conj().swapaxes(-1, -2)
+    else:
+        out -= rho @ H
     return out
+
+
+def _hermitian_pair(H, rho) -> bool:
+    """Every member of rho equals its conjugate transpose and H equals H^T,
+    compared entry by entry through views; a state that stopped being
+    exactly Hermitian usually fails the first, cheapest comparison."""
+    re, im = rho.real, rho.imag
+    return (np.array_equal(re, re.swapaxes(-1, -2))
+            and np.array_equal(im, np.negative(im.swapaxes(-1, -2)))
+            and np.array_equal(H, H.T))
 
 
 # The increments below are computed in place, one operation at a time, with

@@ -306,6 +306,35 @@ class TestAnalyze:
         assert main(["analyze", what, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "axis must be in 0..0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("what, block", [
+        ("rate", {"separations": [0, 99]}), ("rate", {"separations": [-1]}),
+        ("kappa-scan", {"separation": 8}), ("kappa-scan", {"separation": -1}),
+        ("pair-potential", {"separations": [1, 99]})])
+    def test_separation_outside_grid_exit_2(self, tmp_path, capsys, what, block):
+        data = base_config()
+        if what == "pair-potential":
+            data["particles"] = data["particles"] * 2
+        data["analyze"] = {what.replace("-", "_"): block}
+        cfg = write_config(tmp_path / "sep.yaml", data)
+        assert main(["analyze", what, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "must be in 0..7 sites along axis 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what, key, value", [
+        ("rate", "axis", "x"), ("rate", "separations", [1.5]), ("rate", "separations", 3),
+        ("kappa-scan", "separation", "many"), ("kappa-scan", "kappas", ["a"]),
+        ("kappa-scan", "kappas", [0.0]), ("pair-potential", "axis", True),
+        ("linearity", "samples", "many"), ("linearity", "time", "x"),
+        ("linearity", "time", float("inf"))])
+    def test_block_value_of_wrong_kind_exit_2(self, tmp_path, capsys, what, key, value):
+        data = self.linearity_config() if what == "linearity" else base_config()
+        if what == "pair-potential":
+            data["particles"] = data["particles"] * 2
+        data["analyze"] = {what.replace("-", "_"): {key: value}}
+        cfg = write_config(tmp_path / "kind.yaml", data)
+        assert main(["analyze", what, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err, bad = capsys.readouterr().err, value[0] if isinstance(value, list) else value
+        assert f"analyze {what}: {key} must be" in err and repr(bad) in err
+
 
 class TestAnalyzeBytes:
     """Frozen SHA-256 of the closed-form tables: a change to any of their

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from collapsesim import (LatticeGrid, MatrixKernel, ParticleSet, build_model,
                          hfb_identity_check, me_step, run_ensemble, run_trajectory,
                          sme_step, sse_step)
 from collapsesim import engine
+from collapsesim.config import single_particle_state
 from collapsesim.engine import (FeedbackSpec, MonitoringSpec, _commutator, _conditioning,
                                 _step_guard, hfb_family_identity_check)
 from collapsesim.kernels import CorrelationKernel
@@ -99,9 +101,35 @@ commutator_cases = dict(
     layout=st.sampled_from(["c", "transposed", "strided"]), seed=st.integers(0, 2**32 - 1))
 
 
+class CountingMatrix(np.ndarray):
+    """A matrix that counts the matrix products it takes part in."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.products += 1
+        inputs = [np.asarray(x) for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def counting(H):
+    H = H.view(CountingMatrix)
+    H.products = 0
+    return H
+
+
+def symmetric_lattice_like(n, seed):
+    """Symmetric real H with about three nonzeros per row, like a kinetic H."""
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal((n, n))
+    keep = rng.random((n, n)) < 3.0 / n
+    keep |= keep.T
+    return np.where(keep, H + H.T, 0.0)
+
+
 class TestCommutator:
     """_commutator runs a real H on small matrices as a real product on the
-    float view of rho; it must give numpy's complex product's bytes."""
+    float view of rho, and a symmetric real H on a larger exactly Hermitian
+    rho as one product; both must give numpy's two complex products' bytes."""
 
     @pytest.mark.parametrize("n", range(1, engine.REAL_SPLIT_MAX_N + 1))
     @settings(max_examples=12, deadline=None)
@@ -111,7 +139,7 @@ class TestCommutator:
         H, rho = commutator_inputs(n, batch, symmetric, log_scale, hermitian, layout, seed)
         assert _commutator(H, rho).tobytes() == (H @ rho - rho @ H).tobytes()
 
-    @pytest.mark.parametrize("n", [2, 5, engine.REAL_SPLIT_MAX_N])
+    @pytest.mark.parametrize("n", [2, 5, engine.REAL_SPLIT_MAX_N, 17, 40])
     @settings(max_examples=20, deadline=None)
     @given(**commutator_cases)
     def test_exact_zeros_equal_up_to_their_sign(self, n, batch, symmetric, log_scale,
@@ -129,6 +157,62 @@ class TestCommutator:
         if complex_h:
             H = H + 1j * H.T
         assert _commutator(H, rho).tobytes() == (H @ rho - rho @ H).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.one_of(st.integers(engine.REAL_SPLIT_MAX_N + 1, 130), st.just(512)),
+           batch=st.sampled_from([(), (3,)]), sparse=st.booleans(),
+           log_scale=st.floats(-3.0, 3.0), layout=st.sampled_from(["c", "transposed", "strided"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_product_for_hermitian_rho(self, n, batch, sparse, log_scale, layout, seed):
+        H, rho = commutator_inputs(n, batch, True, log_scale, True, layout, seed)
+        if sparse:
+            H = symmetric_lattice_like(n, seed) * 10.0**log_scale
+        want = (H @ rho - rho @ H).tobytes()
+        H = counting(H)
+        assert _commutator(H, rho).tobytes() == want
+        assert H.products == 1
+
+    @pytest.mark.parametrize("n", [engine.REAL_SPLIT_MAX_N + 1, 64])
+    @pytest.mark.parametrize("case", ["one_member", "nonsymmetric_h", "complex_h"])
+    def test_two_products_otherwise(self, n, case):
+        H, rho = commutator_inputs(n, (3,), True, 0.0, True, "c", n)
+        if case == "one_member":
+            rho[1, 0, n - 1] += 1e-9
+        elif case == "nonsymmetric_h":
+            H[0, n - 1] += 1e-9
+        else:
+            H = H + 1j * (np.triu(H, 1) - np.tril(H, -1))  # Hermitian
+        want = (H @ rho - rho @ H).tobytes()
+        H = counting(H)
+        assert _commutator(H, rho).tobytes() == want
+        assert H.products == 2
+
+    def test_pinned_batched_density_run(self, monkeypatch):
+        """Two dp seeds with smeared feedback on a 24-site chain: the states
+        start exactly Hermitian and stop being so, so both commutator paths
+        run.  The digest was recorded before the one-product path existed."""
+        paths, hermitian_pair = [], engine._hermitian_pair
+
+        def spy(H, rho):
+            paths.append(hermitian_pair(H, rho))
+            return paths[-1]
+
+        monkeypatch.setattr(engine, "_hermitian_pair", spy)
+        grid = LatticeGrid((24,), 1.0)
+        model = build_model(ModelSpec(kind="dp", grid=grid, particles=ParticleSet([1.0]),
+                                      sigma=1.0, kappa=2.0, G=0.05, feedback_smearing=True))
+        psi = single_particle_state(grid, {"type": "cat", "centers": [[6.0], [18.0]],
+                                           "width": 1.0})
+        records = run_ensemble(np.outer(psi, psi.conj()), model, 1e-3, 8, [3, 4],
+                               record_signal=True, snapshot_every=4, monitor_positivity=False)
+        digest = hashlib.sha256()
+        for rec in records:
+            for arr in (rec.trace, rec.purity, rec.positions, rec.signals,
+                        *(snap for _, snap in rec.snapshots)):
+                digest.update(np.ascontiguousarray(arr).tobytes())
+        assert digest.hexdigest() == (
+            "94d893c2b6bad5666557d1c8f10f9dbae5696e9dafe14a3417d54a4799c0fbf2")
+        assert len(paths) == 8 and True in paths and False in paths
 
 
 def step_family(family, n, seed):
