@@ -27,6 +27,7 @@ field once; the step functions compute it themselves when not handed it.
 
 from __future__ import annotations
 
+import math
 import sys
 import warnings
 from dataclasses import dataclass, field as dc_field
@@ -40,6 +41,7 @@ STEP_GUARD_FRACTION = 0.1  # reject Euler steps with |increment|_1 above this fr
 NOISE_BLOCK = 256  # steps of noise drawn per seed in one call
 BATCH_BYTES = 1 << 25  # states plus noise blocks that run_ensemble steps at once
 REAL_SPLIT_MAX_N = 16  # largest n whose real-split commutator matches zgemm's bytes (tested)
+TILE_BYTES = 1 << 17  # increment rows, or Hermiticity-check blocks, handled at once
 
 
 def _diag(rho: np.ndarray) -> np.ndarray:
@@ -198,56 +200,82 @@ def _normalize(out, step, what):
     return out / norm
 
 
-def _conditioning(rho, c, out=None) -> np.ndarray:
+def _field_mean(c, rho) -> np.ndarray:
+    """<c> = sum_x c(x) rho_xx for each member."""
+    return np.einsum("...x,...x->...", c, _diag(rho).real)
+
+
+def _conditioning(rho, c, out=None, rows=slice(None), cmean=None) -> np.ndarray:
     """(1/2) iint gamma_rs {A_r - <A_r>, rho} dnoise_s, element-wise, from
     the conditioning field c = MonitoringSpec.conditioning_field(noise);
-    out, if given, receives it.
+    out, if given, receives it.  For a block of rows of a state, rho is
+    those rows and cmean the whole state's _field_mean(c, rho).
 
     Exactly traceless path-wise: c(x) + c(y) - 2<c> contracts to zero
     against the diagonal of rho.
     """
-    cmean = np.einsum("...x,...x->...", c, _diag(rho).real)
-    shifted = c[..., :, None] + c[..., None, :] - 2.0 * cmean[..., None, None]
+    if cmean is None:
+        cmean = _field_mean(c, rho)
+    shifted = c[..., rows, None] + c[..., None, :] - 2.0 * cmean[..., None, None]
     np.multiply(0.5, shifted, out=shifted)
     return np.multiply(shifted, rho, out=out)
 
 
 def _commutator(H, rho):
-    """H @ rho - rho @ H, rho with leading batch axes, in numpy's bytes save
-    that an exactly zero entry may take the other sign.  A real H with n <=
-    REAL_SPLIT_MAX_N runs as real dgemms on the float views of rho and rho^T,
-    not as numpy's promoted zgemm.  Above that n, a symmetric real H and an
-    exactly Hermitian rho take one product X = H @ rho and return X - X^dagger:
-    rho @ H = X^dagger adds the same products in the same order (README,
-    performance notes)."""
+    """H @ rho - rho @ H, rho with leading batch axes, from _products."""
+    out, hermitian = _products(H, rho)
+    if hermitian:
+        out -= out.conj().swapaxes(-1, -2)
+    return out
+
+
+def _products(H, rho):
+    """(out, hermitian) with [H, rho] = out - out^dagger when hermitian, else
+    out, in numpy's bytes save that an exactly zero entry may take the other
+    sign.  A real H with n <= REAL_SPLIT_MAX_N runs as real dgemms on the
+    float views of rho and rho^T, not as numpy's promoted zgemm.  Above that
+    n, a symmetric real H and an exactly Hermitian rho take one product,
+    out = H @ rho: rho @ H = out^dagger adds the same products in the same
+    order (README, performance notes)."""
     real_h = H.dtype == np.float64 and rho.dtype == np.complex128
     if real_h and rho.shape[-1] <= REAL_SPLIT_MAX_N:
         out = (H @ np.ascontiguousarray(rho).view(np.float64)).view(np.complex128)
         right_t = H.T @ np.ascontiguousarray(rho.swapaxes(-1, -2)).view(np.float64)
         out -= right_t.view(np.complex128).swapaxes(-1, -2)
-        return out
+        return out, False
     out = H @ rho
     if real_h and _hermitian_pair(H, rho):
-        out -= out.conj().swapaxes(-1, -2)
-    else:
-        out -= rho @ H
-    return out
+        return out, True
+    out -= rho @ H
+    return out, False
 
 
 def _hermitian_pair(H, rho) -> bool:
     """Every member of rho equals its conjugate transpose and H equals H^T,
-    compared entry by entry through views; a state that stopped being
-    exactly Hermitian usually fails the first, cheapest comparison."""
-    re, im = rho.real, rho.imag
-    return (np.array_equal(re, re.swapaxes(-1, -2))
-            and np.array_equal(im, np.negative(im.swapaxes(-1, -2)))
-            and np.array_equal(H, H.T))
+    entry by entry; rho goes first, since a state that stopped being
+    exactly Hermitian usually fails on its first block."""
+    return _self_adjoint(rho) and _self_adjoint(H)
 
 
-# The increments below are computed in place, one operation at a time, with
-# the operations, their order and their left operands of the expressions in
-# their docstrings: numpy's complex product uses FMA, so a * b and b * a can
-# differ in the last bit (README, performance notes).
+def _self_adjoint(a) -> bool:
+    """a == conj(a)^T for every member, compared in square blocks of at
+    most TILE_BYTES across the batch, each block above the diagonal against
+    its mirror below: short, cached traversals instead of full transposes."""
+    n = a.shape[-1]
+    side = max(1, math.isqrt(TILE_BYTES * n * n // a.nbytes))
+    for i in range(0, n, side):
+        for j in range(i, n, side):
+            mirror = a[..., j:j + side, i:i + side].swapaxes(-1, -2).conj()
+            if not (a[..., i:i + side, j:j + side] == mirror).all():
+                return False
+    return True
+
+
+# The increments below are built with the operations, their order and their
+# left operands of the expressions in their docstrings, in place: numpy's
+# complex product uses FMA, so a * b and b * a can differ in the last bit
+# (README, performance notes).  Every term but the commutator is element-wise,
+# so a block of rows gets the bytes that the whole state would.
 
 def _on_batch(rho, *per_config):
     """rho (..., n, n) and per-configuration arrays (..., k) as views on
@@ -257,23 +285,41 @@ def _on_batch(rho, *per_config):
             *(np.broadcast_to(a, batch + a.shape[-1:]) for a in per_config))
 
 
-def _hamiltonian_term(H, rho, dt: float) -> np.ndarray:
-    """-1j * dt * [H, rho], in the commutator's array when that is complex:
-    the first term of every increment, which the others update in place."""
-    comm = _commutator(H, rho)
-    return np.multiply(-1j * dt, comm, out=comm if comm.dtype.kind == "c" else None)
-
-
-def _free_increment(rho, H, spec: MonitoringSpec, field, dt: float) -> np.ndarray:
-    """Ito Euler increment of the monitored dynamics without feedback,
-    -1j * dt * [H, rho] - dt * 0.125 * pair_rate * rho
-    + dt * _conditioning(rho, field), summed left to right."""
-    inc = _hamiltonian_term(H, rho, dt)
-    term = np.multiply(dt * 0.125 * spec.pair_rate, rho)
-    inc -= term
-    np.multiply(dt, _conditioning(rho, field, out=term), out=term)
-    inc += term
+def _increment(H, rho, dt: float, terms, args) -> np.ndarray:
+    """The Euler increment: -1j * dt * [H, rho], completed in place by
+    terms(inc, rho, rows, dt, args) with the step's other terms.  After
+    the matrix products it is built one block of rows at a time, at most
+    TILE_BYTES of increment across the batch, so each block's terms run in
+    cache.  A state that fits in one block, not on the one-product path, is
+    handled whole, with no slicing."""
+    comm, hermitian = _products(H, rho)
+    if 16 * comm.size <= TILE_BYTES and not hermitian:
+        inc = np.multiply(-1j * dt, comm, out=comm if comm.dtype.kind == "c" else None)
+        terms(inc, rho, slice(None), dt, args)
+        return inc
+    n = rho.shape[-1]
+    rows = max(1, TILE_BYTES * n // (16 * comm.size))
+    in_place = comm.dtype.kind == "c" and not hermitian
+    inc = comm if in_place else np.empty(comm.shape, np.result_type(-1j * dt, comm))
+    for start in range(0, n, rows):
+        r = slice(start, start + rows)
+        inc_r, comm_r = inc[..., r, :], comm[..., r, :]
+        if hermitian:  # X - X^dagger: X's columns r are intact, inc is another array
+            comm_r = np.subtract(comm_r, np.conjugate(comm[..., :, r]).swapaxes(-1, -2),
+                                 out=inc_r)
+        np.multiply(-1j * dt, comm_r, out=inc_r)
+        terms(inc_r, rho[..., r, :], r, dt, args)
     return inc
+
+
+def _free_terms(inc, rho, rows, dt: float, args) -> None:
+    """inc - dt * 0.125 * pair_rate * rho + dt * _conditioning(rho, field),
+    on the given rows of the state; args = (pair_rate, field, cmean)."""
+    pair_rate, field, cmean = args[:3]
+    term = np.multiply(dt * 0.125 * pair_rate[rows], rho)
+    inc -= term
+    np.multiply(dt, _conditioning(rho, field, term, rows, cmean), out=term)
+    inc += term
 
 
 def sme_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec, noise, dt: float,
@@ -284,7 +330,7 @@ def sme_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec, noise, dt: fl
         field = spec.conditioning_field(noise)
     if field.shape[:-1] != rho.shape[:-2]:
         rho, field = _on_batch(rho, field)
-    inc = _free_increment(rho, H, spec, field, dt)
+    inc = _increment(H, rho, dt, _free_terms, (spec.pair_rate, field, _field_mean(field, rho)))
     _step_guard(rho, inc, step)
     return np.add(rho, inc, out=inc)
 
@@ -324,16 +370,19 @@ def combined_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
         signal = spec.means(rho) + noise
     if field.shape[:-1] != rho.shape[:-2] or signal.shape[:-1] != rho.shape[:-2]:
         rho, field, signal = _on_batch(rho, field, signal)
-    inc = _free_increment(rho, H, spec, field, dt)
-    _feedback_terms(inc, rho, fb.potential(signal), dt)
+    inc = _increment(H, rho, dt, _feedback_terms,
+                     (spec.pair_rate, field, _field_mean(field, rho), fb.potential(signal)))
     _step_guard(rho, inc, step)
     return np.add(rho, inc, out=inc)
 
 
-def _feedback_terms(inc, rho, v, dt: float) -> None:
-    """free -> free - 1j * dt * vd * (rho + free) - 0.5 * dt * dt * vd * vd * rho
-    in place on the free increment, with vd = v(x) - v(y)."""
-    vd = v[..., :, None] - v[..., None, :]
+def _feedback_terms(inc, rho, rows, dt: float, args) -> None:
+    """The free terms, then free -> free - 1j * dt * vd * (rho + free)
+    - 0.5 * dt * dt * vd * vd * rho with vd = v(x) - v(y); args =
+    (pair_rate, field, cmean, v)."""
+    _free_terms(inc, rho, rows, dt, args)
+    v = args[3]
+    vd = v[..., rows, None] - v[..., None, :]
     kick = np.multiply(1j * dt, vd)
     np.multiply(kick, np.add(rho, inc), out=kick)
     inc -= kick
@@ -351,22 +400,33 @@ def me_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
     - dt * rate * rho with rate = 0.125 * pair_rate + 0.5 * pair_rate_inverse
     and b the back-action diagonal; without feedback only the first term
     and the first part of rate."""
-    if fb is not None:
+    inverse = None
+    if fb is None:
+        backaction = None
+    else:
+        inverse = fb.pair_rate_inverse
         if backaction is None:
             backaction = fb.backaction_diagonal(spec)
         if backaction.ndim > 1:
             rho, backaction = _on_batch(rho, backaction)
-    inc = _hamiltonian_term(H, rho, dt)
-    rate = 0.125 * spec.pair_rate
-    term = None
-    if fb is not None:
-        term = np.multiply(1j * dt * (backaction[..., :, None] - backaction[..., None, :]), rho)
-        inc -= term
-        rate += 0.5 * fb.pair_rate_inverse
-    np.multiply(dt, rate, out=rate)
-    inc -= np.multiply(rate, rho, out=term)
+    inc = _increment(H, rho, dt, _master_terms, (spec.pair_rate, inverse, backaction))
     _step_guard(rho, inc, step)
     return np.add(rho, inc, out=inc)
+
+
+def _master_terms(inc, rho, rows, dt: float, args) -> None:
+    """me_step's terms after the commutator; args = (pair_rate,
+    pair_rate_inverse, backaction), and backaction None leaves out the
+    feedback's."""
+    pair_rate, pair_rate_inverse, backaction = args
+    rate = 0.125 * pair_rate[rows]
+    term = None
+    if backaction is not None:
+        term = np.multiply(1j * dt * (backaction[..., rows, None] - backaction[..., None, :]), rho)
+        inc -= term
+        rate += 0.5 * pair_rate_inverse[rows]
+    np.multiply(dt, rate, out=rate)
+    inc -= np.multiply(rate, rho, out=term)
 
 
 def hfb_identity_check(A, B, rho: np.ndarray, tol: float = 1e-12) -> bool:
@@ -482,6 +542,10 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    if snapshot_every < 0:
+        raise ValueError("snapshot_every must be >= 0 (0: no snapshots)")
     seeds = list(seeds)
     initial = np.asarray(initial, complex)
     pure = initial.ndim == 1
@@ -584,6 +648,10 @@ def ensemble_mean(model, rho0: np.ndarray, dt: float, steps: int, seeds,
     for bit.
     """
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must not be empty: the mean of no trajectories")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     acc = np.zeros(rho0.shape, complex)
     for start in range(0, len(seeds), chunk):
         for rec in run_ensemble(rho0, model, dt, steps, seeds[start:start + chunk],

@@ -313,6 +313,17 @@ def erf_profile(d: float, width: float) -> float:
     return float(erf(d / (np.sqrt(2.0) * width)) / d)
 
 
+def erf_pair_potential(d: float, G: float, m1: float, m2: float, sigma: float,
+                       smeared: bool) -> float:
+    """Continuum Newton pair potential with the short-distance cut-off,
+    -G m1 m2 erf(d / (sqrt(2) sigma_eff)) / d: the monitored density is
+    smeared with width sigma, and smeared feedback smears the potential's
+    source as well, so sigma_eff = sigma for point feedback and sigma sqrt(2)
+    for smeared feedback."""
+    width = sigma * np.sqrt(2.0) if smeared else sigma
+    return -G * m1 * m2 * erf_profile(d, width)
+
+
 if __name__ == "__main__":
     # regeneration of the frozen constants used by the acceptance suite
     print("periodic_delta_phi_squared, box=32:")

@@ -8,7 +8,7 @@ from collapsesim import (LatticeGrid, ParticleSet, build_model, combined_step,
 from collapsesim.analysis import backaction_prefactor_report, united_dp_rate
 from collapsesim.models import ModelSpec
 
-from oracles import (delta_inverse_r_squared_integral,
+from oracles import (delta_inverse_r_squared_integral, erf_pair_potential,
                      periodic_delta_phi_squared)
 
 
@@ -259,6 +259,24 @@ class TestPairPotentialCurve:
                          particles=ParticleSet([1.0, 1.0]), sigma=1.0, G=1.0)
         rows = pair_potential_curve(spec, [8], corrected=False)
         assert rows[0].corrected == rows[0].potential
+
+
+    @pytest.mark.parametrize("kind, sigma, bound", [
+        ("csl", 1.0, 0.005), ("csl", 2.0, 0.01), ("dp", 1.0, 0.005), ("dp", 2.0, 0.02)])
+    def test_short_distance_cutoff_is_the_erf_law(self, kind, sigma, bound):
+        # below a few sigma the pair potential follows the smeared-source law
+        # -G m1 m2 erf(d / (sqrt(2) sigma_eff)) / d, not -G m1 m2 / d; csl
+        # feeds back the point potential, dp smears it.  The bounds hold at
+        # L = 32 and grow with sigma / L.
+        spec = ModelSpec(kind=kind, grid=LatticeGrid((32, 32, 32), 1.0),
+                         particles=ParticleSet([1.0, 1.0]), sigma=sigma, G=1.0)
+        smeared = spec.resolved_feedback_smearing
+        assert smeared == (kind == "dp")
+        rows = pair_potential_curve(spec, range(1, 9), corrected=True)
+        errors = [abs(row.corrected / erf_pair_potential(row.separation, 1.0, 1.0, 1.0, sigma,
+                                                         smeared) - 1.0) for row in rows]
+        assert max(errors) < bound
+        assert abs(rows[0].corrected / (-1.0 / rows[0].separation) - 1.0) > 0.25
 
 
 class TestPrefactorReport:

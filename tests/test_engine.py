@@ -234,9 +234,55 @@ def step_family(family, n, seed):
 STEP_BATCHES = [((), ()), ((3,), (3,)), ((2, 2), (2, 2)), ((), (3,)), ((2, 1), (2, 3))]
 
 
+def check_step_bytes(kind, n, batches, real, feedback, passed, family, seed, hermitian=None):
+    """One sme_step, combined_step or me_step against its chained-expression
+    oracle, bit for bit, with no input modified.  hermitian True makes every
+    member of rho exactly Hermitian, False perturbs one entry of the last
+    member; None keeps random_density_matrix's rounding."""
+    H, mon, fb = step_family(family, n, seed)
+    fb = fb if feedback else None
+    rng = np.random.default_rng(seed)
+    batch, noise_batch = batches
+    rho = np.stack([random_density_matrix(rng, n) for _ in range(int(np.prod(batch)))])
+    if hermitian:
+        rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    elif hermitian is not None:
+        rho[-1, 0, n - 1] += 1e-9j
+    rho = rho.reshape(batch + (n, n))
+    if real:
+        rho = np.ascontiguousarray(rho.real)
+    noise = rng.standard_normal(noise_batch + mon.family.shape[:1])
+    field, signal = mon.conditioning_field(noise), mon.means(rho) + noise
+    # the largest dt that keeps the increment near 2% of rho: every term's
+    # last bits then reach the state, and the step guard stays quiet
+    rate = 0.125 * mon.pair_rate.max() + 2.0 * np.abs(H).sum(axis=1).max()
+    if fb is not None:
+        rate += (0.5 * fb.pair_rate_inverse.max() + np.ptp(fb.potential(signal))
+                 + np.ptp(fb.backaction_diagonal(mon)))
+    dt = 0.02 / (rate + np.abs(field).max() + 1e-3)
+    backaction = fb.backaction_diagonal(mon) if passed and fb is not None else None
+    field, signal = (field, signal) if passed else (None, None)
+    inputs = [a for a in (rho, noise, field, signal, backaction) if a is not None]
+    before = [a.tobytes() for a in inputs]
+    if kind == "sme":
+        got = sme_step(rho, H, mon, noise, dt, field=field)
+        want = expression_sme_step(rho, H, mon, noise, dt, field=field)
+    elif kind == "combined":
+        got = combined_step(rho, H, mon, fb, noise, dt, field=field, signal=signal)
+        want = expression_combined_step(rho, H, mon, fb, noise, dt, field=field,
+                                        signal=signal)
+    else:
+        got = me_step(rho, H, mon, fb, dt, backaction=backaction)
+        want = expression_me_step(rho, H, mon, fb, dt, backaction=backaction)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert [a.tobytes() for a in inputs] == before
+
+
 class TestInPlaceSteps:
     """sme_step, combined_step and me_step compute their increments in
-    place; each must give the bytes of its chained-expression form."""
+    place, one block of rows at a time; each must give the bytes of its
+    chained-expression form."""
 
     @pytest.mark.parametrize("kind", ["sme", "combined", "me"])
     @settings(max_examples=40, deadline=None)
@@ -246,40 +292,27 @@ class TestInPlaceSteps:
     def test_bitwise_equal_to_expression_form(self, kind, n, batches, real, feedback,
                                               passed, family, seed):
         assume(n > 1 or family == "matrix")  # a chain needs 2 sites
-        H, mon, fb = step_family(family, n, seed)
-        fb = fb if feedback else None
-        rng = np.random.default_rng(seed)
-        batch, noise_batch = batches
-        rho = np.stack([random_density_matrix(rng, n) for _ in range(int(np.prod(batch)))])
-        rho = rho.reshape(batch + (n, n))
-        if real:
-            rho = np.ascontiguousarray(rho.real)
-        noise = rng.standard_normal(noise_batch + mon.family.shape[:1])
-        field, signal = mon.conditioning_field(noise), mon.means(rho) + noise
-        # the largest dt that keeps the increment near 2% of rho: every term's
-        # last bits then reach the state, and the step guard stays quiet
-        rate = 0.125 * mon.pair_rate.max() + 2.0 * np.abs(H).sum(axis=1).max()
-        if fb is not None:
-            rate += (0.5 * fb.pair_rate_inverse.max() + np.ptp(fb.potential(signal))
-                     + np.ptp(fb.backaction_diagonal(mon)))
-        dt = 0.02 / (rate + np.abs(field).max() + 1e-3)
-        backaction = fb.backaction_diagonal(mon) if passed and fb is not None else None
-        field, signal = (field, signal) if passed else (None, None)
-        inputs = [a for a in (rho, noise, field, signal, backaction) if a is not None]
-        before = [a.tobytes() for a in inputs]
-        if kind == "sme":
-            got = sme_step(rho, H, mon, noise, dt, field=field)
-            want = expression_sme_step(rho, H, mon, noise, dt, field=field)
-        elif kind == "combined":
-            got = combined_step(rho, H, mon, fb, noise, dt, field=field, signal=signal)
-            want = expression_combined_step(rho, H, mon, fb, noise, dt, field=field,
-                                            signal=signal)
-        else:
-            got = me_step(rho, H, mon, fb, dt, backaction=backaction)
-            want = expression_me_step(rho, H, mon, fb, dt, backaction=backaction)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-        assert [a.tobytes() for a in inputs] == before
+        check_step_bytes(kind, n, batches, real, feedback, passed, family, seed)
+
+    @pytest.mark.parametrize("tile_rows", [1, 3, None])
+    @pytest.mark.parametrize("kind", ["sme", "combined", "me"])
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from(list(range(1, 41)) + [64]),
+           batches=st.sampled_from([((), ()), ((3,), (3,)), ((2, 1), (2, 3))]),
+           real=st.booleans(), hermitian=st.booleans(), feedback=st.booleans(),
+           passed=st.booleans(), family=st.sampled_from(["csl", "dp", "matrix"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocks_of_rows_change_no_bits(self, tile_rows, kind, n, batches, real, hermitian,
+                                           feedback, passed, family, seed):
+        # tile_rows rows of every member per block (None: the default budget);
+        # an exactly Hermitian rho above REAL_SPLIT_MAX_N takes the one-product
+        # commutator, whose X - X^dagger then reads other blocks' columns
+        assume(n > 1 or family == "matrix")
+        members = int(np.prod(np.broadcast_shapes(*batches)))
+        with pytest.MonkeyPatch.context() as mp:
+            if tile_rows is not None:
+                mp.setattr(engine, "TILE_BYTES", tile_rows * 16 * members * n)
+            check_step_bytes(kind, n, batches, real, feedback, passed, family, seed, hermitian)
 
     def test_feedback_step_memory(self):
         # one particle on 8^3 (n_cfg = 512), dp with smeared feedback: a warm
@@ -301,6 +334,29 @@ class TestInPlaceSteps:
         finally:
             tracemalloc.stop()
         assert peak <= 3.6 * rho.nbytes
+
+    def test_one_product_step_memory(self):
+        # the same step on an exactly Hermitian state: one product X = H @ rho,
+        # the increment beside it, and blocks of rows for every other term
+        model = build_model(ModelSpec(kind="dp", grid=LatticeGrid((8, 8, 8), 1.0),
+                                      particles=ParticleSet([1.0]), sigma=1.0, kappa=2.0,
+                                      G=0.05, feedback_smearing=True))
+        rng = np.random.default_rng(0)
+        psi = random_state(rng, 512)
+        rho = np.outer(psi, psi.conj())[None]
+        rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))  # exactly Hermitian
+        assert engine._hermitian_pair(model.hamiltonian, rho)
+        dt = 1e-3
+        noise = model.monitoring.sample_noise_flat(dt, rng, (2, 1))
+        fields = model.monitoring.conditioning_field(noise)
+        model.advance(rho, dt, noise[0], step=1, pure=False, field=fields[0])  # builds the tables
+        tracemalloc.start()
+        try:
+            model.advance(rho, dt, noise[1], step=2, pure=False, field=fields[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * rho.nbytes
 
 
 class TestSmeStep:
@@ -812,6 +868,21 @@ class TestRunEnsemble:
             model.advance(psi, self.dt)
         with pytest.raises(ValueError, match="density matrix"):
             run_ensemble(psi, model, self.dt, 3, [0], unconditional=True)
+
+
+    @pytest.mark.parametrize("steps, options, name", [
+        (3, dict(record_every=0), "record_every"), (3, dict(record_every=-1), "record_every"),
+        (3, dict(snapshot_every=-1), "snapshot_every"), (0, {}, "steps")])
+    def test_invalid_record_options_raise(self, steps, options, name):
+        model, psi = self.cat_model()
+        with pytest.raises(ValueError, match=name):
+            run_ensemble(psi, model, self.dt, steps, [0], **options)
+
+    @pytest.mark.parametrize("seeds, chunk, name", [([], 256, "seeds"), ([0, 1], 0, "chunk")])
+    def test_ensemble_mean_rejects_empty_seeds_and_chunk(self, seeds, chunk, name):
+        model, psi = self.cat_model()
+        with pytest.raises(ValueError, match=name):
+            ensemble_mean(model, np.outer(psi, psi.conj()), self.dt, 3, seeds, chunk=chunk)
 
 
 class TestPureRecord:
