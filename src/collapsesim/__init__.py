@@ -6,7 +6,7 @@ from .lattice import (DiagonalField, GuardError, LatticeGrid, LatticeUnits,
 from .kernels import CorrelationKernel, MatrixKernel, coulomb_potential, smear
 from .engine import (FeedbackSpec, MonitoringSpec, TrajectoryRecord,
                      combined_step, ensemble_mean, feedback_step,
-                     hfb_family_identity_check, hfb_identity_check, me_step,
+                     hamiltonian_step, hfb_family_identity_check, hfb_identity_check, me_step,
                      run_ensemble, run_trajectory, sme_step, sse_step)
 from .models import (Model, ModelSpec, build_backaction_hamiltonian, build_model,
                      exact_pair_step, kappa_decoherence_coefficient, sn_step)

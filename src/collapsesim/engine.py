@@ -28,8 +28,6 @@ field once; the step functions compute it themselves when not handed it.
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -154,8 +152,6 @@ class FeedbackSpec(_DiagonalFamily):
     (inverse-kernel weighted, built on first use: only the noise-averaged
     step reads it)."""
 
-    smeared: bool = False  # whether the optional smearing was applied
-
     @cached_property
     def pair_rate_inverse(self) -> np.ndarray:
         return self._pair_rate_table(inverse=True)
@@ -219,14 +215,6 @@ def _conditioning(rho, c, out=None, rows=slice(None), cmean=None) -> np.ndarray:
     shifted = c[..., rows, None] + c[..., None, :] - 2.0 * cmean[..., None, None]
     np.multiply(0.5, shifted, out=shifted)
     return np.multiply(shifted, rho, out=out)
-
-
-def _commutator(H, rho):
-    """H @ rho - rho @ H, rho with leading batch axes, from _products."""
-    out, hermitian = _products(H, rho)
-    if hermitian:
-        out -= out.conj().swapaxes(-1, -2)
-    return out
 
 
 def _products(H, rho):
@@ -422,11 +410,31 @@ def _master_terms(inc, rho, rows, dt: float, args) -> None:
     rate = 0.125 * pair_rate[rows]
     term = None
     if backaction is not None:
-        term = np.multiply(1j * dt * (backaction[..., rows, None] - backaction[..., None, :]), rho)
-        inc -= term
+        term = _potential_terms(inc, rho, rows, dt, backaction)
         rate += 0.5 * pair_rate_inverse[rows]
     np.multiply(dt, rate, out=rate)
     inc -= np.multiply(rate, rho, out=term)
+
+
+def _potential_terms(inc, rho, rows, dt: float, v) -> np.ndarray:
+    """inc - 1j * dt * (v(x) - v(y)) * rho on the given rows, for a real
+    diagonal potential v; returns the term's array."""
+    term = (1j * dt * (v[..., rows, None] - v[..., None, :])) * rho
+    inc -= term
+    return term
+
+
+def hamiltonian_step(state: np.ndarray, H, v, dt: float, step: int | None = None,
+                     pure: bool = False) -> np.ndarray:
+    """One unitary Euler step under H + diag(v), v a real potential over the
+    configurations (the pair and mean-field baselines): renormalized for
+    state vectors (pure; H a ManyBodyHamiltonian), and the increment
+    -1j * dt * [H, rho] - 1j * dt * (v(x) - v(y)) * rho for a dense H."""
+    if pure:
+        return _normalize(state - 1j * dt * (H.apply(state) + v * state), step, "Hamiltonian step")
+    inc = _increment(H, state, dt, _potential_terms, v)
+    _step_guard(state, inc, step)
+    return np.add(state, inc, out=inc)
 
 
 def hfb_identity_check(A, B, rho: np.ndarray, tol: float = 1e-12) -> bool:
@@ -618,16 +626,13 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
                            None if wmins is None else float(wmins[k]))
                 j += 1
         records += batch
-    level, frame = 2, sys._getframe(1)  # warn at the first caller outside this module
-    while frame.f_globals.get("__name__") == __name__:
-        level, frame = level + 1, frame.f_back
     for rec in records:
         if rec.positivity_warnings:
-            warnings.warn(
-                f"density matrix dipped below the positivity floor at steps "
-                f"{[s for s, _ in rec.positivity_warnings][:5]} (min eigenvalue "
-                f"{min(w for _, w in rec.positivity_warnings):.2e})", RuntimeWarning,
-                stacklevel=level)
+            import logging  # on first use: most runs have nothing to log
+            logging.getLogger("collapsesim").warning(
+                "density matrix dipped below the positivity floor at steps %s "
+                "(min eigenvalue %.2e)", [s for s, _ in rec.positivity_warnings][:5],
+                min(w for _, w in rec.positivity_warnings))
     return records
 
 

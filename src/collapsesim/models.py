@@ -28,8 +28,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .engine import (FeedbackSpec, MonitoringSpec, _commutator, _normalize, _step_guard,
-                     combined_step, me_step, sse_step)
+from .engine import (FeedbackSpec, MonitoringSpec, combined_step, hamiltonian_step, me_step,
+                     sse_step)
 from .kernels import (CorrelationKernel, axis_profile_3d, coulomb_multiplier,
                       coulomb_potential, smear_multiplier, smeared_point_profile)
 from .lattice import (DiagonalField, LatticeGrid, LatticeUnits, ManyBodyHamiltonian,
@@ -283,8 +283,8 @@ class Model:
             return sn_step(state, self, dt, step=step), None
         # exact pair baseline: plain unitary Euler
         if pure:
-            k = self.hamiltonian_operator.apply(state) + self.pair_potential * state
-            return _normalize(state - 1j * dt * k, step, "pair step"), None
+            return hamiltonian_step(state, self.hamiltonian_operator, self.pair_potential, dt,
+                                    step, pure=True), None
         return exact_pair_step(state, self, dt, step=step), None
 
 
@@ -306,8 +306,7 @@ def build_model(spec: ModelSpec) -> Model:
                                    kappa=spec.kappa, G=spec.G)
         dfam, nfam = _families(spec, sites)
         monitoring = MonitoringSpec(family=dfam, kernel=kernel, grid=grid, sigma=spec.sigma)
-        feedback = FeedbackSpec(family=nfam, kernel=kernel, grid=grid,
-                                smeared=spec.resolved_feedback_smearing)
+        feedback = FeedbackSpec(family=nfam, kernel=kernel, grid=grid)
         backaction = feedback.backaction_diagonal(monitoring)
     elif spec.kind == "pair":
         embedded = spec.embedded_3d
@@ -351,19 +350,14 @@ def sn_step(psi: np.ndarray, model: Model, dt: float, step: int | None = None) -
     v = np.zeros(prob.shape)
     for n, m in enumerate(particles.masses):
         v += m * phi_flat[..., sites[:, n]]
-    knew = model.hamiltonian_operator.apply(psi) + v * psi
-    return _normalize(psi - 1j * dt * knew, step, "mean-field step")
+    return hamiltonian_step(psi, model.hamiltonian_operator, v, dt, step, pure=True)
 
 
 def exact_pair_step(rho: np.ndarray, model: Model, dt: float,
                     step: int | None = None) -> np.ndarray:
     """Unitary Euler step with the exact (unsmeared, inter-particle only)
     Newton pair potential; the reference interacting baseline."""
-    v = model.pair_potential
-    inc = -1j * dt * _commutator(model.hamiltonian, rho)
-    inc = inc - 1j * dt * (v[:, None] - v[None, :]) * rho
-    _step_guard(rho, inc, step)
-    return rho + inc
+    return hamiltonian_step(rho, model.hamiltonian, model.pair_potential, dt, step)
 
 
 # -- documentation-grade physical parameter presets ---------------------------

@@ -16,8 +16,10 @@ from scipy.integrate import quad
 from scipy.linalg import eigh
 from scipy.special import erf, erfc
 
-from collapsesim.engine import _commutator, _diag
-from collapsesim.lattice import _single_particle_kinetic
+from collapsesim.engine import _diag, _products
+from collapsesim.kernels import coulomb_potential
+from collapsesim.lattice import _single_particle_kinetic, config_sites
+from collapsesim.models import mean_density
 
 
 # -- dense matrix oracles -----------------------------------------------------
@@ -128,6 +130,14 @@ def scalar_sme_step_2x2(rho, h, a, gamma, dA, dt):
 # engine computes the same operations in place; these pin its bytes.
 # _commutator is pinned against numpy's complex product by its own tests.
 
+def _commutator(H, rho):
+    """H @ rho - rho @ H, rho with leading batch axes, from engine._products."""
+    out, hermitian = _products(H, rho)
+    if hermitian:
+        out -= out.conj().swapaxes(-1, -2)
+    return out
+
+
 def expression_conditioning(rho, c):
     cmean = np.einsum("...x,...x->...", c, _diag(rho).real)
     shifted = c[..., :, None] + c[..., None, :] - 2.0 * cmean[..., None, None]
@@ -171,6 +181,34 @@ def expression_me_step(rho, H, spec, fb, dt, backaction=None):
         rate = rate + 0.5 * fb.pair_rate_inverse
     inc = inc - dt * rate * rho
     return rho + inc
+
+
+def expression_pair_step(rho, model, dt):
+    """The pair baseline's density-matrix step, as its own chained expression."""
+    v = model.pair_potential
+    inc = -1j * dt * _commutator(model.hamiltonian, rho)
+    inc = inc - 1j * dt * (v[:, None] - v[None, :]) * rho
+    return rho + inc
+
+
+def expression_vector_step(psi, H, v, dt):
+    """The unitary state-vector Euler step under H + diag(v), renormalized."""
+    out = psi - 1j * dt * (H.apply(psi) + v * psi)
+    return out / np.linalg.norm(out, axis=-1, keepdims=True)
+
+
+def expression_sn_step(psi, model, dt):
+    """The mean-field step: the potential sourced by <rho> of psi, then
+    expression_vector_step."""
+    grid, particles = model.grid, model.particles
+    prob = (psi.conj() * psi).real
+    phi = coulomb_potential(mean_density(grid, particles, prob), grid, model.spec.G)
+    phi_flat = phi.reshape(prob.shape[:-1] + (-1,))
+    sites = config_sites(grid, particles)
+    v = np.zeros(prob.shape)
+    for n, m in enumerate(particles.masses):
+        v += m * phi_flat[..., sites[:, n]]
+    return expression_vector_step(psi, model.hamiltonian_operator, v, dt)
 
 
 # -- real-space lattice oracles -----------------------------------------------

@@ -1,5 +1,7 @@
 import hashlib
+import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,14 +13,14 @@ from collapsesim import (LatticeGrid, MatrixKernel, ParticleSet, build_model,
                          sme_step, sse_step)
 from collapsesim import engine
 from collapsesim.config import single_particle_state
-from collapsesim.engine import (FeedbackSpec, MonitoringSpec, _commutator, _conditioning,
-                                _step_guard, hfb_family_identity_check)
+from collapsesim.engine import (FeedbackSpec, MonitoringSpec, _conditioning, _step_guard,
+                                hfb_family_identity_check)
 from collapsesim.kernels import CorrelationKernel
 from collapsesim.lattice import GuardError
 from collapsesim.models import ModelSpec, density_family, newton_family
 
 from conftest import DenseOperator, random_density_matrix, random_state
-from oracles import (dense_hcal, expression_combined_step, expression_me_step,
+from oracles import (_commutator, dense_hcal, expression_combined_step, expression_me_step,
                      expression_sme_step, scalar_sme_step_2x2, spectral_propagator)
 
 
@@ -35,7 +37,7 @@ def grid_specs(n=8, sigma=1.0, gamma=1.0, G=0.2, smear_fb=False):
     mon = MonitoringSpec(family=density_family(grid, parts, sigma),
                          kernel=kernel, grid=grid, sigma=sigma)
     fb = FeedbackSpec(family=newton_family(grid, parts, G, smear_fb, sigma),
-                      kernel=kernel, grid=grid, smeared=smear_fb)
+                      kernel=kernel, grid=grid)
     return grid, mon, fb
 
 
@@ -761,6 +763,23 @@ class TestRunEnsemble:
             assert_records_bitwise_equal(b, one)
         if representation == "density":  # one batched eigvalsh call per record step
             assert all(rec.positivity_warnings for rec in batched)
+
+    def test_positivity_dips_are_logged(self, caplog):
+        # the density cat run dips below the floor: one record per trajectory
+        # on the "collapsesim" logger, and no Python warning
+        model, psi = self.cat_model()
+        with caplog.at_level(logging.WARNING, logger="collapsesim"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recs = run_ensemble(np.outer(psi, psi.conj()), model, self.dt, self.steps, [11, 3],
+                                **self.options)
+        assert all(rec.positivity_warnings for rec in recs)
+        assert [(r.name, r.levelno) for r in caplog.records] == \
+            [("collapsesim", logging.WARNING)] * 2
+        for rec, logged in zip(recs, caplog.records):
+            dips = rec.positivity_warnings
+            assert logged.getMessage() == (
+                f"density matrix dipped below the positivity floor at steps "
+                f"{[s for s, _ in dips][:5]} (min eigenvalue {min(w for _, w in dips):.2e})")
 
     def test_blocked_noise_matches_per_step_draws(self):
         # reference loop: a fresh single draw every step, as the stream is read

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collapsesim import (LatticeGrid, ParticleSet, build_backaction_hamiltonian,
                          build_model, exact_pair_step, kappa_decoherence_coefficient,
@@ -17,7 +17,8 @@ from collapsesim.models import (ModelSpec, config_fields, density_family, mean_d
                                 preset_lattice_values, PRESETS)
 
 from conftest import random_density_matrix, random_state
-from oracles import momentum_operator, periodic_coulomb_modesum, smeared_coulomb_profile
+from oracles import (expression_pair_step, expression_sn_step, expression_vector_step,
+                     momentum_operator, periodic_coulomb_modesum, smeared_coulomb_profile)
 
 
 def csl_spec(grid, particles, **kw):
@@ -151,7 +152,6 @@ class TestBuildModel:
         smeared = build_model(ModelSpec(kind="generic", kernel_kind="csl",
                                         grid=grid, particles=parts, sigma=1.0,
                                         gamma=0.7, G=0.2, feedback_smearing=True))
-        assert smeared.feedback.smeared
         assert np.abs(smeared.feedback.family - ref.feedback.family).max() > 1e-6
 
     def test_generic_requires_kernel_kind(self):
@@ -332,6 +332,56 @@ class TestExactPairBaseline:
         H = model.hamiltonian
         np.testing.assert_allclose(out, rho - 1j * 1e-3 * (H @ rho - rho @ H),
                                    atol=1e-14)
+
+
+# (grid dims, particle count): n_cfg from 4 to 144 on chains and 2-d grids
+BASELINE_GRIDS = [((2,), 2), ((3,), 2), ((5,), 2), ((8,), 2), ((12,), 2), ((2,), 3), ((3,), 3),
+                  ((5,), 3), ((2, 2), 2), ((2, 3), 2), ((3, 3), 2), ((3, 4), 2), ((2, 2), 3)]
+
+
+class TestBaselineStepBytes:
+    """exact_pair_step, the pure pair step of Model.advance and sn_step all
+    run through engine.hamiltonian_step; each must give the bytes of its
+    chained-expression form, with no input modified.  Density matrices up
+    to n_cfg 90 that are not exactly Hermitian take _increment's whole-state
+    path, larger or exactly Hermitian ones its blocks of rows."""
+
+    @pytest.mark.parametrize("step", ["exact_pair_step", "advance_pure", "sn_step"])
+    @settings(max_examples=25, deadline=None)
+    @given(grid=st.sampled_from(BASELINE_GRIDS), batch=st.sampled_from([(), (3,)]),
+           state=st.sampled_from(["hermitian", "nonhermitian", "real"]),
+           G=st.floats(0.05, 2.0), seed=st.integers(0, 2**32 - 1))
+    @example(grid=((2,), 2), batch=(), state="nonhermitian", G=0.3, seed=1)
+    @example(grid=((12,), 2), batch=(), state="nonhermitian", G=0.3, seed=2)
+    @example(grid=((3, 4), 2), batch=(3,), state="hermitian", G=0.3, seed=3)
+    def test_bitwise_equal_to_expression_form(self, step, grid, batch, state, G, seed):
+        dims, count = grid
+        kind = "sn" if step == "sn_step" else "pair"
+        model = build_model(ModelSpec(kind=kind, grid=LatticeGrid(dims, 1.0),
+                                      particles=ParticleSet([1.0, 1.5, 0.7][:count]), G=G))
+        n = model.grid.n_sites ** count
+        rng = np.random.default_rng(seed)
+        shape = batch + ((n, n) if step == "exact_pair_step" else (n,))
+        x = rng.standard_normal(shape)
+        if state != "real":
+            x = x + 1j * rng.standard_normal(shape)
+        if state == "hermitian" and step == "exact_pair_step":
+            x = x + x.conj().swapaxes(-1, -2)  # exactly Hermitian
+        before = x.tobytes()
+        # the increment stays near 2% of the state: quiet guards, every bit reaches it
+        v = model.pair_potential if kind == "pair" else np.zeros(1)
+        dt = 0.02 / (2.0 * np.abs(model.hamiltonian).sum(axis=1).max() + np.ptp(v) + 1e-3)
+        if step == "exact_pair_step":
+            got, want = exact_pair_step(x, model, dt, step=1), expression_pair_step(x, model, dt)
+        elif step == "advance_pure":
+            got, signal = model.advance(x, dt, None, step=1, pure=True)
+            assert signal is None
+            want = expression_vector_step(x, model.hamiltonian_operator, v, dt)
+        else:
+            got, want = sn_step(x, model, dt, step=1), expression_sn_step(x, model, dt)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert x.tobytes() == before
 
 
 class TestExternalPotential:
