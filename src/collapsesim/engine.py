@@ -262,8 +262,10 @@ def _self_adjoint(a) -> bool:
 # The increments below are built with the operations, their order and their
 # left operands of the expressions in their docstrings, in place: numpy's
 # complex product uses FMA, so a * b and b * a can differ in the last bit
-# (README, performance notes).  Every term but the commutator is element-wise,
-# so a block of rows gets the bytes that the whole state would.
+# (README, performance notes).  Each product here has a real or a purely
+# imaginary factor, whose order changes no byte (TestOperandOrder), so the
+# left-operand rule binds none of them today.  Every term but the commutator
+# is element-wise, so a block of rows gets the bytes that the whole state would.
 
 def _on_batch(rho, *per_config):
     """rho (..., n, n) and per-configuration arrays (..., k) as views on

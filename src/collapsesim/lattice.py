@@ -244,34 +244,65 @@ class ManyBodyHamiltonian:
         self.grid, self.particles, self.potential = grid, particles, potential
         self.kinetic = [p for p, k in enumerate(particles.kinetic) if k]
         self._dense = dense
+        self._cast = {}  # dtype -> _terms
+        # the last kinetic particle's terms run on copies with its axis
+        # moved to the front, if other particles precede it
+        self._swapped = bool(self.kinetic) and self.kinetic[-1] > 0
 
     @cached_property
     def dense(self) -> np.ndarray:
         return self._dense()
 
-    @cached_property
-    def _terms(self):
-        """(p, 0.0 + h_p) per kinetic particle and the diagonal of H, summed
-        in kinetic_hamiltonian's order; built on the first per-particle apply."""
-        masses = self.particles.masses
-        matrices = [(p, 0.0 + _single_particle_kinetic(self.grid, masses[p]))
-                    for p in self.kinetic]
-        diag = np.zeros(self.potential.shape)
-        for p, h in matrices:
-            self._view(diag, p)[...] += np.diagonal(h)[:, None]
-        return matrices, diag + self.potential
+    def _terms(self, dtype):
+        """(p, 0.0 + h_p) per kinetic particle, cast to dtype, and the diagonal
+        of H, summed in kinetic_hamiltonian's order and in the layout that
+        the last kinetic particle's terms run on; built on the first
+        per-particle apply of each dtype."""
+        if dtype not in self._cast:
+            masses = self.particles.masses
+            matrices = [(p, 0.0 + _single_particle_kinetic(self.grid, masses[p]))
+                        for p in self.kinetic]
+            diag = np.zeros(self.potential.shape)
+            for p, h in matrices:
+                self._view(diag, p)[...] += np.diagonal(h)[:, None]
+            diag += self.potential
+            if self._swapped:
+                diag = self._front(diag).reshape(diag.shape)
+            self._cast[dtype] = [(p, h.astype(dtype)) for p, h in matrices], diag
+        return self._cast[dtype]
 
     def _view(self, a: np.ndarray, p: int) -> np.ndarray:
         """(..., M^p, M, M^(N-p-1)) view of a's configuration axis."""
         M, N = self.grid.n_sites, self.particles.count
         return a.reshape(a.shape[:-1] + (M**p, M, M ** (N - p - 1)))
 
+    def _front(self, a: np.ndarray) -> np.ndarray:
+        """(..., M, M^q, M^(N-q-1)) view of a's configuration axis, q the last
+        kinetic particle, whose axis is swapped with the block of particles
+        0 to q - 1 before it."""
+        M, N, q = self.grid.n_sites, self.particles.count, self.kinetic[-1]
+        return a.reshape(a.shape[:-1] + (M ** q, M, M ** (N - q - 1))).swapaxes(-3, -2)
+
+    def _sweep(self, out: np.ndarray, psi: np.ndarray, p: int, h: np.ndarray, lower: bool):
+        """out += the strict lower (or upper) triangle of h on particle p's
+        axis times psi, one triangle column per multiply-add, in ascending
+        column order."""
+        o, s = self._view(out, p), self._view(psi, p)
+        for j in range(self.grid.n_sites - 1) if lower else range(1, self.grid.n_sites):
+            rows = slice(j + 1, None) if lower else slice(None, j)
+            part = o[..., rows, :]  # += on a name skips the write-back of o[...] += x
+            part += h[rows, j, None] * s[..., j:j + 1, :]
+
     def dense_is_faster(self, shape) -> bool:
         """Whether einsum over the dense H beats the per-particle apply on
         states of this shape.  Both costs are linear fits to timings on one
         core of an x86-64 Xeon VM, numpy 2.4: einsum 2.8 us + 2.3 ns per
         product, the per-particle apply 4.5 us per multiply-add call + 5.7 ns
-        per product."""
+        per product.  A re-fit on a 2-core VM with the last particle's terms
+        on the swapped layout read einsum 6.0 us + 2.7 ns, the apply 6.1 us
+        + 6.7 ns (8.1 ns for the apply before it).  It picks the first fit's
+        side on all 72 timed shapes of one to three particles, so the rule
+        keeps the first fit."""
         n, batch = shape[-1], int(np.prod(shape[:-1]))
         lines = len(self.kinetic) * (self.grid.n_sites - 1)  # off-diagonal sites per row
         einsum = 2.8e-6 + 2.3e-9 * batch * n * n
@@ -290,23 +321,32 @@ class ManyBodyHamiltonian:
         a triangle column into a view of the accumulator, in that order.
         The accumulator starts at +0 and so never holds -0, which makes the
         zero products einsum adds in between change no finite sum.
+
+        The last kinetic particle q's terms (lower triangle, diagonal, upper
+        triangle) come one after another in every row's order, so for q > 0
+        they run on copies of the accumulator and psi with q's axis moved to
+        the front: each multiply-add then broadcasts over a trailing axis of
+        M^(N-1) sites, not over M^(N-q-1), which is 1 for the last particle.
         """
         if self.dense_is_faster(psi.shape):
             return np.einsum("xy,...y->...x", self.dense, psi)
-        matrices, diagonal = self._terms
-        M = self.grid.n_sites
         out = np.zeros(psi.shape, np.result_type(psi, float))
-        # cast once here, not in each multiply-add: the same products
-        matrices = [(p, h.astype(out.dtype, copy=False)) for p, h in matrices]
-        for p, h in matrices:
-            o, s = self._view(out, p), self._view(psi, p)
-            for j in range(M - 1):
-                o[..., j + 1:, :] += h[j + 1:, j, None] * s[..., j:j + 1, :]
-        out += diagonal * psi
-        for p, h in reversed(matrices):
-            o, s = self._view(out, p), self._view(psi, p)
-            for j in range(1, M):
-                o[..., :j, :] += h[:j, j, None] * s[..., j:j + 1, :]
+        matrices, diagonal = self._terms(out.dtype)
+        inner = matrices[:-1] if self._swapped else matrices
+        for p, h in inner:
+            self._sweep(out, psi, p, h, lower=True)
+        if self._swapped:
+            h, shape = matrices[-1][1], psi.shape
+            acc = self._front(out).copy()  # written back below
+            o, s = acc.reshape(shape), self._front(psi).reshape(shape)
+            self._sweep(o, s, 0, h, lower=True)
+            o += diagonal * s
+            self._sweep(o, s, 0, h, lower=False)
+            self._front(out)[...] = acc
+        else:
+            out += diagonal * psi
+        for p, h in reversed(inner):
+            self._sweep(out, psi, p, h, lower=False)
         return out
 
 

@@ -127,7 +127,9 @@ def scalar_sme_step_2x2(rho, h, a, gamma, dA, dt):
 # -- expression-form density-matrix steps --------------------------------------
 # The engine's Euler steps as chained numpy expressions, one fresh temporary
 # per operation and without the step guard (which changes no value).  The
-# engine computes the same operations in place; these pin its bytes.
+# engine computes the same operations in place; these pin its bytes.  Their
+# left operands are the engine's, although every product here has a real or
+# purely imaginary factor, whose order changes no byte (TestOperandOrder).
 # _commutator is pinned against numpy's complex product by its own tests.
 
 def _commutator(H, rho):

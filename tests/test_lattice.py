@@ -157,6 +157,41 @@ class TestHamiltonianApply:
         op.dense_is_faster = lambda shape: False  # the per-particle side on every shape
         assert op.apply(psi).tobytes() == expect
 
+    @pytest.mark.parametrize("batch", [(), (2, 2)])
+    @pytest.mark.parametrize("kinetic", [(True, True, True), (True, True, False),
+                                         (False, True, True)])
+    def test_swapped_layout_three_particles(self, kinetic, batch):
+        # the last kinetic particle (2, or 1 before a static one) works on
+        # copies with its axis moved in front of particles 0 to q - 1,
+        # kinetic or not
+        rng = np.random.default_rng(15)
+        grid = LatticeGrid((4, 4))
+        external = [rng.standard_normal(16), None, rng.standard_normal(16)]
+        parts = ParticleSet([0.7, 1.3, 2.1], kinetic=kinetic, external=external)
+        model = build_model(ModelSpec(kind="sn", grid=grid, particles=parts))
+        psi = rng.standard_normal(batch + (4096,)) + 1j * rng.standard_normal(batch + (4096,))
+        op = model.hamiltonian_operator
+        op.dense_is_faster = lambda shape: False
+        assert op._swapped
+        assert op.apply(psi).tobytes() == einsum_apply(model.hamiltonian, psi).tobytes()
+
+    def test_apply_memory(self):
+        # two particles on 8x8: the accumulator, the copies of it and of psi
+        # in the swapped layout, one product and numpy's ufunc buffer at a time
+        op = build_model(ModelSpec(kind="sn", grid=LatticeGrid((8, 8)),
+                                   particles=ParticleSet([1.0, 1.0]))).hamiltonian_operator
+        rng = np.random.default_rng(0)
+        psi = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+        assert not op.dense_is_faster(psi.shape)
+        op.apply(psi)  # builds the terms
+        tracemalloc.start()
+        try:
+            op.apply(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * psi.nbytes
+
     def test_selection_sides(self):
         # one particle: every row is dense, einsum wins; two on 8x8: 127 of 4096
         one = build_model(ModelSpec(kind="sn", grid=LatticeGrid((8, 8)),
