@@ -9,7 +9,7 @@ from .engine import (FeedbackSpec, MonitoringSpec, TrajectoryRecord,
                      hamiltonian_step, hfb_family_identity_check, hfb_identity_check, me_step,
                      run_ensemble, run_trajectory, sme_step, sse_step)
 from .models import (Model, ModelSpec, build_backaction_hamiltonian, build_model,
-                     exact_pair_step, kappa_decoherence_coefficient, sn_step)
+                     kappa_decoherence_coefficient, sn_step)
 from .analysis import (DecoherenceProfile, LinearityReport, closed_form_rate,
                        decoherence_profile, fit_offdiagonal_decay, kappa_scan,
                        linearity_witness, pair_potential_curve, trace_distance)

@@ -144,29 +144,21 @@ class LinearityReport:
         return self.distance < self.tolerance
 
 
-def _ensemble_average_monitored(model: Model, members, t: float, dt: float,
-                                n_samples: int, seed0: int) -> np.ndarray:
+def _ensemble_average(model: Model, members, t: float, dt: float,
+                      n_samples: int, seed0: int) -> np.ndarray:
+    """sum_k w_k rho_k(t) over the members (w_k, psi_k): a monitored model averages
+    n_samples seeds from seed0 + k * n_samples, the mean-field baseline runs once."""
     steps = int(round(t / dt))
     dim = len(members[0][1])
     avg = np.zeros((dim, dim), complex)
-    seed = seed0
-    for weight, psi in members:
-        rho0 = np.outer(psi, np.conj(psi))
-        avg += weight * ensemble_mean(model, rho0, dt, steps,
-                                      seeds=range(seed, seed + n_samples))
-        seed += n_samples
-    return avg
-
-
-def _ensemble_average_meanfield(model: Model, members, t: float, dt: float) -> np.ndarray:
-    steps = int(round(t / dt))
-    dim = len(members[0][1])
-    avg = np.zeros((dim, dim), complex)
-    for weight, psi in members:
-        rec = run_ensemble(psi, model, dt, steps, [0], record_every=steps,
-                           snapshot_every=steps)[0]
-        state = rec.snapshots[-1][1]
-        avg += weight * np.outer(state, state.conj())
+    for k, (weight, psi) in enumerate(members):
+        if model.kind == "sn":
+            state = run_ensemble(psi, model, dt, steps, [0], record_every=steps,
+                                 snapshot_every=steps)[0].snapshots[-1][1]
+            avg += weight * np.outer(state, state.conj())
+        else:
+            seeds = range(seed0 + k * n_samples, seed0 + (k + 1) * n_samples)
+            avg += weight * ensemble_mean(model, np.outer(psi, np.conj(psi)), dt, steps, seeds)
     return avg
 
 
@@ -183,15 +175,11 @@ def linearity_witness(model: Model, ensemble_a, ensemble_b, t: float, dt: float,
     rho_b = sum(w * np.outer(p, np.conj(p)) for w, p in ensemble_b)
     if trace_distance(rho_a, rho_b) > 1e-10:
         raise ValueError("ensembles must prepare identical density matrices")
+    a = _ensemble_average(model, ensemble_a, t, dt, n_samples, seed0)
+    b = _ensemble_average(model, ensemble_b, t, dt, n_samples, seed0 + 10_000_000)
     if model.kind == "sn":
-        a = _ensemble_average_meanfield(model, ensemble_a, t, dt)
-        b = _ensemble_average_meanfield(model, ensemble_b, t, dt)
-        tol = 1e-9
-        total = len(ensemble_a) + len(ensemble_b)
+        tol, total = 1e-9, len(ensemble_a) + len(ensemble_b)
     else:
-        a = _ensemble_average_monitored(model, ensemble_a, t, dt, n_samples, seed0)
-        b = _ensemble_average_monitored(model, ensemble_b, t, dt, n_samples,
-                                        seed0 + 10_000_000)
         total = n_samples * len(ensemble_a)
         tol = 5.0 / np.sqrt(total)
     return LinearityReport(distance=trace_distance(a, b), tolerance=tol,

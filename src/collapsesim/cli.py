@@ -29,7 +29,7 @@ import numpy as np
 import yaml
 
 from . import analysis
-from .config import ConfigError, RunConfig, build_initial_state, load_config
+from .config import ConfigError, RunConfig, build_initial_state, load_config, number
 # run_trajectory is not called here; bench/spans.py looks it up as cli.run_trajectory
 from .engine import run_ensemble, run_trajectory  # noqa: F401
 from .lattice import GuardError
@@ -123,17 +123,12 @@ def _require_rate_model(cfg: RunConfig, what: str) -> None:
 
 
 def _number(value, kind, what: str, key: str):
-    """value as an int (a whole number) or a finite float; anything else,
-    booleans included, exits 2 naming the key and the value."""
-    try:
-        number = kind(value)
-        valid = not isinstance(value, bool) and np.isfinite(number) and number == float(value)
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
+    """config.number(value, kind); anything else exits 2 naming the key and the value."""
+    x = number(value, kind)
+    if x is None:
         noun = "a whole number" if kind is int else "a finite number"
         raise ConfigError([f"analyze {what}: {key} must be {noun}; got {value!r}"])
-    return number
+    return x
 
 
 def _axis(cfg: RunConfig, block: dict, what: str) -> int:

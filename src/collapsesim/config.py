@@ -16,6 +16,7 @@ are collected and reported together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,20 +54,54 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
 
+def number(value, kind=float):
+    """value as kind if it is a finite int or float, not a boolean, and whole
+    for kind int; else None.  The one number check of run and analyze keys."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        x = kind(value)
+    except (ValueError, OverflowError):  # int of nan or inf, float of a huge int
+        return None
+    return x if -math.inf < x < math.inf and x == value else None
+
+
+def _vector(value, kind=float, length=None):
+    """value, a number or a list of them, as a list of kind if every entry
+    passes number and there are 1 or length (None: any count > 0); else None."""
+    out = [number(v, kind) for v in (value if isinstance(value, (list, tuple)) else [value])]
+    return out if out and None not in out and len(out) in (1, length or len(out)) else None
+
+
 def parse_config(data: dict) -> RunConfig:
     errors = []
     if not isinstance(data, dict):
         raise ConfigError(["top level must be a mapping"])
+
+    def num(value, where, rule, ok=lambda x: x > 0, kind=float, fallback=1):
+        """number(value, kind) if ok holds; else fallback and an error naming key and value."""
+        x = number(value, kind)
+        if x is None or not ok(x):
+            errors.append(f"{where}: must be {rule}; got {value!r}")
+            return fallback
+        return x
 
     gsec = data.get("grid")
     grid = None
     if not isinstance(gsec, dict) or "dims" not in gsec:
         errors.append("grid: section with 'dims' is required")
     else:
-        try:
-            grid = LatticeGrid(gsec["dims"], gsec.get("spacing", 1.0))
-        except (ValueError, TypeError) as exc:
-            errors.append(f"grid: {exc}")
+        dims = _vector(gsec["dims"], int)
+        spacing = _vector(gsec.get("spacing", 1.0), float, None if dims is None else len(dims))
+        if dims is None or spacing is None:
+            key = "dims" if dims is None else "spacing"
+            rule = "whole numbers" if dims is None else "one number, or one per axis"
+            errors.append(f"grid.{key}: must be {rule}; got {gsec[key]!r}")
+        else:
+            try:
+                grid = LatticeGrid(dims, spacing)
+            except ValueError as exc:
+                errors.append(f"grid: {exc}")
 
     psec = data.get("particles")
     particles = None
@@ -79,16 +114,26 @@ def parse_config(data: dict) -> RunConfig:
             if not isinstance(p, dict):
                 errors.append(f"particles[{i}]: must be a mapping")
                 continue
-            m = p.get("mass", 1.0)
-            if not isinstance(m, (int, float)) or m <= 0:
-                errors.append(f"particles[{i}].mass: must be a positive number")
-                m = 1.0
-            masses.append(float(m))
+            masses.append(num(p.get("mass", 1.0), f"particles[{i}].mass", "a positive number"))
             kin.append(bool(p.get("kinetic", True)))
-            init = p.get("initial")
+            init, where = p.get("initial"), f"particles[{i}].initial"
             if not isinstance(init, dict) or init.get("type") not in ("gaussian", "cat"):
-                errors.append(f"particles[{i}].initial: type must be 'gaussian' or 'cat'")
+                errors.append(f"{where}: type must be 'gaussian' or 'cat'")
                 init = {"type": "gaussian", "center": [0.0], "width": 1.0}
+            else:
+                num(init.get("width", 1.0), f"{where}.width", "a positive number")
+                num(init.get("relative_phase", 0.0), f"{where}.relative_phase", "a number",
+                    lambda x: True)
+                cat = init["type"] == "cat"
+                centers = init.get("centers") if cat else [init.get("center", [0.0])]
+                if cat and (not isinstance(centers, (list, tuple)) or len(centers) != 2):
+                    errors.append(f"{where}.centers: cat states need exactly two centers")
+                    centers = []
+                momentum = [] if init.get("momentum") is None else [("momentum", init["momentum"])]
+                for key, v in [("centers" if cat else "center", c) for c in centers] + momentum:
+                    if _vector(v, float, None if grid is None else grid.ndim) is None:
+                        errors.append(f"{where}.{key}: must be one number, or one per grid "
+                                      f"axis; got {v!r}")
             initial.append(init)
         try:
             particles = ParticleSet(masses, kinetic=kin)
@@ -100,19 +145,13 @@ def parse_config(data: dict) -> RunConfig:
     if not isinstance(msec, dict) or msec.get("kind") not in MODEL_KINDS:
         errors.append(f"model.kind: must be one of {MODEL_KINDS}")
     elif grid is not None and particles is not None:
-        for key in ("sigma", "gamma", "kappa", "G"):
-            v = msec.get(key)
-            if v is not None and (not isinstance(v, (int, float)) or v < 0):
-                errors.append(f"model.{key}: must be a nonnegative number")
+        values = {key: num(msec.get(key, d), f"model.{key}", "a nonnegative number",
+                           lambda x: x >= 0, fallback=d)
+                  for key, d in (("sigma", 1.0), ("gamma", 1.0), ("kappa", 2.0), ("G", 1.0))}
         try:
-            spec = ModelSpec(
-                kind=msec["kind"], grid=grid, particles=particles,
-                sigma=float(msec.get("sigma", 1.0)),
-                gamma=float(msec.get("gamma", 1.0)),
-                kappa=float(msec.get("kappa", 2.0)),
-                G=float(msec.get("G", 1.0)),
-                feedback_smearing=msec.get("feedback_smearing"),
-                kernel_kind=msec.get("kernel_kind"))
+            spec = ModelSpec(kind=msec["kind"], grid=grid, particles=particles, **values,
+                             feedback_smearing=msec.get("feedback_smearing"),
+                             kernel_kind=msec.get("kernel_kind"))
         except ValueError as exc:
             errors.append(f"model: {exc}")
 
@@ -120,23 +159,11 @@ def parse_config(data: dict) -> RunConfig:
     if not isinstance(isec, dict):
         errors.append("integration: must be a mapping")
         isec = {}
-    dt = isec.get("dt", 1e-3)
-    steps = isec.get("steps", 100)
-    ensemble = isec.get("ensemble", 1)
-    seed = isec.get("seed", 0)
+    dt = num(isec.get("dt", 1e-3), "integration.dt", "a positive number", fallback=1e-3)
+    steps = num(isec.get("steps", 100), "integration.steps", "a positive integer", kind=int)
+    ensemble = num(isec.get("ensemble", 1), "integration.ensemble", "an integer >= 1", kind=int)
+    seed = num(isec.get("seed", 0), "integration.seed", "an integer", lambda x: True, int, 0)
     representation = isec.get("representation")
-    if not isinstance(dt, (int, float)) or dt <= 0:
-        errors.append("integration.dt: must be a positive number")
-        dt = 1e-3
-    if not isinstance(steps, int) or steps < 1:
-        errors.append("integration.steps: must be a positive integer")
-        steps = 1
-    if not isinstance(ensemble, int) or ensemble < 1:
-        errors.append("integration.ensemble: must be >= 1")
-        ensemble = 1
-    if not isinstance(seed, int):
-        errors.append("integration.seed: must be an integer")
-        seed = 0
     kind = None if spec is None else spec.kind
     if representation is None:
         representation = "pure" if kind == "sn" else "density"
@@ -153,27 +180,23 @@ def parse_config(data: dict) -> RunConfig:
     if not isinstance(osec, dict):
         errors.append("output: must be a mapping")
         osec = {}
-    record_every = osec.get("record_every", 1)
-    if not isinstance(record_every, int) or record_every < 1:
-        errors.append("output.record_every: must be a positive integer")
-        record_every = 1
-    pairs = osec.get("offdiagonal_pairs", [])
+    record_every = num(osec.get("record_every", 1), "output.record_every",
+                       "a positive integer", kind=int)
+    pairs, sites = osec.get("offdiagonal_pairs", []), osec.get("signal_sites", [])
     if grid is not None and particles is not None:
         ncfg = grid.n_sites ** particles.count
         for pr in pairs:
             if (not isinstance(pr, (list, tuple)) or len(pr) != 2
-                    or not all(isinstance(v, int) and 0 <= v < ncfg for v in pr)):
+                    or not all(number(v, int) is not None and 0 <= v < ncfg for v in pr)):
                 errors.append(f"output.offdiagonal_pairs: bad entry {pr!r}")
-        for s in osec.get("signal_sites", []):
-            if not isinstance(s, int) or not (0 <= s < grid.n_sites):
+        for s in sites:
+            if number(s, int) is None or not (0 <= s < grid.n_sites):
                 errors.append(f"output.signal_sites: bad site {s!r}")
-    if osec.get("signal_sites") and kind is not None and kind not in MONITORED_KINDS:
+    if sites and kind is not None and kind not in MONITORED_KINDS:
         errors.append(f"output.signal_sites: model kind {kind!r} records no signal; "
                       f"only {MONITORED_KINDS} are monitored")
-    snapshot_every = osec.get("snapshot_every", 0)
-    if not isinstance(snapshot_every, int) or snapshot_every < 0:
-        errors.append("output.snapshot_every: must be a nonnegative integer")
-        snapshot_every = 0
+    snapshot_every = num(osec.get("snapshot_every", 0), "output.snapshot_every",
+                         "a nonnegative integer", lambda x: x >= 0, int, 0)
 
     asec = data.get("analyze", {})
     if asec is None:
@@ -184,10 +207,11 @@ def parse_config(data: dict) -> RunConfig:
 
     if errors:
         raise ConfigError(errors)
-    return RunConfig(spec=spec, initial=initial, dt=float(dt), steps=steps,
+    return RunConfig(spec=spec, initial=initial, dt=dt, steps=steps,
                      ensemble=ensemble, seed=seed, representation=representation,
-                     record_every=record_every, offdiagonal_pairs=list(pairs),
-                     signal_sites=list(osec.get("signal_sites", [])),
+                     record_every=record_every,
+                     offdiagonal_pairs=[[int(v) for v in pr] for pr in pairs],
+                     signal_sites=[int(s) for s in sites],
                      snapshot_every=snapshot_every, analyze=asec, raw=data)
 
 
@@ -212,16 +236,13 @@ def _packet(grid: LatticeGrid, center, width, momentum=None) -> np.ndarray:
 
 
 def single_particle_state(grid: LatticeGrid, init: dict) -> np.ndarray:
-    """Normalized one-particle state from an 'initial' config block."""
+    """Normalized one-particle state from an 'initial' config block, as
+    parse_config checks it."""
     width = float(init.get("width", 1.0))
-    if width <= 0:
-        raise ConfigError(["initial.width must be positive"])
     if init["type"] == "gaussian":
         psi = _packet(grid, init.get("center", [0.0]), width, init.get("momentum"))
     else:  # cat
-        centers = init.get("centers")
-        if not isinstance(centers, (list, tuple)) or len(centers) != 2:
-            raise ConfigError(["initial.centers: cat states need exactly two centers"])
+        centers = init["centers"]
         phase = float(init.get("relative_phase", 0.0))
         psi = (_packet(grid, centers[0], width, init.get("momentum"))
                + np.exp(1j * phase) * _packet(grid, centers[1], width, init.get("momentum")))

@@ -81,16 +81,14 @@ class _DiagonalFamily:
             cols = np.moveaxis(fam[:, sl].reshape(self.grid.dims + (-1,)), -1, 0)
             yield sl, np.moveaxis(op(cols), 0, -1).reshape(len(fam), -1)
 
-    def apply_kernel_columns(self, fam: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """gamma o f (or gamma^-1 o f) column-by-column for an (n_obs, n_cols) stack."""
-        out = np.empty(fam.shape)
-        for sl, applied in self._kernel_column_chunks(fam, inverse):
-            out[:, sl] = applied
-        return out
-
     def _pair_rate_table(self, inverse: bool) -> np.ndarray:
-        """Q(F(., x) - F(., y)) for all configuration pairs, from the Gram matrix."""
-        gram = self.weight * self.family.T @ self.apply_kernel_columns(self.family, inverse)
+        """Q(F(., x) - F(., y)) for all configuration pairs, from the Gram
+        matrix of the family with its kernel-applied columns."""
+        applied = np.empty(self.family.shape)
+        for sl, cols in self._kernel_column_chunks(self.family, inverse):
+            applied[:, sl] = cols
+        gram = self.weight * self.family.T @ applied
+        del applied  # not held through the n_configs^2 temporaries below
         d = np.diag(gram)
         return d[:, None] + d[None, :] - gram - gram.T
 
@@ -275,31 +273,34 @@ def _on_batch(rho, *per_config):
             *(np.broadcast_to(a, batch + a.shape[-1:]) for a in per_config))
 
 
-def _increment(H, rho, dt: float, terms, args) -> np.ndarray:
-    """The Euler increment: -1j * dt * [H, rho], completed in place by
-    terms(inc, rho, rows, dt, args) with the step's other terms.  After
-    the matrix products it is built one block of rows at a time, at most
-    TILE_BYTES of increment across the batch, so each block's terms run in
-    cache.  A state that fits in one block, not on the one-product path, is
-    handled whole, with no slicing."""
+def _euler(H, rho, dt: float, step, terms, args) -> np.ndarray:
+    """rho plus the Euler increment -1j * dt * [H, rho], completed in place
+    by terms(inc, rho, rows, dt, args) with the step's other terms, once
+    _step_guard passes it.  After the matrix products the increment is
+    built one block of rows at a time, at most TILE_BYTES of increment
+    across the batch, so each block's terms run in cache.  A state that
+    fits in one block, not on the one-product path, is handled whole, with
+    no slicing."""
     comm, hermitian = _products(H, rho)
     if 16 * comm.size <= TILE_BYTES and not hermitian:
         inc = np.multiply(-1j * dt, comm, out=comm if comm.dtype.kind == "c" else None)
         terms(inc, rho, slice(None), dt, args)
-        return inc
-    n = rho.shape[-1]
-    rows = max(1, TILE_BYTES * n // (16 * comm.size))
-    in_place = comm.dtype.kind == "c" and not hermitian
-    inc = comm if in_place else np.empty(comm.shape, np.result_type(-1j * dt, comm))
-    for start in range(0, n, rows):
-        r = slice(start, start + rows)
-        inc_r, comm_r = inc[..., r, :], comm[..., r, :]
-        if hermitian:  # X - X^dagger: X's columns r are intact, inc is another array
-            comm_r = np.subtract(comm_r, np.conjugate(comm[..., :, r]).swapaxes(-1, -2),
-                                 out=inc_r)
-        np.multiply(-1j * dt, comm_r, out=inc_r)
-        terms(inc_r, rho[..., r, :], r, dt, args)
-    return inc
+    else:
+        n = rho.shape[-1]
+        rows = max(1, TILE_BYTES * n // (16 * comm.size))
+        in_place = comm.dtype.kind == "c" and not hermitian
+        inc = comm if in_place else np.empty(comm.shape, np.result_type(-1j * dt, comm))
+        for start in range(0, n, rows):
+            r = slice(start, start + rows)
+            inc_r, comm_r = inc[..., r, :], comm[..., r, :]
+            if hermitian:  # X - X^dagger: X's columns r are intact, inc is another array
+                comm_r = np.subtract(comm_r, np.conjugate(comm[..., :, r]).swapaxes(-1, -2),
+                                     out=inc_r)
+            np.multiply(-1j * dt, comm_r, out=inc_r)
+            terms(inc_r, rho[..., r, :], r, dt, args)
+    del comm  # X is not inc on the one-product path: free it before the guard's temporaries
+    _step_guard(rho, inc, step)
+    return np.add(rho, inc, out=inc)
 
 
 def _free_terms(inc, rho, rows, dt: float, args) -> None:
@@ -320,9 +321,7 @@ def sme_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec, noise, dt: fl
         field = spec.conditioning_field(noise)
     if field.shape[:-1] != rho.shape[:-2]:
         rho, field = _on_batch(rho, field)
-    inc = _increment(H, rho, dt, _free_terms, (spec.pair_rate, field, _field_mean(field, rho)))
-    _step_guard(rho, inc, step)
-    return np.add(rho, inc, out=inc)
+    return _euler(H, rho, dt, step, _free_terms, (spec.pair_rate, field, _field_mean(field, rho)))
 
 
 def feedback_step(rho_free: np.ndarray, potential, dt: float) -> np.ndarray:
@@ -360,10 +359,8 @@ def combined_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
         signal = spec.means(rho) + noise
     if field.shape[:-1] != rho.shape[:-2] or signal.shape[:-1] != rho.shape[:-2]:
         rho, field, signal = _on_batch(rho, field, signal)
-    inc = _increment(H, rho, dt, _feedback_terms,
-                     (spec.pair_rate, field, _field_mean(field, rho), fb.potential(signal)))
-    _step_guard(rho, inc, step)
-    return np.add(rho, inc, out=inc)
+    return _euler(H, rho, dt, step, _feedback_terms,
+                  (spec.pair_rate, field, _field_mean(field, rho), fb.potential(signal)))
 
 
 def _feedback_terms(inc, rho, rows, dt: float, args) -> None:
@@ -399,9 +396,7 @@ def me_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
             backaction = fb.backaction_diagonal(spec)
         if backaction.ndim > 1:
             rho, backaction = _on_batch(rho, backaction)
-    inc = _increment(H, rho, dt, _master_terms, (spec.pair_rate, inverse, backaction))
-    _step_guard(rho, inc, step)
-    return np.add(rho, inc, out=inc)
+    return _euler(H, rho, dt, step, _master_terms, (spec.pair_rate, inverse, backaction))
 
 
 def _master_terms(inc, rho, rows, dt: float, args) -> None:
@@ -426,17 +421,15 @@ def _potential_terms(inc, rho, rows, dt: float, v) -> np.ndarray:
     return term
 
 
-def hamiltonian_step(state: np.ndarray, H, v, dt: float, step: int | None = None,
-                     pure: bool = False) -> np.ndarray:
+def hamiltonian_step(state: np.ndarray, H, v, dt: float, step: int | None = None) -> np.ndarray:
     """One unitary Euler step under H + diag(v), v a real potential over the
-    configurations (the pair and mean-field baselines): renormalized for
-    state vectors (pure; H a ManyBodyHamiltonian), and the increment
-    -1j * dt * [H, rho] - 1j * dt * (v(x) - v(y)) * rho for a dense H."""
-    if pure:
+    configurations (the pair and mean-field baselines).  H gives the
+    representation: a ManyBodyHamiltonian steps state vectors and
+    renormalizes them; a dense H steps density matrices by the increment
+    -1j * dt * [H, rho] - 1j * dt * (v(x) - v(y)) * rho."""
+    if isinstance(H, ManyBodyHamiltonian):
         return _normalize(state - 1j * dt * (H.apply(state) + v * state), step, "Hamiltonian step")
-    inc = _increment(H, state, dt, _potential_terms, v)
-    _step_guard(state, inc, step)
-    return np.add(state, inc, out=inc)
+    return _euler(H, state, dt, step, _potential_terms, v)
 
 
 def hfb_identity_check(A, B, rho: np.ndarray, tol: float = 1e-12) -> bool:

@@ -120,16 +120,12 @@ def config_fields(spec: ModelSpec, configs=None) -> tuple[np.ndarray, np.ndarray
     configs: optional (n, N) array of per-particle site indices; default is
     every joint configuration.  Phi is slaved to the sharp density and is
     convolved with g_sigma when spec.resolved_feedback_smearing (required
-    for the Coulomb-correlated kernel).  The package's one field path: the
-    families, V(x) and the closed-form rates all read its chunks.
+    for the Coulomb-correlated kernel).  The fields are the contiguous
+    transpose of the families; these, V(x) and the closed-form rates all
+    read the chunks of _field_chunks, the package's one field path.
     """
-    configs = _sites(spec, configs)
-    dens = np.empty((len(configs), spec.grid.n_sites))
-    phi = np.empty_like(dens)
-    for sl, d, p in _field_chunks(spec, configs):
-        dens[sl], phi[sl] = d, p
-    shape = (len(configs),) + spec.grid.dims
-    return dens.reshape(shape), phi.reshape(shape)
+    shape = (-1,) + spec.grid.dims
+    return tuple(np.ascontiguousarray(f.T).reshape(shape) for f in _families(spec, configs))
 
 
 def _families(spec: ModelSpec, configs=None) -> tuple[np.ndarray, np.ndarray]:
@@ -282,10 +278,8 @@ class Model:
                 raise ValueError("the mean-field baseline evolves state vectors")
             return sn_step(state, self, dt, step=step), None
         # exact pair baseline: plain unitary Euler
-        if pure:
-            return hamiltonian_step(state, self.hamiltonian_operator, self.pair_potential, dt,
-                                    step, pure=True), None
-        return exact_pair_step(state, self, dt, step=step), None
+        H = self.hamiltonian_operator if pure else self.hamiltonian
+        return hamiltonian_step(state, H, self.pair_potential, dt, step), None
 
 
 def build_model(spec: ModelSpec) -> Model:
@@ -350,14 +344,7 @@ def sn_step(psi: np.ndarray, model: Model, dt: float, step: int | None = None) -
     v = np.zeros(prob.shape)
     for n, m in enumerate(particles.masses):
         v += m * phi_flat[..., sites[:, n]]
-    return hamiltonian_step(psi, model.hamiltonian_operator, v, dt, step, pure=True)
-
-
-def exact_pair_step(rho: np.ndarray, model: Model, dt: float,
-                    step: int | None = None) -> np.ndarray:
-    """Unitary Euler step with the exact (unsmeared, inter-particle only)
-    Newton pair potential; the reference interacting baseline."""
-    return hamiltonian_step(rho, model.hamiltonian, model.pair_potential, dt, step)
+    return hamiltonian_step(psi, model.hamiltonian_operator, v, dt, step)
 
 
 # -- documentation-grade physical parameter presets ---------------------------

@@ -169,16 +169,14 @@ class TestLinearityWitness:
         return grid, [(0.5, plus), (0.5, minus)], [(0.5, a), (0.5, b)]
 
     def test_identical_ensembles_same_seeds_distance_zero(self):
-        from collapsesim.analysis import _ensemble_average_monitored
+        from collapsesim.analysis import _ensemble_average
 
         grid, sup, _ = self._ensembles(8)
         spec = ModelSpec(kind="csl", grid=grid, particles=ParticleSet([1.0]),
                          sigma=1.0, gamma=1.0, G=0.2)
         model = build_model(spec)
-        a = _ensemble_average_monitored(model, sup, t=0.02, dt=1e-4,
-                                        n_samples=20, seed0=5)
-        b = _ensemble_average_monitored(model, sup, t=0.02, dt=1e-4,
-                                        n_samples=20, seed0=5)
+        a = _ensemble_average(model, sup, t=0.02, dt=1e-4, n_samples=20, seed0=5)
+        b = _ensemble_average(model, sup, t=0.02, dt=1e-4, n_samples=20, seed0=5)
         assert trace_distance(a, b) == 0.0
 
     def test_monitored_model_is_ensemble_linear(self):

@@ -166,6 +166,38 @@ class TestRun:
         assert "output.signal_sites" in err and repr(kind) in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edits, key, shown", [
+        ({("integration", "steps"): True}, "integration.steps", "True"),
+        ({("integration", "seed"): False}, "integration.seed", "False"),
+        ({("output", "record_every"): True}, "output.record_every", "True"),
+        ({("particles", 0, "mass"): True}, "particles[0].mass", "True"),
+        ({("model", "G"): True}, "model.G", "True"),
+        ({("output", "signal_sites"): [True]}, "output.signal_sites", "True"),
+        ({("integration", "dt"): float("nan")}, "integration.dt", "nan"),
+        ({("model", "sigma"): float("inf")}, "model.sigma", "inf"),
+        ({("grid", "dims"): [8.9]}, "grid.dims", "8.9"),
+        ({("grid", "dims"): [4, 4], ("particles", 0, "initial", "center"): [1.0, 2.0, 3.0]},
+         "particles[0].initial.center", "[1.0, 2.0, 3.0]"),
+        ({("particles", 0, "initial", "width"): "abc"}, "particles[0].initial.width", "'abc'"),
+        ({("particles", 0, "initial"): {"type": "cat", "centers": [[2.0], ["x"]]}},
+         "particles[0].initial.centers", "'x'"),
+    ], ids=["steps-true", "seed-false", "record-every-true", "mass-true", "G-true",
+            "signal-site-true", "dt-nan", "sigma-inf", "dims-fraction", "center-length-3",
+            "width-text", "cat-center-text"])
+    def test_bad_number_or_initial_block_exit_2(self, tmp_path, capsys, edits, key, shown):
+        # each value passes a bare isinstance or float() test, or fails only inside numpy
+        data = base_config()
+        for path, value in edits.items():
+            section = data
+            for part in path[:-1]:
+                section = section[part]
+            section[path[-1]] = value
+        cfg = write_config(tmp_path / "run.yaml", data)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and shown in err
+        assert not (tmp_path / "out").exists()
+
     def test_guard_trip_exit_3(self, tmp_path, capsys):
         data = base_config()
         data["model"]["G"] = 5.0
@@ -334,6 +366,15 @@ class TestAnalyze:
         assert main(["analyze", what, "--config", cfg, "--out", str(tmp_path)]) == 2
         err, bad = capsys.readouterr().err, value[0] if isinstance(value, list) else value
         assert f"analyze {what}: {key} must be" in err and repr(bad) in err
+
+    def test_quoted_number_exit_2(self, tmp_path, capsys):
+        # one number check for run and analyze keys: a YAML string is no number
+        data = base_config()
+        data["analyze"] = {"rate": {"separations": ["3"]}}
+        cfg = write_config(tmp_path / "quoted.yaml", data)
+        assert main(["analyze", "rate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "analyze rate: separations must be a whole number; got '3'" in (
+            capsys.readouterr().err)
 
 
 class TestAnalyzeBytes:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from collapsesim import (LatticeGrid, MatrixKernel, ParticleSet, build_model,
-                         combined_step, ensemble_mean, exact_pair_step, feedback_step,
+                         combined_step, ensemble_mean, feedback_step, hamiltonian_step,
                          hfb_identity_check, me_step, run_ensemble, run_trajectory,
                          sme_step, sse_step)
 from collapsesim import engine
@@ -893,7 +893,7 @@ class TestRunEnsemble:
             assert rec.snapshots[-1][1].tobytes() == rho.tobytes()
             assert rec.signals.tobytes() == np.array(signals).tobytes()
 
-    def test_pair_unconditional_equals_exact_pair_step_loop(self):
+    def test_pair_unconditional_equals_hamiltonian_step_loop(self):
         grid = LatticeGrid((4,), 1.0)
         model = build_model(ModelSpec(kind="pair", grid=grid, particles=ParticleSet([1.0, 2.0]),
                                       G=0.3))
@@ -904,7 +904,7 @@ class TestRunEnsemble:
                             monitor_positivity=False, unconditional=True)
         rho = rho0
         for i in range(1, steps + 1):
-            rho = exact_pair_step(rho, model, self.dt, step=i)
+            rho = hamiltonian_step(rho, model.hamiltonian, model.pair_potential, self.dt, step=i)
         for rec in recs:
             assert rec.snapshots[-1][1].tobytes() == rho.tobytes()
 

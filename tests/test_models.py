@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from collapsesim import (LatticeGrid, ParticleSet, build_backaction_hamiltonian,
-                         build_model, exact_pair_step, kappa_decoherence_coefficient,
+                         build_model, hamiltonian_step, kappa_decoherence_coefficient,
                          me_step, run_ensemble, sn_step)
 from collapsesim import lattice
 from collapsesim.lattice import (config_sites, external_potential_diagonal,
@@ -284,7 +284,7 @@ class TestExactPairBaseline:
         p_series = []
         for _ in range(50):
             p_series.append(np.trace(P @ rho).real)
-            rho = exact_pair_step(rho, model, 1e-3)
+            rho = hamiltonian_step(rho, model.hamiltonian, model.pair_potential, 1e-3)
             rho /= np.trace(rho).real
         assert np.abs(np.diff(p_series)).max() < 1e-8
 
@@ -328,7 +328,7 @@ class TestExactPairBaseline:
         parts = ParticleSet([1.0, 1.0])
         model = build_model(ModelSpec(kind="pair", grid=grid, particles=parts, G=0.0))
         rho = random_density_matrix(rng, 36)
-        out = exact_pair_step(rho, model, 1e-3)
+        out = hamiltonian_step(rho, model.hamiltonian, model.pair_potential, 1e-3)
         H = model.hamiltonian
         np.testing.assert_allclose(out, rho - 1j * 1e-3 * (H @ rho - rho @ H),
                                    atol=1e-14)
@@ -340,13 +340,13 @@ BASELINE_GRIDS = [((2,), 2), ((3,), 2), ((5,), 2), ((8,), 2), ((12,), 2), ((2,),
 
 
 class TestBaselineStepBytes:
-    """exact_pair_step, the pure pair step of Model.advance and sn_step all
-    run through engine.hamiltonian_step; each must give the bytes of its
+    """The density and pure pair steps of Model.advance and sn_step all run
+    through engine.hamiltonian_step; each must give the bytes of its
     chained-expression form, with no input modified.  Density matrices up
-    to n_cfg 90 that are not exactly Hermitian take _increment's whole-state
+    to n_cfg 90 that are not exactly Hermitian take _euler's whole-state
     path, larger or exactly Hermitian ones its blocks of rows."""
 
-    @pytest.mark.parametrize("step", ["exact_pair_step", "advance_pure", "sn_step"])
+    @pytest.mark.parametrize("step", ["advance_density", "advance_pure", "sn_step"])
     @settings(max_examples=25, deadline=None)
     @given(grid=st.sampled_from(BASELINE_GRIDS), batch=st.sampled_from([(), (3,)]),
            state=st.sampled_from(["hermitian", "nonhermitian", "real"]),
@@ -361,18 +361,22 @@ class TestBaselineStepBytes:
                                       particles=ParticleSet([1.0, 1.5, 0.7][:count]), G=G))
         n = model.grid.n_sites ** count
         rng = np.random.default_rng(seed)
-        shape = batch + ((n, n) if step == "exact_pair_step" else (n,))
+        shape = batch + ((n, n) if step == "advance_density" else (n,))
         x = rng.standard_normal(shape)
         if state != "real":
             x = x + 1j * rng.standard_normal(shape)
-        if state == "hermitian" and step == "exact_pair_step":
+        if state == "hermitian" and step == "advance_density":
             x = x + x.conj().swapaxes(-1, -2)  # exactly Hermitian
         before = x.tobytes()
         # the increment stays near 2% of the state: quiet guards, every bit reaches it
         v = model.pair_potential if kind == "pair" else np.zeros(1)
         dt = 0.02 / (2.0 * np.abs(model.hamiltonian).sum(axis=1).max() + np.ptp(v) + 1e-3)
-        if step == "exact_pair_step":
-            got, want = exact_pair_step(x, model, dt, step=1), expression_pair_step(x, model, dt)
+        if step == "advance_density":
+            got, signal = model.advance(x, dt, None, step=1, pure=False)
+            assert signal is None
+            want = expression_pair_step(x, model, dt)
+            direct = hamiltonian_step(x, model.hamiltonian, model.pair_potential, dt, step=1)
+            assert direct.tobytes() == want.tobytes()
         elif step == "advance_pure":
             got, signal = model.advance(x, dt, None, step=1, pure=True)
             assert signal is None
