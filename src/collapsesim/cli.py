@@ -176,9 +176,13 @@ def _analyze_pair_potential(cfg: RunConfig, out_dir: Path) -> int:
     seps = block.get("separations")
     if seps is None:
         seps = list(range(1, cfg.spec.grid.dims[axis] // 2 + 1))
+    corrected = block.get("corrected", True)
+    if not isinstance(corrected, bool):
+        raise ConfigError([f"analyze pair-potential: corrected must be true or false; "
+                           f"got {corrected!r}"])
     rows = analysis.pair_potential_curve(cfg.spec,
                                          _separations(cfg, seps, axis, "pair-potential"),
-                                         axis=axis, corrected=bool(block.get("corrected", True)))
+                                         axis=axis, corrected=corrected)
     _write_csv(out_dir / "pair_potential.csv",
                ["d (length)", "V_inter (energy)", "V_corrected (energy)",
                 "newton_ratio (1)"],

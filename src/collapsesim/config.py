@@ -86,6 +86,12 @@ def parse_config(data: dict) -> RunConfig:
             return fallback
         return x
 
+    def flag(value, where, null=False):
+        """value if it is a YAML boolean, or null where allowed; else None and an error."""
+        if isinstance(value, bool) or (null and value is None):
+            return value
+        errors.append(f"{where}: must be true or false; got {value!r}")
+
     gsec = data.get("grid")
     grid = None
     if not isinstance(gsec, dict) or "dims" not in gsec:
@@ -115,7 +121,7 @@ def parse_config(data: dict) -> RunConfig:
                 errors.append(f"particles[{i}]: must be a mapping")
                 continue
             masses.append(num(p.get("mass", 1.0), f"particles[{i}].mass", "a positive number"))
-            kin.append(bool(p.get("kinetic", True)))
+            kin.append(flag(p.get("kinetic", True), f"particles[{i}].kinetic"))
             init, where = p.get("initial"), f"particles[{i}].initial"
             if not isinstance(init, dict) or init.get("type") not in ("gaussian", "cat"):
                 errors.append(f"{where}: type must be 'gaussian' or 'cat'")
@@ -150,7 +156,8 @@ def parse_config(data: dict) -> RunConfig:
                   for key, d in (("sigma", 1.0), ("gamma", 1.0), ("kappa", 2.0), ("G", 1.0))}
         try:
             spec = ModelSpec(kind=msec["kind"], grid=grid, particles=particles, **values,
-                             feedback_smearing=msec.get("feedback_smearing"),
+                             feedback_smearing=flag(msec.get("feedback_smearing"),
+                                                    "model.feedback_smearing", null=True),
                              kernel_kind=msec.get("kernel_kind"))
         except ValueError as exc:
             errors.append(f"model: {exc}")
@@ -183,6 +190,10 @@ def parse_config(data: dict) -> RunConfig:
     record_every = num(osec.get("record_every", 1), "output.record_every",
                        "a positive integer", kind=int)
     pairs, sites = osec.get("offdiagonal_pairs", []), osec.get("signal_sites", [])
+    for key, value in (("offdiagonal_pairs", pairs), ("signal_sites", sites)):
+        if not isinstance(value, list):
+            errors.append(f"output.{key}: must be a list; got {value!r}")
+    pairs, sites = (v if isinstance(v, list) else [] for v in (pairs, sites))
     if grid is not None and particles is not None:
         ncfg = grid.n_sites ** particles.count
         for pr in pairs:
@@ -204,6 +215,9 @@ def parse_config(data: dict) -> RunConfig:
     if not isinstance(asec, dict):
         errors.append("analyze: must be a mapping")
         asec = {}
+    for key, block in asec.items():
+        if not isinstance(block, dict):
+            errors.append(f"analyze.{key}: must be a mapping; got {block!r}")
 
     if errors:
         raise ConfigError(errors)

@@ -17,8 +17,9 @@ conditioning term is traceless at finite step size, and standalone
 feedback is an exact diagonal phase conjugation.
 
 States and noise may carry leading batch axes (rho: (..., n, n); noise:
-flat (..., n_obs), as MonitoringSpec.sample_noise_flat draws it); all step
-functions broadcast over them.
+flat (..., n_obs), as MonitoringSpec.sample_noise_flat draws it).  A field,
+signal or back-action broadcasts against rho's leading axes; one with more
+leading entries than rho raises numpy's broadcast ValueError.
 
 run_ensemble is the one stepping loop: it draws each seed's noise in blocks
 of NOISE_BLOCK steps and computes a block's state-independent conditioning
@@ -265,14 +266,6 @@ def _self_adjoint(a) -> bool:
 # left-operand rule binds none of them today.  Every term but the commutator
 # is element-wise, so a block of rows gets the bytes that the whole state would.
 
-def _on_batch(rho, *per_config):
-    """rho (..., n, n) and per-configuration arrays (..., k) as views on
-    their common leading axes, so every term has the increment's shape."""
-    batch = np.broadcast_shapes(rho.shape[:-2], *(a.shape[:-1] for a in per_config))
-    return (np.broadcast_to(rho, batch + rho.shape[-2:]),
-            *(np.broadcast_to(a, batch + a.shape[-1:]) for a in per_config))
-
-
 def _euler(H, rho, dt: float, step, terms, args) -> np.ndarray:
     """rho plus the Euler increment -1j * dt * [H, rho], completed in place
     by terms(inc, rho, rows, dt, args) with the step's other terms, once
@@ -319,8 +312,6 @@ def sme_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec, noise, dt: fl
     (field as in combined_step)."""
     if field is None:
         field = spec.conditioning_field(noise)
-    if field.shape[:-1] != rho.shape[:-2]:
-        rho, field = _on_batch(rho, field)
     return _euler(H, rho, dt, step, _free_terms, (spec.pair_rate, field, _field_mean(field, rho)))
 
 
@@ -357,8 +348,6 @@ def combined_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
         field = spec.conditioning_field(noise)
     if signal is None:
         signal = spec.means(rho) + noise
-    if field.shape[:-1] != rho.shape[:-2] or signal.shape[:-1] != rho.shape[:-2]:
-        rho, field, signal = _on_batch(rho, field, signal)
     return _euler(H, rho, dt, step, _feedback_terms,
                   (spec.pair_rate, field, _field_mean(field, rho), fb.potential(signal)))
 
@@ -394,8 +383,6 @@ def me_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
         inverse = fb.pair_rate_inverse
         if backaction is None:
             backaction = fb.backaction_diagonal(spec)
-        if backaction.ndim > 1:
-            rho, backaction = _on_batch(rho, backaction)
     return _euler(H, rho, dt, step, _master_terms, (spec.pair_rate, inverse, backaction))
 
 

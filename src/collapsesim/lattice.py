@@ -8,8 +8,8 @@ space, never as a dense matrix.  Density matrices are dense complex arrays
 over the same basis.  The many-body Hamiltonian, a sum of one-particle
 matrices plus a diagonal potential, is applied to state vectors particle by
 particle (ManyBodyHamiltonian), with the bytes of the dense product; its
-dense matrix is built only when density matrices, or state-vector shapes
-where the dense product is faster, need it.
+dense matrix is built only when density matrices, or state vectors of one
+kinetic particle, whose every row is dense, need it.
 
 Lattice dictionary used consistently by all modules:
 
@@ -232,8 +232,8 @@ def kinetic_hamiltonian(grid: LatticeGrid, particles: ParticleSet) -> np.ndarray
 class ManyBodyHamiltonian:
     """The many-body Hamiltonian, kinetic_hamiltonian(grid, particles) plus
     a diagonal potential over the configurations, applied to state vectors:
-    particle by particle without the dense matrix, or by einsum over it
-    where that is faster.
+    by einsum over the dense H where every row of it is dense (one particle,
+    kinetic: rows_dense), else particle by particle without it.
 
     dense is a zero-argument callable that returns the same H as a dense
     matrix; it is called on first use.
@@ -243,11 +243,9 @@ class ManyBodyHamiltonian:
                  dense):
         self.grid, self.particles, self.potential = grid, particles, potential
         self.kinetic = [p for p, k in enumerate(particles.kinetic) if k]
+        self.rows_dense = particles.count == 1 and self.kinetic == [0]
         self._dense = dense
         self._cast = {}  # dtype -> _terms
-        # the last kinetic particle's terms run on copies with its axis
-        # moved to the front, if other particles precede it
-        self._swapped = bool(self.kinetic) and self.kinetic[-1] > 0
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -255,8 +253,8 @@ class ManyBodyHamiltonian:
 
     def _terms(self, dtype):
         """(p, 0.0 + h_p) per kinetic particle, cast to dtype, and the diagonal
-        of H, summed in kinetic_hamiltonian's order and in the layout that
-        the last kinetic particle's terms run on; built on the first
+        of H, summed in kinetic_hamiltonian's order and, if there is a
+        kinetic particle, in the _front layout; built on the first
         per-particle apply of each dtype."""
         if dtype not in self._cast:
             masses = self.particles.masses
@@ -266,7 +264,7 @@ class ManyBodyHamiltonian:
             for p, h in matrices:
                 self._view(diag, p)[...] += np.diagonal(h)[:, None]
             diag += self.potential
-            if self._swapped:
+            if matrices:
                 diag = self._front(diag).reshape(diag.shape)
             self._cast[dtype] = [(p, h.astype(dtype)) for p, h in matrices], diag
         return self._cast[dtype]
@@ -293,22 +291,6 @@ class ManyBodyHamiltonian:
             part = o[..., rows, :]  # += on a name skips the write-back of o[...] += x
             part += h[rows, j, None] * s[..., j:j + 1, :]
 
-    def dense_is_faster(self, shape) -> bool:
-        """Whether einsum over the dense H beats the per-particle apply on
-        states of this shape.  Both costs are linear fits to timings on one
-        core of an x86-64 Xeon VM, numpy 2.4: einsum 2.8 us + 2.3 ns per
-        product, the per-particle apply 4.5 us per multiply-add call + 5.7 ns
-        per product.  A re-fit on a 2-core VM with the last particle's terms
-        on the swapped layout read einsum 6.0 us + 2.7 ns, the apply 6.1 us
-        + 6.7 ns (8.1 ns for the apply before it).  It picks the first fit's
-        side on all 72 timed shapes of one to three particles, so the rule
-        keeps the first fit."""
-        n, batch = shape[-1], int(np.prod(shape[:-1]))
-        lines = len(self.kinetic) * (self.grid.n_sites - 1)  # off-diagonal sites per row
-        einsum = 2.8e-6 + 2.3e-9 * batch * n * n
-        per_particle = 4.5e-6 * (2 * lines + 1) + 5.7e-9 * lines * batch * n
-        return einsum < per_particle
-
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """H psi for state vectors (..., M^N), bit for bit equal to
         np.einsum("xy,...y->...x", dense, psi) on finite input.
@@ -323,29 +305,29 @@ class ManyBodyHamiltonian:
         zero products einsum adds in between change no finite sum.
 
         The last kinetic particle q's terms (lower triangle, diagonal, upper
-        triangle) come one after another in every row's order, so for q > 0
-        they run on copies of the accumulator and psi with q's axis moved to
-        the front: each multiply-add then broadcasts over a trailing axis of
-        M^(N-1) sites, not over M^(N-q-1), which is 1 for the last particle.
+        triangle) come one after another in every row's order, so they run
+        on the accumulator and psi with q's axis moved to the front (copies
+        for q > 0, views for q = 0): each multiply-add then broadcasts over
+        a trailing axis of M^(N-1) sites, not over M^(N-q-1), which is 1
+        for the last particle.
         """
-        if self.dense_is_faster(psi.shape):
+        if self.rows_dense:
             return np.einsum("xy,...y->...x", self.dense, psi)
         out = np.zeros(psi.shape, np.result_type(psi, float))
         matrices, diagonal = self._terms(out.dtype)
-        inner = matrices[:-1] if self._swapped else matrices
-        for p, h in inner:
-            self._sweep(out, psi, p, h, lower=True)
-        if self._swapped:
-            h, shape = matrices[-1][1], psi.shape
-            acc = self._front(out).copy()  # written back below
-            o, s = acc.reshape(shape), self._front(psi).reshape(shape)
-            self._sweep(o, s, 0, h, lower=True)
-            o += diagonal * s
-            self._sweep(o, s, 0, h, lower=False)
-            self._front(out)[...] = acc
-        else:
+        if not matrices:
             out += diagonal * psi
-        for p, h in reversed(inner):
+            return out
+        for p, h in matrices[:-1]:
+            self._sweep(out, psi, p, h, lower=True)
+        h, front = matrices[-1][1], self._front(out)
+        o, s = front.reshape(psi.shape), self._front(psi).reshape(psi.shape)
+        self._sweep(o, s, 0, h, lower=True)
+        o += diagonal * s
+        self._sweep(o, s, 0, h, lower=False)
+        if self.kinetic[-1]:
+            front[...] = o.reshape(front.shape)  # o is a copy: write it back
+        for p, h in reversed(matrices[:-1]):
             self._sweep(out, psi, p, h, lower=False)
         return out
 

@@ -228,7 +228,7 @@ class Model:
     @cached_property
     def hamiltonian(self) -> np.ndarray:
         """Dense H, shared with hamiltonian_operator.  Density-matrix steps
-        read it; state vectors read it only where einsum is the faster apply."""
+        read it; state vectors only where hamiltonian_operator.rows_dense."""
         return self.hamiltonian_operator.dense
 
     @property
@@ -310,7 +310,7 @@ def build_model(spec: ModelSpec) -> Model:
 
     model = Model(spec=spec, hamiltonian_operator=H, monitoring=monitoring, feedback=feedback,
                   backaction=backaction, position_coordinates=pos, pair_potential=pair_diag)
-    if H.dense_is_faster(ext.shape):
+    if H.rows_dense:
         model.hamiltonian  # a single state's apply reads it too: build it with the model
     return model
 

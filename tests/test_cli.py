@@ -181,9 +181,15 @@ class TestRun:
         ({("particles", 0, "initial", "width"): "abc"}, "particles[0].initial.width", "'abc'"),
         ({("particles", 0, "initial"): {"type": "cat", "centers": [[2.0], ["x"]]}},
          "particles[0].initial.centers", "'x'"),
+        ({("particles", 0, "kinetic"): "no"}, "particles[0].kinetic", "'no'"),
+        ({("model", "feedback_smearing"): "no"}, "model.feedback_smearing", "'no'"),
+        ({("output", "offdiagonal_pairs"): 5}, "output.offdiagonal_pairs", "5"),
+        ({("output", "signal_sites"): 5}, "output.signal_sites", "5"),
+        ({("analyze",): {"rate": 5}}, "analyze.rate", "5"),
     ], ids=["steps-true", "seed-false", "record-every-true", "mass-true", "G-true",
             "signal-site-true", "dt-nan", "sigma-inf", "dims-fraction", "center-length-3",
-            "width-text", "cat-center-text"])
+            "width-text", "cat-center-text", "kinetic-text", "smearing-text",
+            "pairs-not-list", "sites-not-list", "analyze-block-not-mapping"])
     def test_bad_number_or_initial_block_exit_2(self, tmp_path, capsys, edits, key, shown):
         # each value passes a bare isinstance or float() test, or fails only inside numpy
         data = base_config()
@@ -356,7 +362,7 @@ class TestAnalyze:
         ("kappa-scan", "separation", "many"), ("kappa-scan", "kappas", ["a"]),
         ("kappa-scan", "kappas", [0.0]), ("pair-potential", "axis", True),
         ("linearity", "samples", "many"), ("linearity", "time", "x"),
-        ("linearity", "time", float("inf"))])
+        ("linearity", "time", float("inf")), ("pair-potential", "corrected", "no")])
     def test_block_value_of_wrong_kind_exit_2(self, tmp_path, capsys, what, key, value):
         data = self.linearity_config() if what == "linearity" else base_config()
         if what == "pair-potential":

@@ -131,7 +131,7 @@ class TestHamiltonianApply:
            batch=st.sampled_from([(), (1,), (3,), (2, 2)]))
     def test_matches_einsum_bitwise(self, data, dims, seed, batch):
         # the per-particle apply adds each row's nonzero products in einsum's
-        # order: same bytes on either side of the selection rule
+        # order: the same bytes as einsum over the dense H
         n_sites = int(np.prod(dims))
         n_particles = data.draw(st.integers(1, max(k for k in (1, 2, 3, 4)
                                                    if n_sites**k <= 4096)))
@@ -154,16 +154,16 @@ class TestHamiltonianApply:
         expect = einsum_apply(model.hamiltonian, psi).tobytes()
         op = model.hamiltonian_operator
         assert op.apply(psi).tobytes() == expect
-        op.dense_is_faster = lambda shape: False  # the per-particle side on every shape
-        assert op.apply(psi).tobytes() == expect
 
     @pytest.mark.parametrize("batch", [(), (2, 2)])
     @pytest.mark.parametrize("kinetic", [(True, True, True), (True, True, False),
-                                         (False, True, True)])
+                                         (False, True, True), (True, False, False),
+                                         (False, False, False)])
     def test_swapped_layout_three_particles(self, kinetic, batch):
         # the last kinetic particle (2, or 1 before a static one) works on
         # copies with its axis moved in front of particles 0 to q - 1,
-        # kinetic or not
+        # kinetic or not; particle 0 works on views in that layout, and
+        # with no kinetic particle only the diagonal is left
         rng = np.random.default_rng(15)
         grid = LatticeGrid((4, 4))
         external = [rng.standard_normal(16), None, rng.standard_normal(16)]
@@ -171,8 +171,6 @@ class TestHamiltonianApply:
         model = build_model(ModelSpec(kind="sn", grid=grid, particles=parts))
         psi = rng.standard_normal(batch + (4096,)) + 1j * rng.standard_normal(batch + (4096,))
         op = model.hamiltonian_operator
-        op.dense_is_faster = lambda shape: False
-        assert op._swapped
         assert op.apply(psi).tobytes() == einsum_apply(model.hamiltonian, psi).tobytes()
 
     def test_apply_memory(self):
@@ -182,7 +180,6 @@ class TestHamiltonianApply:
                                    particles=ParticleSet([1.0, 1.0]))).hamiltonian_operator
         rng = np.random.default_rng(0)
         psi = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
-        assert not op.dense_is_faster(psi.shape)
         op.apply(psi)  # builds the terms
         tracemalloc.start()
         try:
@@ -192,14 +189,19 @@ class TestHamiltonianApply:
             tracemalloc.stop()
         assert peak <= 8 * psi.nbytes
 
-    def test_selection_sides(self):
-        # one particle: every row is dense, einsum wins; two on 8x8: 127 of 4096
-        one = build_model(ModelSpec(kind="sn", grid=LatticeGrid((8, 8)),
-                                    particles=ParticleSet([1.0]))).hamiltonian_operator
-        assert one.dense_is_faster((64,)) and one.dense_is_faster((16, 64))
-        two = build_model(ModelSpec(kind="sn", grid=LatticeGrid((8, 8)),
-                                    particles=ParticleSet([1.0, 1.0]))).hamiltonian_operator
-        assert not two.dense_is_faster((4096,)) and not two.dense_is_faster((16, 4096))
+    def test_dense_only_where_every_row_is(self):
+        # one kinetic particle: every row of H is dense, the model holds it
+        # and apply takes einsum over it; one static particle (a diagonal H)
+        # and two particles on 8x8 (127 of 4096 per row) never build it
+        rng = np.random.default_rng(0)
+        for masses, kinetic, dense in [([1.0], [True], True), ([1.0], [False], False),
+                                       ([1.0, 1.0], [True, True], False)]:
+            op = build_model(ModelSpec(kind="sn", grid=LatticeGrid((8, 8)), particles=ParticleSet(
+                masses, kinetic=kinetic))).hamiltonian_operator
+            assert op.rows_dense == dense and ("dense" in vars(op)) == dense
+            n = 64 ** len(masses)
+            op.apply(rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+            assert ("dense" in vars(op)) == dense
 
 
 def engine_double_commutator(families, matrix, rho):
