@@ -21,7 +21,7 @@ import numpy as np
 from .engine import ensemble_mean, run_ensemble
 from .kernels import CorrelationKernel, periodic_image_correction
 from .lattice import ParticleSet
-from .models import (Model, ModelSpec, build_backaction_hamiltonian, config_fields,
+from .models import (Model, ModelSpec, build_backaction_hamiltonian, config_families,
                      kappa_decoherence_coefficient)
 
 
@@ -54,9 +54,9 @@ def closed_form_rate(spec: ModelSpec, x_config, y_config) -> RateEntry:
     configurations."""
     kernel = CorrelationKernel(kind=spec.resolved_kernel_kind, grid=spec.grid,
                                gamma=spec.gamma, kappa=spec.kappa, G=spec.G)
-    dens, phi = config_fields(spec, [x_config, y_config])
-    ddens = dens[0] - dens[1]
-    dphi = phi[0] - phi[1]
+    dens, phi = config_families(spec, [x_config, y_config])
+    ddens = (dens[:, 0] - dens[:, 1]).reshape(spec.grid.dims)
+    dphi = (phi[:, 0] - phi[:, 1]).reshape(spec.grid.dims)
     intrinsic = 0.125 * kernel.quad(ddens, ddens)
     backaction = 0.5 * kernel.quad_inverse(dphi, dphi)
     return RateEntry(intrinsic=intrinsic, backaction=backaction)
@@ -72,8 +72,8 @@ def united_dp_rate(spec: ModelSpec, x_config, y_config) -> float:
     if not spec.resolved_feedback_smearing:
         raise ValueError("the united form needs the smeared potential")
     grid = spec.grid
-    _, phi = config_fields(spec, [x_config, y_config])
-    F = grid.fft(phi[0] - phi[1])
+    _, phi = config_families(spec, [x_config, y_config])
+    F = grid.fft((phi[:, 0] - phi[:, 1]).reshape(grid.dims))
     grad_sq = float(np.sum(grid.k_squared * np.abs(F) ** 2).real
                     * grid.cell_volume / grid.n_sites)
     return kappa_decoherence_coefficient(spec.kappa) / (8.0 * np.pi * spec.G) * grad_sq
@@ -86,9 +86,7 @@ def decoherence_profile(spec: ModelSpec, separations, axis: int = 0) -> Decohere
     grid = spec.grid
     intr, back = [], []
     for d in separations:
-        multi = [0] * grid.ndim
-        multi[axis] = int(d)
-        entry = closed_form_rate(spec, [0], [grid.site_index(multi)])
+        entry = closed_form_rate(spec, [0], [grid.axis_site(d, axis)])
         intr.append(entry.intrinsic)
         back.append(entry.backaction)
     seps = np.asarray(separations, float) * grid.spacing[axis]
@@ -209,15 +207,11 @@ def pair_potential_curve(spec: ModelSpec, separations, axis: int = 0,
     self_energy = 0.0
     for m in (m1, m2):
         one = replace(spec, kind="sn", particles=ParticleSet([m]),  # 'pair' needs 2 particles
-                      feedback_smearing=spec.resolved_feedback_smearing)
+                      feedback_smearing=spec.resolved_feedback_smearing, kernel_kind=None)
         self_energy += build_backaction_hamiltonian(one, configs=[[0]]).values[0]
     box = grid.dims[axis] * grid.spacing[axis]
     cubic3d = grid.ndim == 3 and len(set(grid.dims)) == 1 and len(set(grid.spacing)) == 1
-    configs = []
-    for d in separations:
-        multi = [0] * grid.ndim
-        multi[axis] = int(d)
-        configs.append([0, grid.site_index(multi)])
+    configs = [[0, grid.axis_site(d, axis)] for d in separations]
     pair = build_backaction_hamiltonian(spec, configs=configs).values
     rows = []
     for d, v in zip(separations, pair - self_energy):

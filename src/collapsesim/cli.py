@@ -73,6 +73,9 @@ def _trajectory_rows(cfg: RunConfig, rec):
 
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
+    if cfg.snapshot_every:  # run_ensemble would hold state copies that no file receives
+        raise ConfigError([f"output.snapshot_every: collapse-sim run writes no snapshots, "
+                           f"so it must be 0; got {cfg.snapshot_every}"])
     t0 = time.perf_counter()
     model = build_model(cfg.spec)
     psi = build_initial_state(cfg)
@@ -86,7 +89,6 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
                            record_every=cfg.record_every,
                            record_signal=bool(cfg.signal_sites),
                            offdiagonal_pairs=cfg.offdiagonal_pairs,
-                           snapshot_every=cfg.snapshot_every,
                            unconditional=unconditional)
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -10,8 +10,8 @@ A run file is a single YAML document with nested sections::
     analyze:      per-subcommand parameter blocks (see cli)
 
 Gaussian packets are specified by center/width/momentum per axis (lattice
-units); cat states by two centers sharing one width.  All validation errors
-are collected and reported together.
+units); cat states by two centers sharing one width.  Unknown keys are
+errors too, and all errors are collected and reported together.
 """
 
 from __future__ import annotations
@@ -75,8 +75,20 @@ def _vector(value, kind=float, length=None):
 
 def parse_config(data: dict) -> RunConfig:
     errors = []
-    if not isinstance(data, dict):
-        raise ConfigError(["top level must be a mapping"])
+
+    def mapping(value, where, keys):
+        """value if it is a mapping, else None; an error names a value that is
+        no mapping, and each of its keys outside keys ("" where: top level)."""
+        if not isinstance(value, dict):
+            errors.append(f"{where or 'top level'}: must be a mapping; got {value!r}")
+            return None
+        errors.extend(f"{where + '.' if where else ''}{key}: unknown key; known keys are "
+                      f"{', '.join(keys)}" for key in value if key not in keys)
+        return value
+
+    if mapping(data, "", ("grid", "particles", "model", "integration", "output",
+                          "analyze")) is None:
+        raise ConfigError(errors)
 
     def num(value, where, rule, ok=lambda x: x > 0, kind=float, fallback=1):
         """number(value, kind) if ok holds; else fallback and an error naming key and value."""
@@ -92,9 +104,9 @@ def parse_config(data: dict) -> RunConfig:
             return value
         errors.append(f"{where}: must be true or false; got {value!r}")
 
-    gsec = data.get("grid")
+    gsec = mapping(data.get("grid", {}), "grid", ("dims", "spacing")) or {}
     grid = None
-    if not isinstance(gsec, dict) or "dims" not in gsec:
+    if "dims" not in gsec:
         errors.append("grid: section with 'dims' is required")
     else:
         dims = _vector(gsec["dims"], int)
@@ -117,13 +129,14 @@ def parse_config(data: dict) -> RunConfig:
     else:
         masses, kin = [], []
         for i, p in enumerate(psec):
-            if not isinstance(p, dict):
-                errors.append(f"particles[{i}]: must be a mapping")
+            if mapping(p, f"particles[{i}]", ("mass", "kinetic", "initial")) is None:
                 continue
             masses.append(num(p.get("mass", 1.0), f"particles[{i}].mass", "a positive number"))
             kin.append(flag(p.get("kinetic", True), f"particles[{i}].kinetic"))
-            init, where = p.get("initial"), f"particles[{i}].initial"
-            if not isinstance(init, dict) or init.get("type") not in ("gaussian", "cat"):
+            where = f"particles[{i}].initial"
+            init = mapping(p.get("initial", {}), where, ("type", "center", "centers", "width",
+                                                         "momentum", "relative_phase")) or {}
+            if init.get("type") not in ("gaussian", "cat"):
                 errors.append(f"{where}: type must be 'gaussian' or 'cat'")
                 init = {"type": "gaussian", "center": [0.0], "width": 1.0}
             else:
@@ -146,9 +159,10 @@ def parse_config(data: dict) -> RunConfig:
         except ValueError as exc:
             errors.append(f"particles: {exc}")
 
-    msec = data.get("model")
+    msec = mapping(data.get("model", {}), "model", ("kind", "sigma", "gamma", "kappa", "G",
+                                                    "feedback_smearing", "kernel_kind")) or {}
     spec = None
-    if not isinstance(msec, dict) or msec.get("kind") not in MODEL_KINDS:
+    if msec.get("kind") not in MODEL_KINDS:
         errors.append(f"model.kind: must be one of {MODEL_KINDS}")
     elif grid is not None and particles is not None:
         values = {key: num(msec.get(key, d), f"model.{key}", "a nonnegative number",
@@ -162,10 +176,8 @@ def parse_config(data: dict) -> RunConfig:
         except ValueError as exc:
             errors.append(f"model: {exc}")
 
-    isec = data.get("integration", {})
-    if not isinstance(isec, dict):
-        errors.append("integration: must be a mapping")
-        isec = {}
+    isec = mapping(data.get("integration", {}), "integration",
+                   ("dt", "steps", "ensemble", "seed", "representation")) or {}
     dt = num(isec.get("dt", 1e-3), "integration.dt", "a positive number", fallback=1e-3)
     steps = num(isec.get("steps", 100), "integration.steps", "a positive integer", kind=int)
     ensemble = num(isec.get("ensemble", 1), "integration.ensemble", "an integer >= 1", kind=int)
@@ -183,10 +195,8 @@ def parse_config(data: dict) -> RunConfig:
     elif kind == "sn" and representation != "pure":
         errors.append("integration.representation: the mean-field baseline needs 'pure'")
 
-    osec = data.get("output", {})
-    if not isinstance(osec, dict):
-        errors.append("output: must be a mapping")
-        osec = {}
+    osec = mapping(data.get("output", {}), "output", ("record_every", "offdiagonal_pairs",
+                                                      "signal_sites", "snapshot_every")) or {}
     record_every = num(osec.get("record_every", 1), "output.record_every",
                        "a positive integer", kind=int)
     pairs, sites = osec.get("offdiagonal_pairs", []), osec.get("signal_sites", [])
@@ -209,15 +219,14 @@ def parse_config(data: dict) -> RunConfig:
     snapshot_every = num(osec.get("snapshot_every", 0), "output.snapshot_every",
                          "a nonnegative integer", lambda x: x >= 0, int, 0)
 
-    asec = data.get("analyze", {})
-    if asec is None:
-        asec = {}
-    if not isinstance(asec, dict):
-        errors.append("analyze: must be a mapping")
-        asec = {}
+    blocks = {"rate": ("separations", "axis"),
+              "pair_potential": ("separations", "corrected", "axis"),
+              "kappa_scan": ("kappas", "separation", "axis"), "linearity": ("time", "samples")}
+    asec = data.get("analyze")
+    asec = mapping({} if asec is None else asec, "analyze", tuple(blocks)) or {}
     for key, block in asec.items():
-        if not isinstance(block, dict):
-            errors.append(f"analyze.{key}: must be a mapping; got {block!r}")
+        if key in blocks:
+            mapping(block, f"analyze.{key}", blocks[key])
 
     if errors:
         raise ConfigError(errors)

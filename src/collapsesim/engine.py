@@ -71,16 +71,20 @@ class _DiagonalFamily:
         """Measure of the observable index: cell volume on a grid, else 1."""
         return self.grid.cell_volume if self.grid is not None else 1.0
 
+    def apply_kernel_flat(self, vec: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """gamma o v, or gamma^-1 o v when inverse, on flat observable vectors
+        (batched on leading axes)."""
+        op = self.kernel.apply_inverse if inverse else self.kernel.apply
+        if self.grid is None:
+            return op(vec)
+        return op(vec.reshape(vec.shape[:-1] + self.grid.dims)).reshape(vec.shape)
+
     def _kernel_column_chunks(self, fam: np.ndarray, inverse: bool):
         """(slice, gamma o f or gamma^-1 o f) per chunk of the columns of an
         (n_obs, n_cols) stack; on a grid the chunks are grid.fft_chunks."""
-        op = self.kernel.apply_inverse if inverse else self.kernel.apply
-        if self.grid is None:
-            yield slice(0, fam.shape[1]), op(fam.T).T
-            return
-        for sl in self.grid.fft_chunks(fam.shape[1]):
-            cols = np.moveaxis(fam[:, sl].reshape(self.grid.dims + (-1,)), -1, 0)
-            yield sl, np.moveaxis(op(cols), 0, -1).reshape(len(fam), -1)
+        n = fam.shape[1]
+        for sl in [slice(0, n)] if self.grid is None else self.grid.fft_chunks(n):
+            yield sl, self.apply_kernel_flat(fam[:, sl].T, inverse).T
 
     def _pair_rate_table(self, inverse: bool) -> np.ndarray:
         """Q(F(., x) - F(., y)) for all configuration pairs, from the Gram
@@ -115,13 +119,6 @@ class MonitoringSpec(_DiagonalFamily):
         for sl, applied in self._kernel_column_chunks(self.family, inverse=False):
             out[sl] = np.einsum("ox,ox->x", self.family[:, sl], applied)
         return self.weight * out
-
-    def apply_kernel_flat(self, vec: np.ndarray) -> np.ndarray:
-        """gamma o v on flat observable vectors (batched on leading axes)."""
-        if self.grid is None:
-            return self.kernel.apply(vec)
-        shaped = vec.reshape(vec.shape[:-1] + self.grid.dims)
-        return self.kernel.apply(shaped).reshape(vec.shape)
 
     def conditioning_field(self, noise_flat: np.ndarray) -> np.ndarray:
         """c(x) = int dr A_r(x) (gamma o dnoise)(r), the state-independent part
@@ -231,17 +228,11 @@ def _products(H, rho):
         out -= right_t.view(np.complex128).swapaxes(-1, -2)
         return out, False
     out = H @ rho
-    if real_h and _hermitian_pair(H, rho):
+    # rho first: a state that stopped being exactly Hermitian usually fails on its first block
+    if real_h and _self_adjoint(rho) and _self_adjoint(H):
         return out, True
     out -= rho @ H
     return out, False
-
-
-def _hermitian_pair(H, rho) -> bool:
-    """Every member of rho equals its conjugate transpose and H equals H^T,
-    entry by entry; rho goes first, since a state that stopped being
-    exactly Hermitian usually fails on its first block."""
-    return _self_adjoint(rho) and _self_adjoint(H)
 
 
 def _self_adjoint(a) -> bool:

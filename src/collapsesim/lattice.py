@@ -95,6 +95,12 @@ class LatticeGrid:
         """Flatten a per-axis site tuple into a single site index."""
         return int(np.ravel_multi_index(tuple(int(i) for i in np.atleast_1d(multi)), self.dims))
 
+    def axis_site(self, d: int, axis: int = 0) -> int:
+        """Flat index of the site d steps from the origin along one axis."""
+        multi = [0] * self.ndim
+        multi[axis] = int(d)
+        return self.site_index(multi)
+
     def fft(self, f: np.ndarray) -> np.ndarray:
         """Unnormalized FFT over the trailing grid axes (leading axes = batch)."""
         axes = tuple(range(f.ndim - self.ndim, f.ndim))

@@ -71,10 +71,13 @@ class ModelSpec:
             raise ValueError("the pair-potential baseline needs at least 2 particles")
         if self.kind == "generic" and self.kernel_kind not in ("csl", "dp"):
             raise ValueError("generic models must name kernel_kind 'csl' or 'dp'")
+        if self.kind != "generic" and self.kernel_kind is not None:
+            raise ValueError(f"kernel_kind applies to kind 'generic' only; got "
+                             f"{self.kernel_kind!r} on kind {self.kind!r}")
 
     @property
     def resolved_kernel_kind(self) -> str:
-        return self.kernel_kind if self.kind == "generic" else self.kind
+        return self.kernel_kind or self.kind
 
     @property
     def resolved_feedback_smearing(self) -> bool:
@@ -113,23 +116,16 @@ def _sites(spec: ModelSpec, configs) -> np.ndarray:
     return np.asarray(configs, int).reshape(-1, spec.particles.count)
 
 
-def config_fields(spec: ModelSpec, configs=None) -> tuple[np.ndarray, np.ndarray]:
+def config_families(spec: ModelSpec, configs=None) -> tuple[np.ndarray, np.ndarray]:
     """Smeared mass density rho_sigma(.; x) and the Newton potential Phi(.; x)
-    it sources, for each configuration x; each of shape (n, *grid.dims).
+    it sources, in family layout F[r, x] (grid site r, configuration x).
 
     configs: optional (n, N) array of per-particle site indices; default is
     every joint configuration.  Phi is slaved to the sharp density and is
     convolved with g_sigma when spec.resolved_feedback_smearing (required
-    for the Coulomb-correlated kernel).  The fields are the contiguous
-    transpose of the families; these, V(x) and the closed-form rates all
-    read the chunks of _field_chunks, the package's one field path.
+    for the Coulomb-correlated kernel).  The families, V(x) and the
+    closed-form rates all read _field_chunks, the package's one field path.
     """
-    shape = (-1,) + spec.grid.dims
-    return tuple(np.ascontiguousarray(f.T).reshape(shape) for f in _families(spec, configs))
-
-
-def _families(spec: ModelSpec, configs=None) -> tuple[np.ndarray, np.ndarray]:
-    """config_fields in family layout F[r, x], written chunk by chunk."""
     configs = _sites(spec, configs)
     dfam = np.empty((spec.grid.n_sites, len(configs)))
     nfam = np.empty_like(dfam)
@@ -142,24 +138,24 @@ def density_family(grid: LatticeGrid, particles: ParticleSet, sigma: float) -> n
     """Diagonal values of the (smeared) mass density at every site.
 
     Returns F with F[r, x] = sum_n m_n g_sigma(r - x_n) for configuration x;
-    sigma = 0 gives the sharp point density.  The fields of config_fields.
+    sigma = 0 gives the sharp point density.  The density of config_families.
     """
     # kind 'sn' accepts any sigma; the fields read only the field parameters
-    return _families(ModelSpec(kind="sn", grid=grid, particles=particles, sigma=sigma))[0]
+    return config_families(ModelSpec(kind="sn", grid=grid, particles=particles, sigma=sigma))[0]
 
 
 def newton_family(grid: LatticeGrid, particles: ParticleSet, G: float,
                   smeared: bool, sigma: float) -> np.ndarray:
     """Diagonal values of the Newton potential operator at every site, in
-    the layout of density_family; the fields of config_fields."""
-    return _families(ModelSpec(kind="sn", grid=grid, particles=particles,
-                               sigma=sigma, G=G, feedback_smearing=smeared))[1]
+    the layout of density_family; the potential of config_families."""
+    return config_families(ModelSpec(kind="sn", grid=grid, particles=particles,
+                                     sigma=sigma, G=G, feedback_smearing=smeared))[1]
 
 
 def build_backaction_hamiltonian(spec: ModelSpec, configs=None) -> DiagonalField:
     """Emergent deterministic potential V(x), evaluated literally per
     configuration: contract the smeared density of x with the potential it
-    sources (config_fields; configs as there).  The result never depends on
+    sources (config_families; configs as there).  The result never depends on
     the kernel strength parameters gamma and kappa.
     """
     configs = _sites(spec, configs)
@@ -298,7 +294,7 @@ def build_model(spec: ModelSpec) -> Model:
         kk = spec.resolved_kernel_kind
         kernel = CorrelationKernel(kind=kk, grid=grid, gamma=spec.gamma,
                                    kappa=spec.kappa, G=spec.G)
-        dfam, nfam = _families(spec, sites)
+        dfam, nfam = config_families(spec, sites)
         monitoring = MonitoringSpec(family=dfam, kernel=kernel, grid=grid, sigma=spec.sigma)
         feedback = FeedbackSpec(family=nfam, kernel=kernel, grid=grid)
         backaction = feedback.backaction_diagonal(monitoring)

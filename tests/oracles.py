@@ -140,6 +140,20 @@ def _commutator(H, rho):
     return out
 
 
+def kernel_column_chunks(self, fam: np.ndarray, inverse: bool):
+    """(slice, gamma o f or gamma^-1 o f) per chunk of the columns of an
+    (n_obs, n_cols) stack; on a grid the chunks are grid.fft_chunks.  The
+    kernel column path with its own grid reshape, kept as the bytes
+    reference of _DiagonalFamily._kernel_column_chunks (self is the family)."""
+    op = self.kernel.apply_inverse if inverse else self.kernel.apply
+    if self.grid is None:
+        yield slice(0, fam.shape[1]), op(fam.T).T
+        return
+    for sl in self.grid.fft_chunks(fam.shape[1]):
+        cols = np.moveaxis(fam[:, sl].reshape(self.grid.dims + (-1,)), -1, 0)
+        yield sl, np.moveaxis(op(cols), 0, -1).reshape(len(fam), -1)
+
+
 def expression_conditioning(rho, c):
     cmean = np.einsum("...x,...x->...", c, _diag(rho).real)
     shifted = c[..., :, None] + c[..., None, :] - 2.0 * cmean[..., None, None]

@@ -186,12 +186,29 @@ class TestRun:
         ({("output", "offdiagonal_pairs"): 5}, "output.offdiagonal_pairs", "5"),
         ({("output", "signal_sites"): 5}, "output.signal_sites", "5"),
         ({("analyze",): {"rate": 5}}, "analyze.rate", "5"),
+        ({("outptu",): {"record_every": 5}}, "outptu", "unknown key"),
+        ({("grid", "spacng"): 2.0}, "grid.spacng", "unknown key"),
+        ({("particles", 0, "masss"): 2.0}, "particles[0].masss", "unknown key"),
+        ({("particles", 0, "initial", "widht"): 2.0}, "particles[0].initial.widht", "unknown key"),
+        ({("model", "kindd"): "dp"}, "model.kindd", "unknown key"),
+        ({("integration", "stpes"): 2000}, "integration.stpes", "unknown key"),
+        ({("output", "record_evry"): 5}, "output.record_evry", "unknown key"),
+        ({("analyze",): {"rates": {}}}, "analyze.rates", "unknown key"),
+        ({("analyze",): {"rate": {"separation": [1, 2]}}}, "analyze.rate.separation",
+         "unknown key"),
+        ({("model", "kernel_kind"): "dp"}, "kernel_kind", "'dp'"),
+        ({("output", "snapshot_every"): 1}, "output.snapshot_every", "got 1"),
     ], ids=["steps-true", "seed-false", "record-every-true", "mass-true", "G-true",
             "signal-site-true", "dt-nan", "sigma-inf", "dims-fraction", "center-length-3",
             "width-text", "cat-center-text", "kinetic-text", "smearing-text",
-            "pairs-not-list", "sites-not-list", "analyze-block-not-mapping"])
+            "pairs-not-list", "sites-not-list", "analyze-block-not-mapping",
+            "unknown-top-key", "unknown-grid-key", "unknown-particle-key",
+            "unknown-initial-key", "unknown-model-key", "unknown-integration-key",
+            "unknown-output-key", "unknown-analyze-block", "unknown-analyze-block-key",
+            "kernel-kind-not-generic", "snapshots-on-run"])
     def test_bad_number_or_initial_block_exit_2(self, tmp_path, capsys, edits, key, shown):
-        # each value passes a bare isinstance or float() test, or fails only inside numpy
+        # each value passes a bare isinstance or float() test, fails only inside
+        # numpy, or sits under a key or a model kind that nothing reads
         data = base_config()
         for path, value in edits.items():
             section = data

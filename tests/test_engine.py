@@ -193,13 +193,14 @@ class TestCommutator:
         """Two dp seeds with smeared feedback on a 24-site chain: the states
         start exactly Hermitian and stop being so, so both commutator paths
         run.  The digest was recorded before the one-product path existed."""
-        paths, hermitian_pair = [], engine._hermitian_pair
+        paths, products = [], engine._products
 
         def spy(H, rho):
-            paths.append(hermitian_pair(H, rho))
-            return paths[-1]
+            out, hermitian = products(H, rho)
+            paths.append(hermitian)
+            return out, hermitian
 
-        monkeypatch.setattr(engine, "_hermitian_pair", spy)
+        monkeypatch.setattr(engine, "_products", spy)
         grid = LatticeGrid((24,), 1.0)
         model = build_model(ModelSpec(kind="dp", grid=grid, particles=ParticleSet([1.0]),
                                       sigma=1.0, kappa=2.0, G=0.05, feedback_smearing=True))
@@ -366,7 +367,7 @@ class TestInPlaceSteps:
         psi = random_state(rng, 512)
         rho = np.outer(psi, psi.conj())[None]
         rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))  # exactly Hermitian
-        assert engine._hermitian_pair(model.hamiltonian, rho)
+        assert engine._products(model.hamiltonian, rho)[1]
         dt = 1e-3
         noise = model.monitoring.sample_noise_flat(dt, rng, (2, 1))
         fields = model.monitoring.conditioning_field(noise)

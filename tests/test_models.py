@@ -1,24 +1,27 @@
 import hashlib
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from collapsesim import (LatticeGrid, ParticleSet, build_backaction_hamiltonian,
+from collapsesim import (LatticeGrid, MatrixKernel, ParticleSet, build_backaction_hamiltonian,
                          build_model, hamiltonian_step, kappa_decoherence_coefficient,
                          me_step, run_ensemble, sn_step)
-from collapsesim import lattice
+from collapsesim import engine, lattice
+from collapsesim.engine import FeedbackSpec, MonitoringSpec
 from collapsesim.lattice import (config_sites, external_potential_diagonal,
                                 kinetic_hamiltonian)
-from collapsesim.models import (ModelSpec, config_fields, density_family, mean_density,
+from collapsesim.models import (ModelSpec, config_families, density_family, mean_density,
                                 newton_family, pair_potential_diagonal,
                                 preset_lattice_values, PRESETS)
 
 from conftest import random_density_matrix, random_state
 from oracles import (expression_pair_step, expression_sn_step, expression_vector_step,
-                     momentum_operator, periodic_coulomb_modesum, smeared_coulomb_profile)
+                     kernel_column_chunks, momentum_operator, periodic_coulomb_modesum,
+                     smeared_coulomb_profile)
 
 
 def csl_spec(grid, particles, **kw):
@@ -479,8 +482,8 @@ class TestConfigFields:
            sigma=st.floats(0.1, 2.0), G=st.floats(0.0, 3.0), smeared=st.booleans(),
            data=st.data())
     def test_one_path_bitwise(self, dims, spacing, masses, sigma, G, smeared, data):
-        # the families are views of config_fields (build_model's from one
-        # call), any subset of rows has the bits of the full batch, and V(x)
+        # the families are config_families' (build_model's from one call),
+        # any subset of columns has the bits of the full batch, and V(x)
         # does not depend on the batch
         grid, parts = LatticeGrid(dims, spacing), ParticleSet(masses)
         spec = ModelSpec(kind="csl", grid=grid, particles=parts, sigma=sigma, G=G,
@@ -488,14 +491,14 @@ class TestConfigFields:
         n_cfg = grid.n_sites ** parts.count
         idx = data.draw(st.lists(st.integers(0, n_cfg - 1), min_size=1, max_size=6))
         configs = config_sites(grid, parts)[idx]
-        dens, phi = config_fields(spec, configs)
-        assert dens.shape == phi.shape == (len(idx),) + grid.dims
+        dens, phi = config_families(spec, configs)
+        assert dens.shape == phi.shape == (grid.n_sites, len(idx))
         assert dens.flags.c_contiguous and phi.flags.c_contiguous
         dfam = density_family(grid, parts, sigma)
         nfam = newton_family(grid, parts, G, smeared, sigma)
         assert dfam.flags.c_contiguous and nfam.flags.c_contiguous
-        assert dens.tobytes() == np.ascontiguousarray(dfam[:, idx].T).tobytes()
-        assert phi.tobytes() == np.ascontiguousarray(nfam[:, idx].T).tobytes()
+        assert dens.tobytes() == np.ascontiguousarray(dfam[:, idx]).tobytes()
+        assert phi.tobytes() == np.ascontiguousarray(nfam[:, idx]).tobytes()
         model = build_model(spec)
         assert model.monitoring.family.tobytes() == dfam.tobytes()
         assert model.feedback.family.tobytes() == nfam.tobytes()
@@ -508,7 +511,7 @@ class TestChunks:
     @staticmethod
     def tables(spec, configs):
         model = build_model(spec)
-        out = [*config_fields(spec), *config_fields(spec, configs),
+        out = [*config_families(spec), *config_families(spec, configs),
                density_family(spec.grid, spec.particles, spec.sigma),
                newton_family(spec.grid, spec.particles, spec.G,
                              spec.resolved_feedback_smearing, spec.sigma),
@@ -535,6 +538,37 @@ class TestChunks:
         # per_chunk configurations or kernel columns per chunk
         with mock.patch.object(lattice, "FFT_CHUNK_BYTES", 16 * grid.n_sites * per_chunk):
             assert self.tables(spec, configs) == default
+
+    @settings(max_examples=30, deadline=None)
+    @given(dims=st.lists(st.integers(2, 4), min_size=1, max_size=3),
+           count=st.integers(1, 2), kind=st.sampled_from(["csl", "dp", "matrix"]),
+           sigma=st.floats(0.1, 2.0), smeared=st.booleans(),
+           per_chunk=st.sampled_from([None, 1, 2, 5]), seed=st.integers(0, 2**32 - 1))
+    def test_kernel_columns_match_reference(self, dims, count, kind, sigma, smeared,
+                                            per_chunk, seed):
+        # the rate tables and self_quadratic against those that the reference
+        # column path builds, bit for bit, at any chunk size
+        grid = LatticeGrid(dims, 1.0)
+        assume(grid.n_sites ** count <= 1024)  # (n_cfg, n_cfg) tables
+        if kind == "matrix":
+            rng = np.random.default_rng(seed)
+            a = rng.standard_normal((4, 4))
+            kernel = MatrixKernel(a @ a.T + 0.5 * np.eye(4))
+            mon = MonitoringSpec(family=rng.standard_normal((4, 6)), kernel=kernel)
+            fb = FeedbackSpec(family=rng.standard_normal((4, 6)), kernel=kernel)
+        else:
+            model = build_model(ModelSpec(kind=kind, grid=grid,
+                                          particles=ParticleSet([1.0, 2.5][:count]),
+                                          sigma=sigma, G=0.7, feedback_smearing=smeared))
+            mon, fb = model.monitoring, model.feedback
+        chunk = lattice.FFT_CHUNK_BYTES if per_chunk is None else 16 * grid.n_sites * per_chunk
+        with mock.patch.object(lattice, "FFT_CHUNK_BYTES", chunk):
+            got = [mon.pair_rate, fb.pair_rate_inverse, mon.self_quadratic]
+            with mock.patch.object(engine._DiagonalFamily, "_kernel_column_chunks",
+                                   kernel_column_chunks):
+                ref_mon, ref_fb = replace(mon), replace(fb)  # no cached tables
+                want = [ref_mon.pair_rate, ref_fb.pair_rate_inverse, ref_mon.self_quadratic]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_set_up_memory_within_families(self):
         # two particles on 8x8 (n_cfg 4096): building the model and its
