@@ -52,14 +52,23 @@ def closed_form_rate(spec: ModelSpec, x_config, y_config) -> RateEntry:
     """Decay rate of rho_xy under the noise-averaged generator, from the
     kernel quadratic forms of the field differences between the two
     configurations."""
+    return _rate(spec, *_field_differences(spec, x_config, y_config))
+
+
+def _field_differences(spec: ModelSpec, x_config, y_config):
+    """(Delta rho_sigma, Delta Phi) between two configurations, on the grid."""
+    dens, phi = config_families(spec, [x_config, y_config])
+    return ((dens[:, 0] - dens[:, 1]).reshape(spec.grid.dims),
+            (phi[:, 0] - phi[:, 1]).reshape(spec.grid.dims))
+
+
+def _rate(spec: ModelSpec, ddens: np.ndarray, dphi: np.ndarray) -> RateEntry:
+    """The rate from the field differences; only this reads the kernel
+    strengths, the fields do not."""
     kernel = CorrelationKernel(kind=spec.resolved_kernel_kind, grid=spec.grid,
                                gamma=spec.gamma, kappa=spec.kappa, G=spec.G)
-    dens, phi = config_families(spec, [x_config, y_config])
-    ddens = (dens[:, 0] - dens[:, 1]).reshape(spec.grid.dims)
-    dphi = (phi[:, 0] - phi[:, 1]).reshape(spec.grid.dims)
-    intrinsic = 0.125 * kernel.quad(ddens, ddens)
-    backaction = 0.5 * kernel.quad_inverse(dphi, dphi)
-    return RateEntry(intrinsic=intrinsic, backaction=backaction)
+    return RateEntry(intrinsic=0.125 * kernel.quad(ddens, ddens),
+                     backaction=0.5 * kernel.quad_inverse(dphi, dphi))
 
 
 def united_dp_rate(spec: ModelSpec, x_config, y_config) -> float:
@@ -110,13 +119,14 @@ def kappa_scan(spec: ModelSpec, kappas, separation: int, axis: int = 0):
     """Total single-particle rate at one separation versus kappa.
 
     Returns (list of (kappa, rate), argmin kappa).  The kappa dependence
-    factorizes exactly as kappa/4 + 1/kappa times a geometry factor.
+    factorizes exactly as kappa/4 + 1/kappa times a geometry factor.  The
+    fields do not depend on kappa, so they are built once per scan.
     """
-    rows = []
-    for kappa in kappas:
-        s = replace(spec, kappa=float(kappa))
-        prof = decoherence_profile(s, [separation], axis=axis)
-        rows.append((float(kappa), float(prof.total[0])))
+    if spec.particles.count != 1:
+        raise ValueError("profiles are defined for a single particle")
+    diffs = _field_differences(spec, [0], [spec.grid.axis_site(separation, axis)])
+    rows = [(float(kappa), float(_rate(replace(spec, kappa=float(kappa)), *diffs).total))
+            for kappa in kappas]
     best = min(rows, key=lambda r: r[1])[0]
     return rows, best
 

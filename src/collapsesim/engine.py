@@ -19,7 +19,8 @@ feedback is an exact diagonal phase conjugation.
 States and noise may carry leading batch axes (rho: (..., n, n); noise:
 flat (..., n_obs), as MonitoringSpec.sample_noise_flat draws it).  A field,
 signal or back-action broadcasts against rho's leading axes; one with more
-leading entries than rho raises numpy's broadcast ValueError.
+leading entries than rho raises numpy's broadcast ValueError.  The H of a
+density-matrix step is a dense array or a DenseHamiltonian.
 
 run_ensemble is the one stepping loop: it draws each seed's noise in blocks
 of NOISE_BLOCK steps and computes a block's state-independent conditioning
@@ -40,7 +41,7 @@ STEP_GUARD_FRACTION = 0.1  # reject Euler steps with |increment|_1 above this fr
 NOISE_BLOCK = 256  # steps of noise drawn per seed in one call
 BATCH_BYTES = 1 << 25  # states plus noise blocks that run_ensemble steps at once
 REAL_SPLIT_MAX_N = 16  # largest n whose real-split commutator matches zgemm's bytes (tested)
-TILE_BYTES = 1 << 17  # increment rows, or Hermiticity-check blocks, handled at once
+TILE_BYTES = 1 << 17  # increment or guard rows, or commutator tiles, handled at once
 
 
 def _diag(rho: np.ndarray) -> np.ndarray:
@@ -166,8 +167,10 @@ def _step_guard(rho, increment, step):
     member.  nan compares False, so it trips too; an inf in rho reaches the
     increment of every step as nan (0 * inf in the complex product of a real
     rate or field with rho)."""
-    inc = np.abs(increment).sum(axis=(-2, -1))
-    ref = np.abs(rho).sum(axis=(-2, -1))
+    if 16 * rho.size <= TILE_BYTES:  # one block: no per-block calls on small steps
+        inc, ref = np.abs(increment).sum(axis=(-2, -1)), np.abs(rho).sum(axis=(-2, -1))
+    else:
+        inc, ref = _l1(increment), _l1(rho)
     ok = inc <= STEP_GUARD_FRACTION * ref  # each member against its own |rho|_1
     if ok.all():
         return
@@ -179,6 +182,15 @@ def _step_guard(rho, increment, step):
         "step-size", step,
         f"|increment|_1 = {inc_k:.3g} exceeds {STEP_GUARD_FRACTION:g} * |rho|_1 = "
         f"{STEP_GUARD_FRACTION * ref_k:.3g}; reduce dt")
+
+
+def _l1(a) -> np.ndarray:
+    """|a|_1 for each member, summed over blocks of rows of at most
+    TILE_BYTES of complex entries across the batch, as _euler builds the
+    increment of a large state: no full-size temporary."""
+    n = a.shape[-1]
+    rows = max(1, TILE_BYTES * n // (16 * a.size))
+    return sum(np.abs(a[..., s:s + rows, :]).sum(axis=(-2, -1)) for s in range(0, n, rows))
 
 
 def _normalize(out, step, what):
@@ -213,40 +225,82 @@ def _conditioning(rho, c, out=None, rows=slice(None), cmean=None) -> np.ndarray:
     return np.multiply(shifted, rho, out=out)
 
 
-def _products(H, rho):
-    """(out, hermitian) with [H, rho] = out - out^dagger when hermitian, else
-    out, in numpy's bytes save that an exactly zero entry may take the other
-    sign.  A real H with n <= REAL_SPLIT_MAX_N runs as real dgemms on the
-    float views of rho and rho^T, not as numpy's promoted zgemm.  Above that
-    n, a symmetric real H and an exactly Hermitian rho take one product,
-    out = H @ rho: rho @ H = out^dagger adds the same products in the same
-    order (README, performance notes)."""
-    real_h = H.dtype == np.float64 and rho.dtype == np.complex128
+class DenseHamiltonian:
+    """A dense H as the density-matrix steps read it: its complex128 copy
+    and its exact self-adjointness are each taken on first use and held,
+    so a caller that steps many states with one H pays for them once
+    (Model.density_hamiltonian).  A bare array H is wrapped per call."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+    @cached_property
+    def complex(self) -> np.ndarray:
+        """matrix as complex128: the operand that numpy's promotion of a real
+        H casts on every product, so the products' bytes do not change."""
+        return self.matrix.astype(np.complex128, copy=False)
+
+    @cached_property
+    def self_adjoint(self) -> bool:
+        return _self_adjoint(self.matrix)
+
+
+def _commutator(H, rho):
+    """[H, rho] = H @ rho - rho @ H in numpy's bytes, save that an exactly
+    zero entry may take the other sign; H a dense array or a
+    DenseHamiltonian.  A real H with n <= REAL_SPLIT_MAX_N runs as real
+    dgemms on the float views of rho and rho^T, not as numpy's promoted
+    zgemm.  Above that n a real H meets a complex rho as its held complex
+    copy.  A symmetric real H and an exactly Hermitian rho then take one
+    product, X = H @ rho, and X - X^dagger is written over X: rho @ H =
+    X^dagger adds the same products in the same order (README, performance
+    notes)."""
+    if not isinstance(H, DenseHamiltonian):
+        H = DenseHamiltonian(H)
+    h = H.matrix
+    real_h = h.dtype == np.float64 and rho.dtype == np.complex128
     if real_h and rho.shape[-1] <= REAL_SPLIT_MAX_N:
-        out = (H @ np.ascontiguousarray(rho).view(np.float64)).view(np.complex128)
-        right_t = H.T @ np.ascontiguousarray(rho.swapaxes(-1, -2)).view(np.float64)
+        out = (h @ np.ascontiguousarray(rho).view(np.float64)).view(np.complex128)
+        right_t = h.T @ np.ascontiguousarray(rho.swapaxes(-1, -2)).view(np.float64)
         out -= right_t.view(np.complex128).swapaxes(-1, -2)
-        return out, False
-    out = H @ rho
-    # rho first: a state that stopped being exactly Hermitian usually fails on its first block
-    if real_h and _self_adjoint(rho) and _self_adjoint(H):
-        return out, True
-    out -= rho @ H
-    return out, False
+        return out
+    if real_h:
+        h = H.complex
+    out = h @ rho
+    # rho first: a state that stopped being exactly Hermitian usually fails on its first tile
+    if real_h and _self_adjoint(rho) and H.self_adjoint:
+        _subtract_adjoint(out)
+    else:
+        out -= rho @ h
+    return out
 
 
-def _self_adjoint(a) -> bool:
-    """a == conj(a)^T for every member, compared in square blocks of at
-    most TILE_BYTES across the batch, each block above the diagonal against
-    its mirror below: short, cached traversals instead of full transposes."""
+def _tiles(a):
+    """(rows, cols) slices of a's square tiles on and above the diagonal,
+    each at most TILE_BYTES across the batch: with its mirror below the
+    diagonal, a short cached traversal instead of a full transpose."""
     n = a.shape[-1]
     side = max(1, math.isqrt(TILE_BYTES * n * n // a.nbytes))
     for i in range(0, n, side):
         for j in range(i, n, side):
-            mirror = a[..., j:j + side, i:i + side].swapaxes(-1, -2).conj()
-            if not (a[..., i:i + side, j:j + side] == mirror).all():
-                return False
-    return True
+            yield slice(i, i + side), slice(j, j + side)
+
+
+def _self_adjoint(a) -> bool:
+    """a == conj(a)^T for every member, each tile against its mirror."""
+    return all((a[..., r, c] == a[..., c, r].swapaxes(-1, -2).conj()).all()
+               for r, c in _tiles(a))
+
+
+def _subtract_adjoint(x) -> None:
+    """x - x^dagger written over x, tile by tile; a tile and its mirror are
+    both computed from their original values (a diagonal tile is its own)."""
+    for r, c in _tiles(x):
+        tile, mirror = x[..., r, c], x[..., c, r]
+        adjoint = np.conjugate(tile).swapaxes(-1, -2)
+        if r != c:
+            tile -= np.conjugate(mirror).swapaxes(-1, -2)
+        mirror -= adjoint
 
 
 # The increments below are built with the operations, their order and their
@@ -260,29 +314,23 @@ def _self_adjoint(a) -> bool:
 def _euler(H, rho, dt: float, step, terms, args) -> np.ndarray:
     """rho plus the Euler increment -1j * dt * [H, rho], completed in place
     by terms(inc, rho, rows, dt, args) with the step's other terms, once
-    _step_guard passes it.  After the matrix products the increment is
-    built one block of rows at a time, at most TILE_BYTES of increment
-    across the batch, so each block's terms run in cache.  A state that
-    fits in one block, not on the one-product path, is handled whole, with
-    no slicing."""
-    comm, hermitian = _products(H, rho)
-    if 16 * comm.size <= TILE_BYTES and not hermitian:
-        inc = np.multiply(-1j * dt, comm, out=comm if comm.dtype.kind == "c" else None)
+    _step_guard passes it.  The increment is the commutator's own array
+    when that is complex.  It is built one block of rows at a time, at
+    most TILE_BYTES of increment across the batch, so each block's terms
+    run in cache; a state that fits in one block is handled whole, with no
+    slicing."""
+    comm = _commutator(H, rho)
+    inc = comm if comm.dtype.kind == "c" else np.empty(comm.shape, np.result_type(-1j * dt, comm))
+    if 16 * comm.size <= TILE_BYTES:
+        np.multiply(-1j * dt, comm, out=inc)
         terms(inc, rho, slice(None), dt, args)
     else:
         n = rho.shape[-1]
         rows = max(1, TILE_BYTES * n // (16 * comm.size))
-        in_place = comm.dtype.kind == "c" and not hermitian
-        inc = comm if in_place else np.empty(comm.shape, np.result_type(-1j * dt, comm))
         for start in range(0, n, rows):
             r = slice(start, start + rows)
-            inc_r, comm_r = inc[..., r, :], comm[..., r, :]
-            if hermitian:  # X - X^dagger: X's columns r are intact, inc is another array
-                comm_r = np.subtract(comm_r, np.conjugate(comm[..., :, r]).swapaxes(-1, -2),
-                                     out=inc_r)
-            np.multiply(-1j * dt, comm_r, out=inc_r)
+            inc_r = np.multiply(-1j * dt, comm[..., r, :], out=inc[..., r, :])
             terms(inc_r, rho[..., r, :], r, dt, args)
-    del comm  # X is not inc on the one-product path: free it before the guard's temporaries
     _step_guard(rho, inc, step)
     return np.add(rho, inc, out=inc)
 

@@ -28,8 +28,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .engine import (FeedbackSpec, MonitoringSpec, combined_step, hamiltonian_step, me_step,
-                     sse_step)
+from .engine import (DenseHamiltonian, FeedbackSpec, MonitoringSpec, combined_step,
+                     hamiltonian_step, me_step, sse_step)
 from .kernels import (CorrelationKernel, axis_profile_3d, coulomb_multiplier,
                       coulomb_potential, smear_multiplier, smeared_point_profile)
 from .lattice import (DiagonalField, LatticeGrid, LatticeUnits, ManyBodyHamiltonian,
@@ -211,7 +211,9 @@ def dense_hamiltonian(grid: LatticeGrid, particles: ParticleSet, ext: np.ndarray
 @dataclass
 class Model:
     """A fully wired model, shareable across workers.  Its fields are fixed
-    at build; the dense Hamiltonian is built on first use."""
+    at build.  The dense Hamiltonian is built on first use, and so are its
+    complex copy and its symmetry test, on the first density-matrix step
+    that reads them (density_hamiltonian)."""
 
     spec: ModelSpec
     hamiltonian_operator: ManyBodyHamiltonian
@@ -226,6 +228,12 @@ class Model:
         """Dense H, shared with hamiltonian_operator.  Density-matrix steps
         read it; state vectors only where hamiltonian_operator.rows_dense."""
         return self.hamiltonian_operator.dense
+
+    @cached_property
+    def density_hamiltonian(self) -> DenseHamiltonian:
+        """The dense H as every density-matrix step of the model reads it:
+        one complex copy and one symmetry test per model, not per step."""
+        return DenseHamiltonian(self.hamiltonian)
 
     @property
     def kind(self) -> str:
@@ -256,7 +264,7 @@ class Model:
             if noise is None:
                 if pure:
                     raise ValueError("the unconditional evolution needs a density matrix")
-                new = me_step(state, self.hamiltonian, spec, self.feedback, dt,
+                new = me_step(state, self.density_hamiltonian, spec, self.feedback, dt,
                               backaction=self.backaction, step=step)
                 return new, spec.means(new)
             if pure:
@@ -266,7 +274,7 @@ class Model:
                                step=step, field=field)
                 return new, means + noise
             signal = spec.means(state) + noise
-            new = combined_step(state, self.hamiltonian, spec, self.feedback, noise, dt,
+            new = combined_step(state, self.density_hamiltonian, spec, self.feedback, noise, dt,
                                 step=step, field=field, signal=signal)
             return new, signal
         if self.kind == "sn":
@@ -274,7 +282,7 @@ class Model:
                 raise ValueError("the mean-field baseline evolves state vectors")
             return sn_step(state, self, dt, step=step), None
         # exact pair baseline: plain unitary Euler
-        H = self.hamiltonian_operator if pure else self.hamiltonian
+        H = self.hamiltonian_operator if pure else self.density_hamiltonian
         return hamiltonian_step(state, H, self.pair_potential, dt, step), None
 
 

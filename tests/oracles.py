@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigh
 from scipy.special import erf, erfc
 
-from collapsesim.engine import _diag, _products
+from collapsesim.engine import _commutator, _diag
 from collapsesim.kernels import coulomb_potential
 from collapsesim.lattice import _single_particle_kinetic, config_sites
 from collapsesim.models import mean_density
@@ -130,15 +130,8 @@ def scalar_sme_step_2x2(rho, h, a, gamma, dA, dt):
 # engine computes the same operations in place; these pin its bytes.  Their
 # left operands are the engine's, although every product here has a real or
 # purely imaginary factor, whose order changes no byte (TestOperandOrder).
-# _commutator is pinned against numpy's complex product by its own tests.
-
-def _commutator(H, rho):
-    """H @ rho - rho @ H, rho with leading batch axes, from engine._products."""
-    out, hermitian = _products(H, rho)
-    if hermitian:
-        out -= out.conj().swapaxes(-1, -2)
-    return out
-
+# They take [H, rho] from engine._commutator, which TestCommutator pins
+# against numpy's H @ rho - rho @ H.
 
 def kernel_column_chunks(self, fam: np.ndarray, inverse: bool):
     """(slice, gamma o f or gamma^-1 o f) per chunk of the columns of an

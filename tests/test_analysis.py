@@ -154,6 +154,28 @@ class TestKappaScan:
         rows, _ = kappa_scan(spec, [1.0, 4.0], 3)
         assert rows[0][1] == pytest.approx(rows[1][1], rel=1e-12)
 
+    def test_fields_built_once_per_scan(self, monkeypatch):
+        # the fields do not depend on kappa: one config_families call per
+        # scan, and each row is the profile's total at that kappa, bit for bit
+        from dataclasses import replace
+
+        from collapsesim import analysis
+
+        spec = one_particle_spec(kind="dp", n=8, ndim=3, sigma=1.1)
+        kappas = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0]
+        want = [decoherence_profile(replace(spec, kappa=k), [3], axis=1).total[0]
+                for k in kappas]
+        calls, families = [], analysis.config_families
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return families(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "config_families", spy)
+        rows, _ = kappa_scan(spec, kappas, 3, axis=1)
+        assert len(calls) == 1
+        assert [r for _, r in rows] == [float(w) for w in want]
+
 
 class TestLinearityWitness:
     @staticmethod

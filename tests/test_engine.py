@@ -13,14 +13,14 @@ from collapsesim import (LatticeGrid, MatrixKernel, ParticleSet, build_model,
                          sme_step, sse_step)
 from collapsesim import engine
 from collapsesim.config import single_particle_state
-from collapsesim.engine import (FeedbackSpec, MonitoringSpec, _conditioning, _step_guard,
-                                hfb_family_identity_check)
+from collapsesim.engine import (FeedbackSpec, MonitoringSpec, _commutator, _conditioning,
+                                _step_guard, hfb_family_identity_check)
 from collapsesim.kernels import CorrelationKernel
 from collapsesim.lattice import GuardError
 from collapsesim.models import ModelSpec, density_family, newton_family
 
 from conftest import DenseOperator, random_density_matrix, random_state
-from oracles import (_commutator, dense_hcal, expression_combined_step, expression_me_step,
+from oracles import (dense_hcal, expression_combined_step, expression_me_step,
                      expression_sme_step, scalar_sme_step_2x2, spectral_propagator)
 
 
@@ -104,18 +104,26 @@ commutator_cases = dict(
 
 
 class CountingMatrix(np.ndarray):
-    """A matrix that counts the matrix products it takes part in."""
+    """A matrix that counts the matrix products it takes part in, with its
+    views and the copies cast from it (they share one counter)."""
+
+    def __array_finalize__(self, obj):
+        self.counter = getattr(obj, "counter", None)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul:
-            self.products += 1
+            self.counter[0] += 1
         inputs = [np.asarray(x) for x in inputs]
         return getattr(ufunc, method)(*inputs, **kwargs)
+
+    @property
+    def products(self) -> int:
+        return self.counter[0]
 
 
 def counting(H):
     H = H.view(CountingMatrix)
-    H.products = 0
+    H.counter = [0]
     return H
 
 
@@ -162,16 +170,24 @@ class TestCommutator:
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.one_of(st.integers(engine.REAL_SPLIT_MAX_N + 1, 130), st.just(512)),
-           batch=st.sampled_from([(), (3,)]), sparse=st.booleans(),
+           batch=st.sampled_from([(), (3,), (2, 2)]), sparse=st.booleans(),
            log_scale=st.floats(-3.0, 3.0), layout=st.sampled_from(["c", "transposed", "strided"]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_one_product_for_hermitian_rho(self, n, batch, sparse, log_scale, layout, seed):
+           tiles=st.one_of(st.none(), st.integers(2, 12)), seed=st.integers(0, 2**32 - 1))
+    def test_one_product_for_hermitian_rho(self, n, batch, sparse, log_scale, layout, tiles,
+                                           seed):
+        # tiles: X - X^dagger in that many tiles per side, the last one ragged,
+        # so diagonal tiles and pairs of mirror tiles both run (None: the default budget)
         H, rho = commutator_inputs(n, batch, True, log_scale, True, layout, seed)
         if sparse:
             H = symmetric_lattice_like(n, seed) * 10.0**log_scale
         want = (H @ rho - rho @ H).tobytes()
         H = counting(H)
-        assert _commutator(H, rho).tobytes() == want
+        with pytest.MonkeyPatch.context() as mp:
+            if tiles is not None:
+                side = -(-n // tiles)
+                assume(n % side)
+                mp.setattr(engine, "TILE_BYTES", 16 * int(np.prod(batch)) * side * side)
+            assert _commutator(H, rho).tobytes() == want
         assert H.products == 1
 
     @pytest.mark.parametrize("n", [engine.REAL_SPLIT_MAX_N + 1, 64])
@@ -193,14 +209,18 @@ class TestCommutator:
         """Two dp seeds with smeared feedback on a 24-site chain: the states
         start exactly Hermitian and stop being so, so both commutator paths
         run.  The digest was recorded before the one-product path existed."""
-        paths, products = [], engine._products
+        paths, commutator, subtract_adjoint = [], engine._commutator, engine._subtract_adjoint
 
-        def spy(H, rho):
-            out, hermitian = products(H, rho)
-            paths.append(hermitian)
-            return out, hermitian
+        def spy(H, rho):  # paths: whether each step took the one product
+            paths.append(False)
+            return commutator(H, rho)
 
-        monkeypatch.setattr(engine, "_products", spy)
+        def one_product(x):
+            paths[-1] = True
+            subtract_adjoint(x)
+
+        monkeypatch.setattr(engine, "_commutator", spy)
+        monkeypatch.setattr(engine, "_subtract_adjoint", one_product)
         grid = LatticeGrid((24,), 1.0)
         model = build_model(ModelSpec(kind="dp", grid=grid, particles=ParticleSet([1.0]),
                                       sigma=1.0, kappa=2.0, G=0.05, feedback_smearing=True))
@@ -309,7 +329,7 @@ class TestInPlaceSteps:
                                            feedback, passed, family, seed):
         # tile_rows rows of every member per block (None: the default budget);
         # an exactly Hermitian rho above REAL_SPLIT_MAX_N takes the one-product
-        # commutator, whose X - X^dagger then reads other blocks' columns
+        # commutator, whose X - X^dagger runs in tiles of the same budget
         assume(n > 1 or family == "matrix")
         members = int(np.prod(np.broadcast_shapes(*batches)))
         with pytest.MonkeyPatch.context() as mp:
@@ -338,13 +358,15 @@ class TestInPlaceSteps:
 
     def test_feedback_step_memory(self):
         # one particle on 8^3 (n_cfg = 512), dp with smeared feedback: a warm
-        # step holds the increment, rho + increment, the kick and vd at most
+        # step on a state that is not exactly Hermitian holds X = H @ rho and
+        # rho @ H at most (2.00 x rho.nbytes)
         model = build_model(ModelSpec(kind="dp", grid=LatticeGrid((8, 8, 8), 1.0),
                                       particles=ParticleSet([1.0]), sigma=1.0, kappa=2.0,
                                       G=0.05, feedback_smearing=True))
         rng = np.random.default_rng(0)
         psi = random_state(rng, 512)
         rho = np.outer(psi, psi.conj())[None]
+        rho[0, 0, 1] += 1e-9  # not exactly Hermitian, whatever the product's rounding
         dt = 1e-3
         noise = model.monitoring.sample_noise_flat(dt, rng, (2, 1))
         fields = model.monitoring.conditioning_field(noise)
@@ -355,11 +377,13 @@ class TestInPlaceSteps:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.6 * rho.nbytes
+        assert peak <= 2.2 * rho.nbytes
 
     def test_one_product_step_memory(self):
         # the same step on an exactly Hermitian state: one product X = H @ rho,
-        # the increment beside it, and blocks of rows for every other term
+        # X - X^dagger and then the increment written over X, and blocks of
+        # rows for every other term and for the step guard's norms; the step
+        # peaks at 1.16 x rho.nbytes
         model = build_model(ModelSpec(kind="dp", grid=LatticeGrid((8, 8, 8), 1.0),
                                       particles=ParticleSet([1.0]), sigma=1.0, kappa=2.0,
                                       G=0.05, feedback_smearing=True))
@@ -367,7 +391,7 @@ class TestInPlaceSteps:
         psi = random_state(rng, 512)
         rho = np.outer(psi, psi.conj())[None]
         rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))  # exactly Hermitian
-        assert engine._products(model.hamiltonian, rho)[1]
+        assert engine._self_adjoint(rho)
         dt = 1e-3
         noise = model.monitoring.sample_noise_flat(dt, rng, (2, 1))
         fields = model.monitoring.conditioning_field(noise)
@@ -378,7 +402,37 @@ class TestInPlaceSteps:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * rho.nbytes
+        assert peak <= 1.25 * rho.nbytes
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_density_steps_reuse_one_complex_h(self, monkeypatch, hermitian):
+        # one particle on 4^3 (n_cfg = 64): every density step above
+        # REAL_SPLIT_MAX_N multiplies by the model's one complex copy of H
+        model = build_model(ModelSpec(kind="dp", grid=LatticeGrid((4, 4, 4), 1.0),
+                                      particles=ParticleSet([1.0]), sigma=1.0, kappa=2.0,
+                                      G=0.05, feedback_smearing=True))
+        seen, commutator = [], engine._commutator
+
+        def spy(H, rho):
+            out = commutator(H, rho)
+            seen.append((H, vars(H).get("complex")))
+            return out
+
+        monkeypatch.setattr(engine, "_commutator", spy)
+        rng = np.random.default_rng(0)
+        rho = random_density_matrix(rng, 64)[None]
+        if hermitian:
+            rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+        else:
+            rho[0, 0, 1] += 1e-9
+        noise = model.monitoring.sample_noise_flat(1e-3, rng, (2, 1))
+        for i in range(2):
+            rho = model.advance(rho, 1e-3, noise[i], step=i + 1, pure=False)[0]
+        (op, first), (op2, second) = seen
+        assert op is op2 is model.density_hamiltonian and first is second
+        assert first.tobytes() == model.hamiltonian.astype(complex).tobytes()
+        assert model.hamiltonian.dtype == np.float64
+        assert vars(op).get("self_adjoint") is (True if hermitian else None)
 
 
 class TestOperandOrder:
@@ -446,17 +500,21 @@ class TestSmeStep:
         with pytest.raises(GuardError, match="step-size"):
             sme_step(rho, np.zeros((2, 2)), spec, np.array([5.0]), dt=0.1)
 
-    def test_step_guard_judges_each_member_alone(self):
-        # a large |rho|_1 elsewhere in the batch must not cover a member's step
+    def test_step_guard_judges_each_member_alone(self, monkeypatch):
+        # a large |rho|_1 elsewhere in the batch must not cover a member's step;
+        # with 384 bytes the norms are summed over blocks of 3 rows (1 for pairs)
         diag = np.eye(8, dtype=complex) / 8.0  # |rho|_1 = 1
         coherent = np.full((8, 8), 1.0 / 8.0, complex)  # |rho|_1 = 8
         inc = np.zeros((8, 8), complex)
         inc[0, 0] = 0.125
-        with pytest.raises(GuardError, match="step-size"):
-            _step_guard(diag, inc, 1)
-        with pytest.raises(GuardError, match="step-size"):
-            _step_guard(np.stack([diag, coherent]), np.stack([inc, np.zeros_like(inc)]), 1)
-        _step_guard(np.stack([diag, coherent]), np.stack([0.5 * inc, 4.0 * inc]), 1)
+        for tile_bytes in (engine.TILE_BYTES, 384):
+            monkeypatch.setattr(engine, "TILE_BYTES", tile_bytes)
+            with pytest.raises(GuardError, match="step-size"):
+                _step_guard(diag, inc, 1)
+            with pytest.raises(GuardError, match="step-size"):
+                _step_guard(np.stack([diag, coherent]), np.stack([inc, np.zeros_like(inc)]), 1)
+            _step_guard(np.stack([diag, coherent]), np.stack([0.5 * inc, 4.0 * inc]), 1)
+            assert engine._l1(np.stack([diag, 1j * coherent])).tolist() == [1.0, 8.0]
 
 
 class TestFeedbackStep:

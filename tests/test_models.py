@@ -346,8 +346,8 @@ class TestBaselineStepBytes:
     """The density and pure pair steps of Model.advance and sn_step all run
     through engine.hamiltonian_step; each must give the bytes of its
     chained-expression form, with no input modified.  Density matrices up
-    to n_cfg 90 that are not exactly Hermitian take _euler's whole-state
-    path, larger or exactly Hermitian ones its blocks of rows."""
+    to n_cfg 90 take _euler's whole-state path, larger ones its blocks of
+    rows; exactly Hermitian ones above REAL_SPLIT_MAX_N take one product."""
 
     @pytest.mark.parametrize("step", ["advance_density", "advance_pure", "sn_step"])
     @settings(max_examples=25, deadline=None)
