@@ -90,17 +90,19 @@ def united_dp_rate(spec: ModelSpec, x_config, y_config) -> float:
 
 def decoherence_profile(spec: ModelSpec, separations, axis: int = 0) -> DecoherenceProfile:
     """Single-particle rate profile: configurations at 0 and d along one axis."""
+    entries = [_rate(spec, *diffs) for diffs in _profile_differences(spec, separations, axis)]
+    seps = np.asarray(separations, float) * spec.grid.spacing[axis]
+    return DecoherenceProfile(separations=seps,
+                              intrinsic=np.array([e.intrinsic for e in entries]),
+                              backaction=np.array([e.backaction for e in entries]))
+
+
+def _profile_differences(spec: ModelSpec, separations, axis: int):
+    """The field differences between the single-particle configurations at
+    site 0 and d sites along the axis, for each separation d."""
     if spec.particles.count != 1:
         raise ValueError("profiles are defined for a single particle")
-    grid = spec.grid
-    intr, back = [], []
-    for d in separations:
-        entry = closed_form_rate(spec, [0], [grid.axis_site(d, axis)])
-        intr.append(entry.intrinsic)
-        back.append(entry.backaction)
-    seps = np.asarray(separations, float) * grid.spacing[axis]
-    return DecoherenceProfile(separations=seps, intrinsic=np.array(intr),
-                              backaction=np.array(back))
+    return [_field_differences(spec, [0], [spec.grid.axis_site(d, axis)]) for d in separations]
 
 
 def fit_offdiagonal_decay(times: np.ndarray, offdiagonal: np.ndarray,
@@ -122,9 +124,7 @@ def kappa_scan(spec: ModelSpec, kappas, separation: int, axis: int = 0):
     factorizes exactly as kappa/4 + 1/kappa times a geometry factor.  The
     fields do not depend on kappa, so they are built once per scan.
     """
-    if spec.particles.count != 1:
-        raise ValueError("profiles are defined for a single particle")
-    diffs = _field_differences(spec, [0], [spec.grid.axis_site(separation, axis)])
+    (diffs,) = _profile_differences(spec, [separation], axis)
     rows = [(float(kappa), float(_rate(replace(spec, kappa=float(kappa)), *diffs).total))
             for kappa in kappas]
     best = min(rows, key=lambda r: r[1])[0]

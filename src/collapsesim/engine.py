@@ -41,7 +41,7 @@ STEP_GUARD_FRACTION = 0.1  # reject Euler steps with |increment|_1 above this fr
 NOISE_BLOCK = 256  # steps of noise drawn per seed in one call
 BATCH_BYTES = 1 << 25  # states plus noise blocks that run_ensemble steps at once
 REAL_SPLIT_MAX_N = 16  # largest n whose real-split commutator matches zgemm's bytes (tested)
-TILE_BYTES = 1 << 17  # increment or guard rows, or commutator tiles, handled at once
+TILE_BYTES = 1 << 17  # increment rows, or commutator tiles, handled at once
 
 
 def _diag(rho: np.ndarray) -> np.ndarray:
@@ -162,15 +162,11 @@ class FeedbackSpec(_DiagonalFamily):
         return 0.5 * self.weight * np.einsum("ox,ox->x", monitoring.family, self.family)
 
 
-def _step_guard(rho, increment, step):
-    """Trip unless |increment|_1 <= STEP_GUARD_FRACTION * |rho|_1 for each
-    member.  nan compares False, so it trips too; an inf in rho reaches the
-    increment of every step as nan (0 * inf in the complex product of a real
-    rate or field with rho)."""
-    if 16 * rho.size <= TILE_BYTES:  # one block: no per-block calls on small steps
-        inc, ref = np.abs(increment).sum(axis=(-2, -1)), np.abs(rho).sum(axis=(-2, -1))
-    else:
-        inc, ref = _l1(increment), _l1(rho)
+def _step_guard(inc, ref, step):
+    """Trip unless inc <= STEP_GUARD_FRACTION * ref for each member, inc and
+    ref the |.|_1 of the increment and of rho.  nan compares False, so it
+    trips too; an inf in rho reaches the increment of every step as nan
+    (0 * inf in the complex product of a real rate or field with rho)."""
     ok = inc <= STEP_GUARD_FRACTION * ref  # each member against its own |rho|_1
     if ok.all():
         return
@@ -182,15 +178,6 @@ def _step_guard(rho, increment, step):
         "step-size", step,
         f"|increment|_1 = {inc_k:.3g} exceeds {STEP_GUARD_FRACTION:g} * |rho|_1 = "
         f"{STEP_GUARD_FRACTION * ref_k:.3g}; reduce dt")
-
-
-def _l1(a) -> np.ndarray:
-    """|a|_1 for each member, summed over blocks of rows of at most
-    TILE_BYTES of complex entries across the batch, as _euler builds the
-    increment of a large state: no full-size temporary."""
-    n = a.shape[-1]
-    rows = max(1, TILE_BYTES * n // (16 * a.size))
-    return sum(np.abs(a[..., s:s + rows, :]).sum(axis=(-2, -1)) for s in range(0, n, rows))
 
 
 def _normalize(out, step, what):
@@ -317,21 +304,25 @@ def _euler(H, rho, dt: float, step, terms, args) -> np.ndarray:
     _step_guard passes it.  The increment is the commutator's own array
     when that is complex.  It is built one block of rows at a time, at
     most TILE_BYTES of increment across the batch, so each block's terms
-    run in cache; a state that fits in one block is handled whole, with no
-    slicing."""
+    and its share of the guard's |inc|_1 and |rho|_1 run in cache; a state
+    that fits in one block is handled whole, with no slicing."""
     comm = _commutator(H, rho)
     inc = comm if comm.dtype.kind == "c" else np.empty(comm.shape, np.result_type(-1j * dt, comm))
     if 16 * comm.size <= TILE_BYTES:
         np.multiply(-1j * dt, comm, out=inc)
         terms(inc, rho, slice(None), dt, args)
+        size, ref = np.abs(inc).sum(axis=(-2, -1)), np.abs(rho).sum(axis=(-2, -1))
     else:
         n = rho.shape[-1]
         rows = max(1, TILE_BYTES * n // (16 * comm.size))
+        size = ref = 0.0
         for start in range(0, n, rows):
             r = slice(start, start + rows)
             inc_r = np.multiply(-1j * dt, comm[..., r, :], out=inc[..., r, :])
             terms(inc_r, rho[..., r, :], r, dt, args)
-    _step_guard(rho, inc, step)
+            size = size + np.abs(inc_r).sum(axis=(-2, -1))
+            ref = ref + np.abs(rho[..., r, :]).sum(axis=(-2, -1))
+    _step_guard(size, ref, step)
     return np.add(rho, inc, out=inc)
 
 

@@ -14,7 +14,7 @@ from collapsesim import (LatticeGrid, MatrixKernel, ParticleSet, build_model,
 from collapsesim import engine
 from collapsesim.config import single_particle_state
 from collapsesim.engine import (FeedbackSpec, MonitoringSpec, _commutator, _conditioning,
-                                _step_guard, hfb_family_identity_check)
+                                hfb_family_identity_check)
 from collapsesim.kernels import CorrelationKernel
 from collapsesim.lattice import GuardError
 from collapsesim.models import ModelSpec, density_family, newton_family
@@ -502,19 +502,28 @@ class TestSmeStep:
 
     def test_step_guard_judges_each_member_alone(self, monkeypatch):
         # a large |rho|_1 elsewhere in the batch must not cover a member's step;
-        # with 384 bytes the norms are summed over blocks of 3 rows (1 for pairs)
+        # with 384 bytes _euler sums the norms over blocks of 3 rows (1 for pairs)
         diag = np.eye(8, dtype=complex) / 8.0  # |rho|_1 = 1
         coherent = np.full((8, 8), 1.0 / 8.0, complex)  # |rho|_1 = 8
         inc = np.zeros((8, 8), complex)
         inc[0, 0] = 0.125
+
+        def step(rho, increment):  # H = 0: the increment is exactly the one given
+            return engine._euler(np.zeros((8, 8)), rho, 1.0, 1, add_rows, increment)
+
+        def add_rows(inc_r, rho_r, rows, dt, increment):
+            inc_r += increment[..., rows, :]
+
         for tile_bytes in (engine.TILE_BYTES, 384):
             monkeypatch.setattr(engine, "TILE_BYTES", tile_bytes)
             with pytest.raises(GuardError, match="step-size"):
-                _step_guard(diag, inc, 1)
+                step(diag, inc)
             with pytest.raises(GuardError, match="step-size"):
-                _step_guard(np.stack([diag, coherent]), np.stack([inc, np.zeros_like(inc)]), 1)
-            _step_guard(np.stack([diag, coherent]), np.stack([0.5 * inc, 4.0 * inc]), 1)
-            assert engine._l1(np.stack([diag, 1j * coherent])).tolist() == [1.0, 8.0]
+                step(np.stack([diag, coherent]), np.stack([inc, np.zeros_like(inc)]))
+            with pytest.raises(GuardError, match="non-finite"):
+                step(np.stack([diag, coherent]), np.stack([np.zeros_like(inc), np.nan * inc]))
+            got = step(np.stack([diag, coherent]), np.stack([0.5 * inc, 4.0 * inc]))
+            assert got.tobytes() == np.stack([diag + 0.5 * inc, coherent + 4.0 * inc]).tobytes()
 
 
 class TestFeedbackStep:
