@@ -52,14 +52,17 @@ def closed_form_rate(spec: ModelSpec, x_config, y_config) -> RateEntry:
     """Decay rate of rho_xy under the noise-averaged generator, from the
     kernel quadratic forms of the field differences between the two
     configurations."""
-    return _rate(spec, *_field_differences(spec, x_config, y_config))
+    ((ddens, dphi),) = _field_differences(spec, x_config, [y_config])
+    return _rate(spec, ddens, dphi)
 
 
-def _field_differences(spec: ModelSpec, x_config, y_config):
-    """(Delta rho_sigma, Delta Phi) between two configurations, on the grid."""
-    dens, phi = config_families(spec, [x_config, y_config])
-    return ((dens[:, 0] - dens[:, 1]).reshape(spec.grid.dims),
-            (phi[:, 0] - phi[:, 1]).reshape(spec.grid.dims))
+def _field_differences(spec: ModelSpec, x_config, y_configs):
+    """(Delta rho_sigma, Delta Phi) on the grid between configuration x and
+    each of y_configs, from one config_families call."""
+    dens, phi = config_families(spec, [x_config, *y_configs])
+    dims = spec.grid.dims
+    return [((dens[:, 0] - dens[:, i]).reshape(dims), (phi[:, 0] - phi[:, i]).reshape(dims))
+            for i in range(1, dens.shape[1])]
 
 
 def _rate(spec: ModelSpec, ddens: np.ndarray, dphi: np.ndarray) -> RateEntry:
@@ -102,7 +105,7 @@ def _profile_differences(spec: ModelSpec, separations, axis: int):
     site 0 and d sites along the axis, for each separation d."""
     if spec.particles.count != 1:
         raise ValueError("profiles are defined for a single particle")
-    return [_field_differences(spec, [0], [spec.grid.axis_site(d, axis)]) for d in separations]
+    return _field_differences(spec, [0], [[spec.grid.axis_site(d, axis)] for d in separations])
 
 
 def fit_offdiagonal_decay(times: np.ndarray, offdiagonal: np.ndarray,

@@ -191,25 +191,22 @@ def _normalize(out, step, what):
     return out / norm
 
 
-def _field_mean(c, rho) -> np.ndarray:
-    """<c> = sum_x c(x) rho_xx for each member."""
-    return np.einsum("...x,...x->...", c, _diag(rho).real)
+def _conditioning(rho, half, cmean, out, rows=slice(None)) -> np.ndarray:
+    """(1/2) iint gamma_rs {A_r - <A_r>, rho} dnoise_s, element-wise, written
+    to out (rho's shape) as (h(x) + h(y) - <c>) * rho.  h = c / 2 is the
+    half field of the conditioning field c = MonitoringSpec.conditioning_field
+    (noise), and <c> = sum_x c(x) rho_xx for each member of the whole state;
+    for a block of rows of a state, rho is those rows.
 
-
-def _conditioning(rho, c, out=None, rows=slice(None), cmean=None) -> np.ndarray:
-    """(1/2) iint gamma_rs {A_r - <A_r>, rho} dnoise_s, element-wise, from
-    the conditioning field c = MonitoringSpec.conditioning_field(noise);
-    out, if given, receives it.  For a block of rows of a state, rho is
-    those rows and cmean the whole state's _field_mean(c, rho).
-
-    Exactly traceless path-wise: c(x) + c(y) - 2<c> contracts to zero
+    These are the bytes of 0.5 * (c(x) + c(y) - 2 <c>) * rho: scaling by 2
+    or 0.5 is exact in binary floating point and commutes with rounding,
+    save for values within a factor 2 of the subnormal range and overflow.
+    Exactly traceless path-wise: h(x) + h(y) - <c> contracts to zero
     against the diagonal of rho.
     """
-    if cmean is None:
-        cmean = _field_mean(c, rho)
-    shifted = c[..., rows, None] + c[..., None, :] - 2.0 * cmean[..., None, None]
-    np.multiply(0.5, shifted, out=shifted)
-    return np.multiply(shifted, rho, out=out)
+    shifted = np.add(half[..., rows, None], half[..., None, :], out=out)
+    shifted -= cmean[..., None, None]
+    return np.multiply(shifted, rho, out=shifted)
 
 
 class DenseHamiltonian:
@@ -301,11 +298,14 @@ def _subtract_adjoint(x) -> None:
 def _euler(H, rho, dt: float, step, terms, args) -> np.ndarray:
     """rho plus the Euler increment -1j * dt * [H, rho], completed in place
     by terms(inc, rho, rows, dt, args) with the step's other terms, once
-    _step_guard passes it.  The increment is the commutator's own array
-    when that is complex.  It is built one block of rows at a time, at
-    most TILE_BYTES of increment across the batch, so each block's terms
-    and its share of the guard's |inc|_1 and |rho|_1 run in cache; a state
-    that fits in one block is handled whole, with no slicing."""
+    _step_guard passes it.  args holds what the step function forms once
+    per step, not per block: the rate tables, and for the monitored steps
+    the half field and <c> of _conditioning and the feedback potential.
+    The increment is the commutator's own array when that is complex.  It
+    is built one block of rows at a time, at most TILE_BYTES of increment
+    across the batch, so each block's terms and its share of the guard's
+    |inc|_1 and |rho|_1 run in cache; a state that fits in one block is
+    handled whole, with no slicing."""
     comm = _commutator(H, rho)
     inc = comm if comm.dtype.kind == "c" else np.empty(comm.shape, np.result_type(-1j * dt, comm))
     if 16 * comm.size <= TILE_BYTES:
@@ -326,23 +326,11 @@ def _euler(H, rho, dt: float, step, terms, args) -> np.ndarray:
     return np.add(rho, inc, out=inc)
 
 
-def _free_terms(inc, rho, rows, dt: float, args) -> None:
-    """inc - dt * 0.125 * pair_rate * rho + dt * _conditioning(rho, field),
-    on the given rows of the state; args = (pair_rate, field, cmean)."""
-    pair_rate, field, cmean = args[:3]
-    term = np.multiply(dt * 0.125 * pair_rate[rows], rho)
-    inc -= term
-    np.multiply(dt, _conditioning(rho, field, term, rows, cmean), out=term)
-    inc += term
-
-
 def sme_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec, noise, dt: float,
              step: int | None = None, field=None) -> np.ndarray:
     """One Ito Euler step of the monitored dynamics without feedback
     (field as in combined_step)."""
-    if field is None:
-        field = spec.conditioning_field(noise)
-    return _euler(H, rho, dt, step, _free_terms, (spec.pair_rate, field, _field_mean(field, rho)))
+    return combined_step(rho, H, spec, None, noise, dt, step, field)
 
 
 def feedback_step(rho_free: np.ndarray, potential, dt: float) -> np.ndarray:
@@ -367,27 +355,34 @@ def combined_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
     exact conjugation to O(dt^{3/2}).  Hermiticity and the unit trace are
     preserved identically (every feedback term is a commutator).
 
-    noise is flat, (..., n_obs).  With fb None this reduces to sme_step.
+    noise is flat, (..., n_obs).  With fb None this is sme_step.
     field (spec.conditioning_field(noise)) and signal (spec.means(rho) +
     noise) may be passed in when the caller already holds them; otherwise
     they are computed here.
     """
-    if fb is None:
-        return sme_step(rho, H, spec, noise, dt, step, field=field)
     if field is None:
         field = spec.conditioning_field(noise)
-    if signal is None:
-        signal = spec.means(rho) + noise
-    return _euler(H, rho, dt, step, _feedback_terms,
-                  (spec.pair_rate, field, _field_mean(field, rho), fb.potential(signal)))
+    v = None
+    if fb is not None:
+        if signal is None:
+            signal = spec.means(rho) + noise
+        v = fb.potential(signal)
+    cmean = np.einsum("...x,...x->...", field, _diag(rho).real)
+    return _euler(H, rho, dt, step, _monitored_terms, (spec.pair_rate, 0.5 * field, cmean, v))
 
 
-def _feedback_terms(inc, rho, rows, dt: float, args) -> None:
-    """The free terms, then free -> free - 1j * dt * vd * (rho + free)
-    - 0.5 * dt * dt * vd * vd * rho with vd = v(x) - v(y); args =
-    (pair_rate, field, cmean, v)."""
-    _free_terms(inc, rho, rows, dt, args)
-    v = args[3]
+def _monitored_terms(inc, rho, rows, dt: float, args) -> None:
+    """inc - dt * 0.125 * pair_rate * rho + dt * _conditioning(rho, ...) on
+    the given rows of the state; then, with a feedback potential v, free ->
+    free - 1j * dt * vd * (rho + free) - 0.5 * dt * dt * vd * vd * rho with
+    vd = v(x) - v(y).  args = (pair_rate, half field, <field>, v), v None
+    without feedback."""
+    pair_rate, half, cmean, v = args
+    term = np.multiply(dt * 0.125 * pair_rate[rows], rho)
+    inc -= term
+    inc += np.multiply(dt, _conditioning(rho, half, cmean, term, rows), out=term)
+    if v is None:
+        return
     vd = v[..., rows, None] - v[..., None, :]
     kick = np.multiply(1j * dt, vd)
     np.multiply(kick, np.add(rho, inc), out=kick)
@@ -537,6 +532,45 @@ class TrajectoryRecord:
     positivity_warnings: list = dc_field(default_factory=list)
 
 
+def _record(batch, j, istep, state, signal, wmins, model, pure: bool, pairs,
+            snapshot_t=None) -> None:
+    """Write record j, taken after step istep, of each member of batch (its
+    TrajectoryRecords) from the states, signals (None: the observable means)
+    and smallest eigenvalues that stack on the leading axis, and snapshot
+    the states at time snapshot_t unless it is None.  Trace, purity,
+    positions and means are computed once for the whole batch, in the
+    bytes of the member-by-member forms (tests/oracles.member_record); a
+    coherence keeps the scalar abs(), whose last bit numpy's array abs does
+    not always match."""
+    p = (state * state.conj()).real if pure else _diag(state).real
+    tr = p.sum(-1)
+    if pure:  # a projector's tr rho^2 is (tr rho)^2: never build rho for a state vector
+        purity = np.ones(len(batch))
+    else:
+        purity = np.einsum("...xy,...yx->...", state, state).real / (tr * tr)
+    positions = (model.position_coordinates @ p[..., None])[..., 0] / tr[:, None]
+    rec0 = batch[0]
+    if rec0.density_means is not None or (rec0.signals is not None and signal is None):
+        means = (model.monitoring.family @ p[..., None])[..., 0]
+    if rec0.offdiagonals is not None:
+        xs, ys = pairs.T
+        coherences = state[:, xs] * state[:, ys].conj() if pure else state[:, xs, ys]
+    for k, rec in enumerate(batch):
+        rec.trace[j], rec.purity[j], rec.positions[j] = tr[k], purity[k], positions[k]
+        if rec.density_means is not None:
+            rec.density_means[j] = means[k]
+        if rec.signals is not None:
+            rec.signals[j] = means[k] if signal is None else signal[k]
+        if rec.offdiagonals is not None:
+            rec.offdiagonals[j] = [abs(v) for v in coherences[k]]
+        if rec.min_eigenvalue is not None:
+            rec.min_eigenvalue[j] = wmin = float(wmins[k])
+            if wmin < -1e-8:
+                rec.positivity_warnings.append((istep, wmin))
+        if snapshot_t is not None:
+            rec.snapshots.append((snapshot_t, state[k].copy()))
+
+
 def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
                  record_every: int = 1, record_density: bool = False,
                  record_signal: bool = False, offdiagonal_pairs=(),
@@ -579,7 +613,7 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
     rec_steps = sorted(set(range(0, steps + 1, record_every)) | {steps})
     times = dt * np.asarray(rec_steps, float)
     n_rec = len(rec_steps)
-    xs, ys = np.asarray(offdiagonal_pairs, int).reshape(-1, 2).T
+    pairs = np.asarray(offdiagonal_pairs, int).reshape(-1, 2)
 
     def new_record(seed):
         return TrajectoryRecord(
@@ -587,29 +621,8 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
             positions=np.empty((n_rec, model.particles.count)),
             density_means=np.empty((n_rec, n_obs)) if (record_density and n_obs) else None,
             signals=np.empty((n_rec, n_obs)) if (record_signal and n_obs) else None,
-            offdiagonals=np.empty((n_rec, len(xs))) if len(xs) else None,
+            offdiagonals=np.empty((n_rec, len(pairs))) if len(pairs) else None,
             min_eigenvalue=np.empty(n_rec) if monitor_positivity else None)
-
-    def record(rec, j, istep, state, last_signal, wmin):
-        p = (state * state.conj()).real if pure else np.diagonal(state).real
-        tr = p.sum()
-        rec.trace[j] = tr
-        # a projector's tr rho^2 is (tr rho)^2: never build rho for a state vector
-        rec.purity[j] = 1.0 if pure else np.einsum("xy,yx->", state, state).real / (tr * tr)
-        rec.positions[j] = model.position_coordinates @ p / tr
-        if rec.density_means is not None:
-            rec.density_means[j] = model.monitoring.family @ p
-        if rec.signals is not None:
-            rec.signals[j] = last_signal if last_signal is not None else model.monitoring.family @ p
-        if rec.offdiagonals is not None:
-            coherences = state[xs] * state[ys].conj() if pure else state[xs, ys]
-            rec.offdiagonals[j] = [abs(v) for v in coherences]
-        if rec.min_eigenvalue is not None:
-            rec.min_eigenvalue[j] = wmin
-            if wmin < -1e-8:
-                rec.positivity_warnings.append((istep, wmin))
-        if snapshot_every and (istep % snapshot_every == 0 or istep == steps):
-            rec.snapshots.append((istep * dt, state.copy()))
 
     records = []
     block_bytes = 8 * NOISE_BLOCK * (n_obs + initial.shape[-1]) if draws else 0
@@ -633,9 +646,9 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
             if i == rec_steps[j]:
                 # one batched call, each member's eigenvalues bit for bit its own
                 wmins = np.linalg.eigvalsh(state).min(axis=-1) if monitor_positivity else None
-                for k, rec in enumerate(batch):
-                    record(rec, j, i, state[k], None if signal is None else signal[k],
-                           None if wmins is None else float(wmins[k]))
+                snap = snapshot_every and (i % snapshot_every == 0 or i == steps)
+                _record(batch, j, i, state, signal, wmins, model, pure, pairs,
+                        i * dt if snap else None)
                 j += 1
         records += batch
     for rec in records:

@@ -220,6 +220,34 @@ def expression_sn_step(psi, model, dt):
     return expression_vector_step(psi, model.hamiltonian_operator, v, dt)
 
 
+# -- member-by-member records --------------------------------------------------
+
+def member_record(rec, j, istep, state, last_signal, wmin, model, pure, pairs,
+                  snapshot_t=None):
+    """Record j of one member of run_ensemble from its own state, last signal
+    and smallest eigenvalue, one member at a time: the bytes reference of
+    engine._record, which computes the same quantities for the whole batch."""
+    xs, ys = np.asarray(pairs, int).reshape(-1, 2).T
+    p = (state * state.conj()).real if pure else np.diagonal(state).real
+    tr = p.sum()
+    rec.trace[j] = tr
+    rec.purity[j] = 1.0 if pure else np.einsum("xy,yx->", state, state).real / (tr * tr)
+    rec.positions[j] = model.position_coordinates @ p / tr
+    if rec.density_means is not None:
+        rec.density_means[j] = model.monitoring.family @ p
+    if rec.signals is not None:
+        rec.signals[j] = last_signal if last_signal is not None else model.monitoring.family @ p
+    if rec.offdiagonals is not None:
+        coherences = state[xs] * state[ys].conj() if pure else state[xs, ys]
+        rec.offdiagonals[j] = [abs(v) for v in coherences]
+    if rec.min_eigenvalue is not None:
+        rec.min_eigenvalue[j] = wmin
+        if wmin < -1e-8:
+            rec.positivity_warnings.append((istep, wmin))
+    if snapshot_t is not None:
+        rec.snapshots.append((snapshot_t, state.copy()))
+
+
 # -- real-space lattice oracles -----------------------------------------------
 
 def circular_convolution(f: np.ndarray, g: np.ndarray, cell_volume: float) -> np.ndarray:

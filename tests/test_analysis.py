@@ -264,6 +264,26 @@ class TestRateInvariants:
         assert prof.intrinsic[0] == 0.0 and prof.backaction[0] == 0.0
         assert np.all(np.diff(prof.total) > 0)
 
+    def test_profile_builds_each_configuration_once(self, monkeypatch):
+        # one config_families call over site 0 and every separation's site,
+        # and each entry is the two-configuration closed-form rate, bit for bit
+        from collapsesim import analysis
+
+        spec = one_particle_spec(kind="dp", n=8, ndim=3, sigma=1.1)
+        seps = list(range(8))
+        want = [closed_form_rate(spec, [0], [spec.grid.axis_site(d, 1)]) for d in seps]
+        calls, families = [], analysis.config_families
+
+        def spy(spec, configs):
+            calls.append(len(configs))
+            return families(spec, configs)
+
+        monkeypatch.setattr(analysis, "config_families", spy)
+        prof = decoherence_profile(spec, seps, axis=1)
+        assert calls == [len(seps) + 1]
+        assert prof.intrinsic.tolist() == [e.intrinsic for e in want]
+        assert prof.backaction.tolist() == [e.backaction for e in want]
+
 
 class TestPairPotentialCurve:
     def test_newton_ratio_with_correction(self):

@@ -66,20 +66,23 @@ class TestRun:
         b = (tmp_path / "b" / "trajectory_0000.csv").read_bytes()
         assert a == b
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        # ensemble workers are reduced in seed order: COLLAPSE_SIM_THREADS
-        # bounds the pool without touching the outputs
+    def test_ensemble_member_equals_single_seed_run(self, tmp_path):
+        # the ensemble is stepped as one batch, yet trajectory i depends only
+        # on the config and on seed + i: it has the bytes of a one-member run
+        # with that seed
         data = base_config()
         data["integration"]["ensemble"] = 3
+        data["output"]["offdiagonal_pairs"] = [[2, 6]]
+        data["output"]["signal_sites"] = [4]
         cfg = write_config(tmp_path / "run.yaml", data)
-        monkeypatch.setenv("COLLAPSE_SIM_THREADS", "1")
-        main(["run", "--config", cfg, "--out", str(tmp_path / "a")])
-        monkeypatch.setenv("COLLAPSE_SIM_THREADS", "3")
-        main(["run", "--config", cfg, "--out", str(tmp_path / "b")])
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "all")]) == 0
+        data["integration"]["ensemble"] = 1
+        one = write_config(tmp_path / "one.yaml", data)
         for i in range(3):
-            fa = (tmp_path / "a" / f"trajectory_{i:04d}.csv").read_bytes()
-            fb = (tmp_path / "b" / f"trajectory_{i:04d}.csv").read_bytes()
-            assert fa == fb
+            out = tmp_path / f"seed{i}"
+            assert main(["run", "--config", one, "--seed", str(7 + i), "--out", str(out)]) == 0
+            member = (tmp_path / "all" / f"trajectory_{i:04d}.csv").read_bytes()
+            assert member == (out / "trajectory_0000.csv").read_bytes()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml", base_config())

@@ -21,7 +21,8 @@ from collapsesim.models import ModelSpec, density_family, newton_family
 
 from conftest import DenseOperator, random_density_matrix, random_state
 from oracles import (dense_hcal, expression_combined_step, expression_me_step,
-                     expression_sme_step, scalar_sme_step_2x2, spectral_propagator)
+                     expression_sme_step, member_record, scalar_sme_step_2x2,
+                     spectral_propagator)
 
 
 def toy_monitoring(a_values, gamma=1.0):
@@ -41,22 +42,28 @@ def grid_specs(n=8, sigma=1.0, gamma=1.0, G=0.2, smear_fb=False):
     return grid, mon, fb
 
 
+def conditioning(rho, d):
+    """_conditioning of the field d: from its half field and <d>."""
+    cmean = np.einsum("x,x->", d, np.diagonal(rho).real)
+    return _conditioning(rho, 0.5 * d, cmean, np.empty_like(rho))
+
+
 class TestHcal:
     """The conditioning map {D - <D>, rho}, which _conditioning applies halved."""
 
     def test_traceless(self, rng):
         d = rng.standard_normal(7)
         rho = random_density_matrix(rng, 7)
-        assert abs(np.trace(_conditioning(rho, d))) < 1e-12
+        assert abs(np.trace(conditioning(rho, d))) < 1e-12
 
     def test_constant_gives_zero(self, rng):
         rho = random_density_matrix(rng, 4)
-        assert np.abs(_conditioning(rho, np.full(4, 1.3))).max() < 1e-13
+        assert np.abs(conditioning(rho, np.full(4, 1.3))).max() < 1e-13
 
     def test_matches_dense_anticommutator_oracle(self, rng):
         d = rng.standard_normal(8)
         rho = random_density_matrix(rng, 8)
-        np.testing.assert_allclose(2.0 * _conditioning(rho, d), dense_hcal(d, rho),
+        np.testing.assert_allclose(2.0 * conditioning(rho, d), dense_hcal(d, rho),
                                    atol=1e-12)
 
 
@@ -877,6 +884,43 @@ class TestRunEnsemble:
             assert_records_bitwise_equal(b, one)
         if representation == "density":  # one batched eigvalsh call per record step
             assert all(rec.positivity_warnings for rec in batched)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pure=st.booleans(), members=st.integers(1, 5), sites=st.integers(2, 20),
+           two=st.booleans(), density=st.booleans(), with_signal=st.booleans(),
+           n_pairs=st.integers(0, 3), snapshot=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_batched_record_equals_member_record(self, pure, members, sites, two, density,
+                                                 with_signal, n_pairs, snapshot, seed):
+        # engine._record writes one record step of a whole batch; each member
+        # must get the bytes of the member-by-member rule (oracles.member_record)
+        sites = min(sites, 4) if two else sites  # two particles: n = sites^2 <= 16
+        model = build_model(ModelSpec(kind="csl", grid=LatticeGrid((sites,), 1.0),
+                                      particles=ParticleSet([1.0, 2.0] if two else [1.0]),
+                                      sigma=1.0, gamma=1.0, G=0.1))
+        n, n_obs = model.position_coordinates.shape[1], model.monitoring.family.shape[0]
+        rng = np.random.default_rng(seed)
+        make = random_state if pure else random_density_matrix
+        state = np.stack([make(rng, n) for _ in range(members)])
+        signal = rng.standard_normal((members, n_obs)) if with_signal else None
+        wmins = None if pure else rng.uniform(-1e-6, 1e-6, members)
+        pairs = rng.integers(0, n, (n_pairs, 2))
+        t = 0.25 if snapshot else None
+
+        def blank():
+            return [engine.TrajectoryRecord(
+                seed=k, times=np.zeros(3), trace=np.zeros(3), purity=np.zeros(3),
+                positions=np.zeros((3, model.particles.count)),
+                density_means=np.zeros((3, n_obs)) if density else None,
+                signals=np.zeros((3, n_obs)), offdiagonals=np.zeros((3, n_pairs)) if n_pairs else None,
+                min_eigenvalue=None if pure else np.zeros(3)) for k in range(members)]
+
+        batched, members_alone = blank(), blank()
+        engine._record(batched, 1, 5, state, signal, wmins, model, pure, pairs, t)
+        for k, rec in enumerate(members_alone):
+            member_record(rec, 1, 5, state[k], None if signal is None else signal[k],
+                          None if wmins is None else float(wmins[k]), model, pure, pairs, t)
+        for a, b in zip(batched, members_alone):
+            assert_records_bitwise_equal(a, b)
 
     def test_positivity_dips_are_logged(self, caplog):
         # the density cat run dips below the floor: one record per trajectory
