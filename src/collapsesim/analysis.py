@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import ensemble_mean, run_ensemble
-from .kernels import CorrelationKernel, periodic_image_correction
+from .kernels import periodic_image_correction
 from .lattice import ParticleSet
 from .models import (Model, ModelSpec, build_backaction_hamiltonian, config_families,
                      kappa_decoherence_coefficient)
@@ -68,10 +68,8 @@ def _field_differences(spec: ModelSpec, x_config, y_configs):
 def _rate(spec: ModelSpec, ddens: np.ndarray, dphi: np.ndarray) -> RateEntry:
     """The rate from the field differences; only this reads the kernel
     strengths, the fields do not."""
-    kernel = CorrelationKernel(kind=spec.resolved_kernel_kind, grid=spec.grid,
-                               gamma=spec.gamma, kappa=spec.kappa, G=spec.G)
-    return RateEntry(intrinsic=0.125 * kernel.quad(ddens, ddens),
-                     backaction=0.5 * kernel.quad_inverse(dphi, dphi))
+    return RateEntry(intrinsic=0.125 * spec.kernel.quad(ddens, ddens),
+                     backaction=0.5 * spec.kernel.quad_inverse(dphi, dphi))
 
 
 def united_dp_rate(spec: ModelSpec, x_config, y_config) -> float:
@@ -79,7 +77,7 @@ def united_dp_rate(spec: ModelSpec, x_config, y_config) -> float:
     times the gradient-squared quadratic form of the smeared potential
     difference.  Equals the split intrinsic+backaction sum exactly with the
     spectral Poisson solver (Parseval)."""
-    if spec.resolved_kernel_kind != "dp":
+    if spec.kind != "dp":
         raise ValueError("the united form applies to the Coulomb-correlated kernel")
     if not spec.resolved_feedback_smearing:
         raise ValueError("the united form needs the smeared potential")
@@ -220,7 +218,7 @@ def pair_potential_curve(spec: ModelSpec, separations, axis: int = 0,
     self_energy = 0.0
     for m in (m1, m2):
         one = replace(spec, kind="sn", particles=ParticleSet([m]),  # 'pair' needs 2 particles
-                      feedback_smearing=spec.resolved_feedback_smearing, kernel_kind=None)
+                      feedback_smearing=spec.resolved_feedback_smearing)
         self_energy += build_backaction_hamiltonian(one, configs=[[0]]).values[0]
     box = grid.dims[axis] * grid.spacing[axis]
     cubic3d = grid.ndim == 3 and len(set(grid.dims)) == 1 and len(set(grid.spacing)) == 1

@@ -4,14 +4,16 @@ A run file is a single YAML document with nested sections::
 
     grid:         {dims: [16], spacing: 1.0}
     particles:    list of {mass, kinetic, initial: {type: gaussian|cat, ...}}
-    model:        {kind, sigma, gamma, kappa, G, feedback_smearing, kernel_kind}
+    model:        {kind: csl|dp|sn|pair, sigma, gamma, kappa, G, feedback_smearing}
     integration:  {dt, steps, ensemble, seed, representation}
     output:       {record_every, offdiagonal_pairs, signal_sites, snapshot_every}
     analyze:      per-subcommand parameter blocks (see cli)
 
 Gaussian packets are specified by center/width/momentum per axis (lattice
 units); cat states by two centers sharing one width.  Unknown keys are
-errors too, and all errors are collected and reported together.
+errors too, and all errors are collected and reported together.  Old run
+files may say `kind: generic` with `kernel_kind: csl|dp`, which reads as
+that kind; `kernel_kind` set on any other kind is an error.
 """
 
 from __future__ import annotations
@@ -162,17 +164,22 @@ def parse_config(data: dict) -> RunConfig:
     msec = mapping(data.get("model", {}), "model", ("kind", "sigma", "gamma", "kappa", "G",
                                                     "feedback_smearing", "kernel_kind")) or {}
     spec = None
-    if msec.get("kind") not in MODEL_KINDS:
+    kind, kernel_kind = msec.get("kind"), msec.get("kernel_kind")
+    if kind == "generic" and kernel_kind in MONITORED_KINDS:
+        kind = kernel_kind  # the legacy alias: 'generic' named its kernel in kernel_kind
+    elif kind == "generic" or kernel_kind is not None:
+        errors.append(f"model.kernel_kind: must be 'csl' or 'dp' on the legacy kind 'generic' "
+                      f"and unset on any other kind; got {kernel_kind!r} on kind {kind!r}")
+    elif kind not in MODEL_KINDS:
         errors.append(f"model.kind: must be one of {MODEL_KINDS}")
-    elif grid is not None and particles is not None:
+    if kind in MODEL_KINDS and grid is not None and particles is not None:
         values = {key: num(msec.get(key, d), f"model.{key}", "a nonnegative number",
                            lambda x: x >= 0, fallback=d)
                   for key, d in (("sigma", 1.0), ("gamma", 1.0), ("kappa", 2.0), ("G", 1.0))}
         try:
-            spec = ModelSpec(kind=msec["kind"], grid=grid, particles=particles, **values,
+            spec = ModelSpec(kind=kind, grid=grid, particles=particles, **values,
                              feedback_smearing=flag(msec.get("feedback_smearing"),
-                                                    "model.feedback_smearing", null=True),
-                             kernel_kind=msec.get("kernel_kind"))
+                                                    "model.feedback_smearing", null=True))
         except ValueError as exc:
             errors.append(f"model: {exc}")
 

@@ -594,6 +594,8 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
     State vectors are recorded in O(n) from |psi_x|^2 and psi_x psi_y*,
     with purity 1 by definition; monitor_positivity needs a density matrix.
     """
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be a positive finite number; got {dt!r}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if record_every < 1:

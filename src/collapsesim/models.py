@@ -16,7 +16,6 @@ Model kinds:
                Newton potential (no extra smearing).
     'dp'       Coulomb-correlated monitoring (dimensionless strength kappa,
                default 2), feedback through the smeared Newton potential.
-    'generic'  explicit kernel choice and smearing flag.
     'sn'       deterministic mean-field sourcing (nonlinear baseline).
     'pair'     plain unitary dynamics with the exact Newton pair potential.
 """
@@ -36,7 +35,7 @@ from .lattice import (DiagonalField, LatticeGrid, LatticeUnits, ManyBodyHamilton
                       ParticleSet, config_sites, displacement_index,
                       external_potential_diagonal, kinetic_hamiltonian)
 
-MONITORED_KINDS = ("generic", "csl", "dp")
+MONITORED_KINDS = ("csl", "dp")
 MODEL_KINDS = MONITORED_KINDS + ("sn", "pair")
 
 
@@ -52,8 +51,6 @@ class ModelSpec:
     kappa: float = 2.0  # dp dimensionless strength (2 minimizes decoherence)
     G: float = 1.0  # gravitational constant (lattice units)
     feedback_smearing: bool | None = None  # None: off for csl, on for dp
-    kernel_kind: str | None = None  # generic only: 'csl' or 'dp'
-    embedded_3d: bool | None = None  # pair kind on 1d chains: use the 3d kernel on the axis
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -69,21 +66,19 @@ class ModelSpec:
             raise ValueError("G must be >= 0")
         if self.kind == "pair" and self.particles.count < 2:
             raise ValueError("the pair-potential baseline needs at least 2 particles")
-        if self.kind == "generic" and self.kernel_kind not in ("csl", "dp"):
-            raise ValueError("generic models must name kernel_kind 'csl' or 'dp'")
-        if self.kind != "generic" and self.kernel_kind is not None:
-            raise ValueError(f"kernel_kind applies to kind 'generic' only; got "
-                             f"{self.kernel_kind!r} on kind {self.kind!r}")
-
-    @property
-    def resolved_kernel_kind(self) -> str:
-        return self.kernel_kind or self.kind
 
     @property
     def resolved_feedback_smearing(self) -> bool:
         if self.feedback_smearing is not None:
             return self.feedback_smearing
-        return self.resolved_kernel_kind == "dp"
+        return self.kind == "dp"
+
+    @cached_property
+    def kernel(self) -> CorrelationKernel:
+        """The monitoring correlation kernel of a monitored kind, built once
+        per spec; the model and the closed-form rates both read it."""
+        return CorrelationKernel(kind=self.kind, grid=self.grid, gamma=self.gamma,
+                                 kappa=self.kappa, G=self.G)
 
 
 def _field_chunks(spec: ModelSpec, configs: np.ndarray):
@@ -299,18 +294,12 @@ def build_model(spec: ModelSpec) -> Model:
 
     monitoring = feedback = backaction = pair_diag = None
     if spec.kind in MONITORED_KINDS:
-        kk = spec.resolved_kernel_kind
-        kernel = CorrelationKernel(kind=kk, grid=grid, gamma=spec.gamma,
-                                   kappa=spec.kappa, G=spec.G)
         dfam, nfam = config_families(spec, sites)
-        monitoring = MonitoringSpec(family=dfam, kernel=kernel, grid=grid, sigma=spec.sigma)
-        feedback = FeedbackSpec(family=nfam, kernel=kernel, grid=grid)
+        monitoring = MonitoringSpec(family=dfam, kernel=spec.kernel, grid=grid, sigma=spec.sigma)
+        feedback = FeedbackSpec(family=nfam, kernel=spec.kernel, grid=grid)
         backaction = feedback.backaction_diagonal(monitoring)
     elif spec.kind == "pair":
-        embedded = spec.embedded_3d
-        if embedded is None:
-            embedded = grid.ndim == 1
-        pair_diag = pair_potential_diagonal(grid, particles, spec.G, embedded)
+        pair_diag = pair_potential_diagonal(grid, particles, spec.G, grid.ndim == 1)
 
     model = Model(spec=spec, hamiltonian_operator=H, monitoring=monitoring, feedback=feedback,
                   backaction=backaction, position_coordinates=pos, pair_potential=pair_diag)

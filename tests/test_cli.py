@@ -200,6 +200,9 @@ class TestRun:
         ({("analyze",): {"rate": {"separation": [1, 2]}}}, "analyze.rate.separation",
          "unknown key"),
         ({("model", "kernel_kind"): "dp"}, "kernel_kind", "'dp'"),
+        ({("model", "kind"): "generic"}, "model.kernel_kind", "None on kind 'generic'"),
+        ({("model", "kind"): "generic", ("model", "kernel_kind"): "sn"}, "model.kernel_kind",
+         "'sn'"),
         ({("output", "snapshot_every"): 1}, "output.snapshot_every", "got 1"),
     ], ids=["steps-true", "seed-false", "record-every-true", "mass-true", "G-true",
             "signal-site-true", "dt-nan", "sigma-inf", "dims-fraction", "center-length-3",
@@ -208,7 +211,8 @@ class TestRun:
             "unknown-top-key", "unknown-grid-key", "unknown-particle-key",
             "unknown-initial-key", "unknown-model-key", "unknown-integration-key",
             "unknown-output-key", "unknown-analyze-block", "unknown-analyze-block-key",
-            "kernel-kind-not-generic", "snapshots-on-run"])
+            "kernel-kind-not-generic", "generic-without-kernel-kind", "generic-kernel-kind-sn",
+            "snapshots-on-run"])
     def test_bad_number_or_initial_block_exit_2(self, tmp_path, capsys, edits, key, shown):
         # each value passes a bare isinstance or float() test, fails only inside
         # numpy, or sits under a key or a model kind that nothing reads
@@ -232,6 +236,44 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert "step-size" in err and "step" in err
+
+
+class TestLegacyGenericKind:
+    """Old run files name a kernel through the kind 'generic' and kernel_kind;
+    they read as that kind and write its bytes."""
+
+    @pytest.mark.parametrize("legacy", [
+        {"kind": "generic", "kernel_kind": "dp"},
+        {"kind": "generic", "kernel_kind": "csl", "feedback_smearing": True},
+    ], ids=["dp", "csl-smeared"])
+    def test_same_bytes_as_the_kernel_kind(self, tmp_path, legacy):
+        named = {key: v for key, v in legacy.items() if key != "kernel_kind"}
+        named["kind"] = legacy["kernel_kind"]
+        outputs = []
+        for name, model in (("legacy", legacy), ("named", named)):
+            cfg = write_config(tmp_path / f"{name}.yaml",
+                               base_config(model={**model, "sigma": 1.0, "G": 0.1}))
+            out = tmp_path / name
+            assert main(["run", "--config", cfg, "--out", str(out / "run")]) == 0
+            for what in ("rate", "kappa-scan"):
+                assert main(["analyze", what, "--config", cfg, "--out", str(out)]) == 0
+            outputs.append([(out / f).read_bytes() for f in
+                            ("run/trajectory_0000.csv", "rate.csv", "kappa_scan.csv")])
+        assert outputs[0] == outputs[1]
+
+
+class TestReadme:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_config_example_parses(self):
+        # every key the README's schema example shows is one parse_config reads
+        text = self.README.read_text(encoding="utf-8")
+        section = text[text.index("## Run configuration schema (YAML)"):]
+        start = section.index("```yaml\n") + len("```yaml\n")
+        example = section[start:section.index("```\n", start)]
+        cfg = config.parse_config(yaml.safe_load(example))
+        assert cfg.spec.kind == "csl" and set(cfg.analyze) == {
+            "rate", "pair_potential", "kappa_scan", "linearity"}
 
 
 class TestAnalyze:

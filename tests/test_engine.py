@@ -1,7 +1,11 @@
 import hashlib
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from collapsesim import (LatticeGrid, MatrixKernel, ParticleSet, build_model,
                          combined_step, ensemble_mean, feedback_step, hamiltonian_step,
                          hfb_identity_check, me_step, run_ensemble, run_trajectory,
                          sme_step, sse_step)
+import collapsesim
 from collapsesim import engine
 from collapsesim.config import single_particle_state
 from collapsesim.engine import (FeedbackSpec, MonitoringSpec, _commutator, _conditioning,
@@ -1055,11 +1060,73 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match=name):
             run_ensemble(psi, model, self.dt, steps, [0], **options)
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-4, np.nan, np.inf])
+    @pytest.mark.parametrize("run", ["unconditional", "conditional", "sn", "pair"])
+    def test_invalid_dt_raises(self, run, dt):
+        # the noise-free runs step any dt, and nan trips the step guard as
+        # if the state were at fault, unless run_ensemble checks dt first
+        model, psi = self.cat_model()
+        state = np.outer(psi, psi.conj())
+        if run in ("sn", "pair"):
+            model = build_model(ModelSpec(kind=run, grid=model.grid,
+                                          particles=ParticleSet([1.0, 1.0]), G=0.1))
+            state = np.kron(psi, psi)
+        with pytest.raises(ValueError, match="dt must be a positive finite number"):
+            run_ensemble(state, model, dt, 5, [0], unconditional=run == "unconditional")
+
     @pytest.mark.parametrize("seeds, chunk, name", [([], 256, "seeds"), ([0, 1], 0, "chunk")])
     def test_ensemble_mean_rejects_empty_seeds_and_chunk(self, seeds, chunk, name):
         model, psi = self.cat_model()
         with pytest.raises(ValueError, match=name):
             ensemble_mean(model, np.outer(psi, psi.conj()), self.dt, 3, seeds, chunk=chunk)
+
+
+BLAS_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from collapsesim import LatticeGrid, ParticleSet, build_model, run_ensemble
+from collapsesim.config import single_particle_state
+from collapsesim.models import ModelSpec
+
+def digest(particles, dims, initial):
+    grid = LatticeGrid(dims, 1.0)
+    model = build_model(ModelSpec(kind="dp", grid=grid, particles=ParticleSet(particles),
+                                  sigma=1.0, kappa=2.0, G=0.05, feedback_smearing=True))
+    states = [single_particle_state(grid, init) for init in initial]
+    if len(states) == 1:  # one particle: its density matrix
+        state = np.outer(states[0], states[0].conj())
+    else:
+        state = np.kron(*states)
+    (rec,) = run_ensemble(state, model, 1e-3, 5, [7], record_signal=True,
+                          record_density=True, snapshot_every=5, monitor_positivity=False)
+    h = hashlib.sha256()
+    for arr in (rec.trace, rec.purity, rec.positions, rec.density_means, rec.signals,
+                rec.snapshots[-1][1]):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+print(digest([1.0], (8, 8, 8), [{"type": "cat", "centers": [[2.0, 4.0, 4.0], [6.0, 4.0, 4.0]],
+                                 "width": 1.0}]))
+print(digest([1.0, 1.0], (16,), [{"type": "gaussian", "center": [4.0], "width": 1.5},
+                                 {"type": "gaussian", "center": [12.0], "width": 1.5}]))
+"""
+
+
+def test_blas_thread_count_keeps_bytes():
+    """A conditional density matrix of one particle on 8^3 (n = 512: the
+    zgemm commutator and the tiled X - X^dagger) and a pure two-particle
+    run on a 16-site chain (n = 256: the per-particle H psi apply) write
+    the same records and final states under one and two BLAS threads."""
+    src = str(Path(collapsesim.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
 
 
 class TestPureRecord:

@@ -39,6 +39,15 @@ class TestSmear:
         expect = circular_convolution(point, kernel, 1.0)
         np.testing.assert_allclose(smear(point, grid, 1.3), expect, atol=1e-12)
 
+    @pytest.mark.parametrize("dims", [(16,), (8, 8, 8)])
+    def test_point_profile_negative_below_two_spacings(self, dims):
+        # the Gaussian multiplier cut off at the Brillouin zone rings: the
+        # smeared point mass has negative lobes at sigma = 1 (16 sites:
+        # -2.8e-4; 8^3: -8.3e-5) and none at sigma = 2, as the README states
+        grid = LatticeGrid(dims, 1.0)
+        assert smeared_point_profile(grid, 1.0).min() < 0
+        assert smeared_point_profile(grid, 2.0).min() >= 0
+
 
 class TestCoulomb:
     def test_uniform_density_zero_potential(self):

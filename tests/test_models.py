@@ -11,12 +11,13 @@ from collapsesim import (LatticeGrid, MatrixKernel, ParticleSet, build_backactio
                          build_model, hamiltonian_step, kappa_decoherence_coefficient,
                          me_step, run_ensemble, sn_step)
 from collapsesim import engine, lattice
+from collapsesim.config import ConfigError, parse_config
 from collapsesim.engine import FeedbackSpec, MonitoringSpec
 from collapsesim.lattice import (config_sites, external_potential_diagonal,
                                 kinetic_hamiltonian)
-from collapsesim.models import (ModelSpec, config_families, density_family, mean_density,
-                                newton_family, pair_potential_diagonal,
-                                preset_lattice_values, PRESETS)
+from collapsesim.models import (MODEL_KINDS, MONITORED_KINDS, ModelSpec, config_families,
+                                density_family, mean_density, newton_family,
+                                pair_potential_diagonal, preset_lattice_values, PRESETS)
 
 from conftest import random_density_matrix, random_state
 from oracles import (expression_pair_step, expression_sn_step, expression_vector_step,
@@ -143,25 +144,44 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="sigma"):
             ModelSpec(kind="dp", grid=grid, particles=ParticleSet([1.0]), sigma=0.0)
 
+    @staticmethod
+    def run_file_spec(**model):
+        """The ModelSpec that parse_config reads from a one-particle run file
+        on a 6-site chain with this model block."""
+        return parse_config({"grid": {"dims": [6]},
+                             "particles": [{"initial": {"type": "gaussian", "center": [3.0]}}],
+                             "model": model}).spec
+
     def test_generic_kind_explicit_kernel_choice(self):
-        grid = LatticeGrid((6,), 1.0)
-        parts = ParticleSet([1.0])
-        gen = build_model(ModelSpec(kind="generic", kernel_kind="csl", grid=grid,
-                                    particles=parts, sigma=1.0, gamma=0.7, G=0.2))
-        ref = build_model(csl_spec(grid, parts, gamma=0.7, G=0.2))
-        np.testing.assert_array_equal(gen.monitoring.pair_rate, ref.monitoring.pair_rate)
-        np.testing.assert_array_equal(gen.feedback.family, ref.feedback.family)
+        # a run file's legacy kind 'generic' reads as the kind its kernel_kind names
+        base = dict(sigma=1.0, gamma=0.7, G=0.2)
+        gen = self.run_file_spec(kind="generic", kernel_kind="csl", **base)
+        assert gen == csl_spec(LatticeGrid((6,), 1.0), ParticleSet([1.0]), **base)
+        assert self.run_file_spec(kind="csl", kernel_kind=None, **base) == gen
         # the optional smearing flag overrides the kernel default
-        smeared = build_model(ModelSpec(kind="generic", kernel_kind="csl",
-                                        grid=grid, particles=parts, sigma=1.0,
-                                        gamma=0.7, G=0.2, feedback_smearing=True))
-        assert np.abs(smeared.feedback.family - ref.feedback.family).max() > 1e-6
+        smeared = self.run_file_spec(kind="generic", kernel_kind="csl",
+                                     feedback_smearing=True, **base)
+        assert smeared == replace(gen, feedback_smearing=True)
+        gen, smeared = build_model(gen), build_model(smeared)
+        assert np.abs(smeared.feedback.family - gen.feedback.family).max() > 1e-6
 
     def test_generic_requires_kernel_kind(self):
-        grid = LatticeGrid((4,), 1.0)
-        with pytest.raises(ValueError, match="kernel_kind"):
-            ModelSpec(kind="generic", grid=grid, particles=ParticleSet([1.0]),
-                      sigma=1.0)
+        # kernel_kind names csl or dp on the legacy kind and nothing elsewhere
+        for model in ({"kind": "generic"}, {"kind": "generic", "kernel_kind": "sn"},
+                      {"kind": "dp", "kernel_kind": "dp"}, {"kind": "pair", "kernel_kind": "csl"}):
+            with pytest.raises(ConfigError, match="model.kernel_kind"):
+                self.run_file_spec(**model)
+
+    def test_one_name_per_model(self):
+        # the Python API has no 'generic' kind: a spec's kind names its kernel
+        assert MODEL_KINDS == ("csl", "dp", "sn", "pair")
+        grid, parts = LatticeGrid((4,), 1.0), ParticleSet([1.0])
+        with pytest.raises(ValueError, match="unknown model kind 'generic'"):
+            ModelSpec(kind="generic", grid=grid, particles=parts)
+        for kind in MONITORED_KINDS:
+            spec = ModelSpec(kind=kind, grid=grid, particles=parts)
+            assert spec.kernel.kind == kind and spec.kernel is spec.kernel
+            assert build_model(spec).monitoring.kernel is spec.kernel
 
 
 class TestKappaCoefficient:
