@@ -10,8 +10,9 @@ Subcommands::
 Exit codes: 0 success, 2 invalid configuration, 3 numerical guard tripped.
 CSV files carry a header row with units and 17 significant digits, so a
 (config, seed) pair reproduces them byte for byte.  The JSON summary echoes
-the resolved configuration (its wall_time field is the one value excluded
-from the byte-reproducibility contract).  The trajectories of an ensemble
+the resolved configuration; its timing fields (wall_time_s, build_s, run_s,
+write_s and steps_per_s) are the values excluded from the
+byte-reproducibility contract.  The trajectories of an ensemble
 are stepped together in one batch (engine.run_ensemble); trajectory i
 depends only on the config and on seed + i.
 """
@@ -85,11 +86,13 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
         initial = np.outer(psi, psi.conj())
     unconditional = cfg.representation == "mean"
     seeds = [cfg.seed + i for i in range(cfg.ensemble)]
+    t_run = time.perf_counter()
     records = run_ensemble(initial, model, cfg.dt, cfg.steps, seeds,
                            record_every=cfg.record_every,
                            record_signal=bool(cfg.signal_sites),
                            offdiagonal_pairs=cfg.offdiagonal_pairs,
                            unconditional=unconditional)
+    t_write = time.perf_counter()
 
     out_dir.mkdir(parents=True, exist_ok=True)
     diagnostics = []
@@ -104,11 +107,16 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
                                else float(rec.min_eigenvalue.min())),
             "positivity_events": len(rec.positivity_warnings),
         })
+    t_end = time.perf_counter()
     summary = {
         "config": cfg.raw,
         "seeds": seeds,
         "trajectories": diagnostics,
-        "wall_time_s": time.perf_counter() - t0,
+        "wall_time_s": t_end - t0,
+        "build_s": t_run - t0,  # model and initial state
+        "run_s": t_write - t_run,
+        "write_s": t_end - t_write,  # trajectory CSVs
+        "steps_per_s": cfg.ensemble * cfg.steps / (t_write - t_run),
     }
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, default=float)

@@ -191,12 +191,19 @@ def _normalize(out, step, what):
     return out / norm
 
 
-def _conditioning(rho, half, cmean, out, rows=slice(None)) -> np.ndarray:
+def _pair_sums(half, rows=slice(None), out=None) -> np.ndarray:
+    """h(x) + h(y) on the given rows, for a half field h (..., n) that may
+    carry leading step or batch axes."""
+    return np.add(half[..., rows, None], half[..., None, :], out=out)
+
+
+def _conditioning(rho, sums, cmean, out) -> np.ndarray:
     """(1/2) iint gamma_rs {A_r - <A_r>, rho} dnoise_s, element-wise, written
-    to out (rho's shape) as (h(x) + h(y) - <c>) * rho.  h = c / 2 is the
-    half field of the conditioning field c = MonitoringSpec.conditioning_field
-    (noise), and <c> = sum_x c(x) rho_xx for each member of the whole state;
-    for a block of rows of a state, rho is those rows.
+    to out (rho's shape) as (sums - <c>) * rho.  sums = h(x) + h(y) are the
+    _pair_sums of the half field h = c / 2 of the conditioning field c =
+    MonitoringSpec.conditioning_field(noise), on the rows that rho holds,
+    and <c> = sum_x c(x) rho_xx for each member of the whole state.  sums
+    may be out itself.
 
     These are the bytes of 0.5 * (c(x) + c(y) - 2 <c>) * rho: scaling by 2
     or 0.5 is exact in binary floating point and commutes with rounding,
@@ -204,8 +211,7 @@ def _conditioning(rho, half, cmean, out, rows=slice(None)) -> np.ndarray:
     Exactly traceless path-wise: h(x) + h(y) - <c> contracts to zero
     against the diagonal of rho.
     """
-    shifted = np.add(half[..., rows, None], half[..., None, :], out=out)
-    shifted -= cmean[..., None, None]
+    shifted = np.subtract(sums, cmean[..., None, None], out=out)
     return np.multiply(shifted, rho, out=shifted)
 
 
@@ -295,20 +301,26 @@ def _subtract_adjoint(x) -> None:
 # left-operand rule binds none of them today.  Every term but the commutator
 # is element-wise, so a block of rows gets the bytes that the whole state would.
 
+def _whole(rho) -> bool:
+    """Whether _euler handles rho whole: its complex increment fits in
+    TILE_BYTES across the batch."""
+    return 16 * rho.size <= TILE_BYTES
+
+
 def _euler(H, rho, dt: float, step, terms, args) -> np.ndarray:
     """rho plus the Euler increment -1j * dt * [H, rho], completed in place
     by terms(inc, rho, rows, dt, args) with the step's other terms, once
     _step_guard passes it.  args holds what the step function forms once
-    per step, not per block: the rate tables, and for the monitored steps
-    the half field and <c> of _conditioning and the feedback potential.
-    The increment is the commutator's own array when that is complex.  It
-    is built one block of rows at a time, at most TILE_BYTES of increment
-    across the batch, so each block's terms and its share of the guard's
-    |inc|_1 and |rho|_1 run in cache; a state that fits in one block is
-    handled whole, with no slicing."""
+    per step, not per block: the rate tables or what their rows are formed
+    from, and for the monitored steps <c> of _conditioning and the feedback
+    potential.  The increment is the commutator's own array when that is
+    complex.  It is built one block of rows at a time, at most TILE_BYTES
+    of increment across the batch, so each block's terms and its share of
+    the guard's |inc|_1 and |rho|_1 run in cache; a state that fits in one
+    block is handled whole (_whole), with no slicing."""
     comm = _commutator(H, rho)
     inc = comm if comm.dtype.kind == "c" else np.empty(comm.shape, np.result_type(-1j * dt, comm))
-    if 16 * comm.size <= TILE_BYTES:
+    if _whole(comm):
         np.multiply(-1j * dt, comm, out=inc)
         terms(inc, rho, slice(None), dt, args)
         size, ref = np.abs(inc).sum(axis=(-2, -1)), np.abs(rho).sum(axis=(-2, -1))
@@ -342,7 +354,8 @@ def feedback_step(rho_free: np.ndarray, potential, dt: float) -> np.ndarray:
 
 def combined_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
                   fb: FeedbackSpec | None, noise, dt: float,
-                  step: int | None = None, field=None, signal=None) -> np.ndarray:
+                  step: int | None = None, field=None, signal=None, diagonal=None,
+                  tables=None) -> np.ndarray:
     """One step of the feedback-completed conditional master equation.
 
     Implements the equation the way it is derived: the free monitored Euler
@@ -356,31 +369,50 @@ def combined_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
     preserved identically (every feedback term is a commutator).
 
     noise is flat, (..., n_obs).  With fb None this is sme_step.
-    field (spec.conditioning_field(noise)) and signal (spec.means(rho) +
-    noise) may be passed in when the caller already holds them; otherwise
-    they are computed here.
+    field (spec.conditioning_field(noise)), signal (spec.means(rho) +
+    noise) and diagonal (the real diagonal of rho, which spec.means reads)
+    may be passed in when the caller already holds them; otherwise they
+    are computed here.  tables = (rate, sums), with rate =
+    _monitored_rate(spec.pair_rate, dt) and sums = _pair_sums(field / 2),
+    may be passed in for a state that _euler handles whole (run_ensemble
+    forms them per run and per noise block); otherwise the terms form them
+    per step, or per block of rows.
     """
     if field is None:
         field = spec.conditioning_field(noise)
+    if diagonal is None:
+        diagonal = _diag(rho).real
     v = None
     if fb is not None:
         if signal is None:
             signal = spec.means(rho) + noise
         v = fb.potential(signal)
-    cmean = np.einsum("...x,...x->...", field, _diag(rho).real)
-    return _euler(H, rho, dt, step, _monitored_terms, (spec.pair_rate, 0.5 * field, cmean, v))
+    cmean = np.einsum("...x,...x->...", field, diagonal)
+    half = 0.5 * field if tables is None else None
+    return _euler(H, rho, dt, step, _monitored_terms, (tables, spec.pair_rate, half, cmean, v))
+
+
+def _monitored_rate(pair_rate, dt: float, rows=slice(None)) -> np.ndarray:
+    """dt * 0.125 * pair_rate on the given rows: the dt-scaled rate table of
+    the monitored steps."""
+    return dt * 0.125 * pair_rate[rows]
 
 
 def _monitored_terms(inc, rho, rows, dt: float, args) -> None:
-    """inc - dt * 0.125 * pair_rate * rho + dt * _conditioning(rho, ...) on
-    the given rows of the state; then, with a feedback potential v, free ->
-    free - 1j * dt * vd * (rho + free) - 0.5 * dt * dt * vd * vd * rho with
-    vd = v(x) - v(y).  args = (pair_rate, half field, <field>, v), v None
-    without feedback."""
-    pair_rate, half, cmean, v = args
-    term = np.multiply(dt * 0.125 * pair_rate[rows], rho)
+    """inc - rate * rho + dt * _conditioning(rho, sums, <field>) on the given
+    rows of the state, rate = _monitored_rate and sums the _pair_sums of the
+    half field h; then, with a feedback potential v, free -> free - 1j * dt
+    * vd * (rho + free) - 0.5 * dt * dt * vd * vd * rho with vd = v(x) -
+    v(y).  args = (tables, pair_rate, h, <field>, v): tables = (rate, sums)
+    of the whole state, or None to form the rows' tables here from
+    pair_rate and h; v None without feedback."""
+    tables, pair_rate, half, cmean, v = args
+    rate, sums = tables or (_monitored_rate(pair_rate, dt, rows), None)
+    term = np.multiply(rate, rho)
     inc -= term
-    inc += np.multiply(dt, _conditioning(rho, half, cmean, term, rows), out=term)
+    if sums is None:
+        sums = _pair_sums(half, rows, out=term)
+    inc += np.multiply(dt, _conditioning(rho, sums, cmean, term), out=term)
     if v is None:
         return
     vd = v[..., rows, None] - v[..., None, :]
@@ -394,13 +426,15 @@ def _monitored_terms(inc, rho, rows, dt: float, args) -> None:
 
 def me_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
             fb: FeedbackSpec | None, dt: float,
-            backaction=None, step: int | None = None) -> np.ndarray:
+            backaction=None, step: int | None = None, rate=None) -> np.ndarray:
     """Noise-averaged step: deterministic, linear, trace preserving and
     completely positive (double commutators with nonnegative kernels).  The
     increment is -1j * dt * [H, rho] - 1j * dt * (b(x) - b(y)) * rho
     - dt * rate * rho with rate = 0.125 * pair_rate + 0.5 * pair_rate_inverse
     and b the back-action diagonal; without feedback only the first term
-    and the first part of rate."""
+    and the first part of rate.  The dt-scaled table (_master_rate) may be
+    passed in as rate for a state that _euler handles whole; otherwise the
+    terms form it per step, or per block of rows."""
     inverse = None
     if fb is None:
         backaction = None
@@ -408,20 +442,28 @@ def me_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
         inverse = fb.pair_rate_inverse
         if backaction is None:
             backaction = fb.backaction_diagonal(spec)
-    return _euler(H, rho, dt, step, _master_terms, (spec.pair_rate, inverse, backaction))
+    return _euler(H, rho, dt, step, _master_terms, (rate, spec.pair_rate, inverse, backaction))
+
+
+def _master_rate(pair_rate, pair_rate_inverse, dt: float, rows=slice(None)) -> np.ndarray:
+    """dt * (0.125 * pair_rate + 0.5 * pair_rate_inverse) on the given rows,
+    and dt * (0.125 * pair_rate) with pair_rate_inverse None (no feedback):
+    the dt-scaled rate table of me_step."""
+    rate = 0.125 * pair_rate[rows]
+    if pair_rate_inverse is not None:
+        rate += 0.5 * pair_rate_inverse[rows]
+    return np.multiply(dt, rate, out=rate)
 
 
 def _master_terms(inc, rho, rows, dt: float, args) -> None:
-    """me_step's terms after the commutator; args = (pair_rate,
-    pair_rate_inverse, backaction), and backaction None leaves out the
-    feedback's."""
-    pair_rate, pair_rate_inverse, backaction = args
-    rate = 0.125 * pair_rate[rows]
-    term = None
-    if backaction is not None:
-        term = _potential_terms(inc, rho, rows, dt, backaction)
-        rate += 0.5 * pair_rate_inverse[rows]
-    np.multiply(dt, rate, out=rate)
+    """me_step's terms after the commutator; args = (rate, pair_rate,
+    pair_rate_inverse, backaction): rate is _master_rate of the whole
+    state, or None to form the rows' table here; pair_rate_inverse and
+    backaction are None without feedback."""
+    rate, pair_rate, pair_rate_inverse, backaction = args
+    term = None if backaction is None else _potential_terms(inc, rho, rows, dt, backaction)
+    if rate is None:
+        rate = _master_rate(pair_rate, pair_rate_inverse, dt, rows)
     inc -= np.multiply(rate, rho, out=term)
 
 
@@ -588,9 +630,12 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
     of at most BATCH_BYTES of states, noise and conditioning fields.
     Member k draws NOISE_BLOCK steps of noise per call from the Philox
     stream of seeds[k], and the block's conditioning fields are computed
-    right after the draw.  Block draws and block fields equal per-step
-    ones bit for bit and each step acts on every member alone, so record
-    k is fully determined by (model, initial, dt, steps, seeds[k]).
+    right after the draw.  Where _euler handles a density matrix whole,
+    the step's dt-scaled rate table is formed once per run and a
+    conditional step's pair sums once per block (Model.advance's tables).
+    Block draws, block fields and these tables equal per-step ones bit for
+    bit and each step acts on every member alone, so record k is fully
+    determined by (model, initial, dt, steps, seeds[k]).
     State vectors are recorded in O(n) from |psi_x|^2 and psi_x psi_y*,
     with purity 1 by definition; monitor_positivity needs a density matrix.
     """
@@ -629,10 +674,23 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
     records = []
     block_bytes = 8 * NOISE_BLOCK * (n_obs + initial.shape[-1]) if draws else 0
     width = max(1, BATCH_BYTES // (initial.nbytes + block_bytes))
+    # A density step that _euler handles whole takes its dt-scaled rate
+    # table, formed here once in the first batch's shape, and a conditional
+    # step the pair sums of its half field, formed per noise block in
+    # chunks of steps that hold at most TILE_BYTES.
+    rates = None
+    first = np.broadcast_to(initial, (min(width, len(seeds)),) + initial.shape)
+    if model.monitoring is not None and not pure and _whole(first):
+        mon, fb = model.monitoring, model.feedback
+        table = (_master_rate(mon.pair_rate, None if fb is None else fb.pair_rate_inverse, dt)
+                 if unconditional else _monitored_rate(mon.pair_rate, dt))
+        rates = np.broadcast_to(table, first.shape).copy()
     for start in range(0, len(seeds), width):
         batch = [new_record(seed) for seed in seeds[start:start + width]]
         rngs = [np.random.Generator(np.random.Philox(rec.seed)) for rec in batch]
         state = np.broadcast_to(initial, (len(batch),) + initial.shape).copy()
+        tables = rate = None if rates is None else rates[:len(batch)]
+        chunk = max(1, TILE_BYTES // (8 * state.size))  # steps of pair sums at once
         j = 0
         signal = noise = field = None
         for i in range(steps + 1):
@@ -644,7 +702,12 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
                             dt, rng, (min(NOISE_BLOCK, steps - i + 1),)) for rng in rngs], axis=1)
                         fields = model.monitoring.conditioning_field(noises)
                     noise, field = noises[b], fields[b]
-                state, signal = model.advance(state, dt, noise, step=i, pure=pure, field=field)
+                    if rate is not None:
+                        if b % chunk == 0:
+                            sums = _pair_sums(0.5 * fields[b:b + chunk])
+                        tables = (rate, sums[b % chunk])
+                state, signal = model.advance(state, dt, noise, step=i, pure=pure, field=field,
+                                              tables=tables)
             if i == rec_steps[j]:
                 # one batched call, each member's eigenvalues bit for bit its own
                 wmins = np.linalg.eigvalsh(state).min(axis=-1) if monitor_positivity else None

@@ -27,7 +27,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .engine import (DenseHamiltonian, FeedbackSpec, MonitoringSpec, combined_step,
+from .engine import (DenseHamiltonian, FeedbackSpec, MonitoringSpec, _diag, combined_step,
                      hamiltonian_step, me_step, sse_step)
 from .kernels import (CorrelationKernel, axis_profile_3d, coulomb_multiplier,
                       coulomb_potential, smear_multiplier, smeared_point_profile)
@@ -243,7 +243,7 @@ class Model:
         return self.spec.particles
 
     def advance(self, state: np.ndarray, dt: float, noise=None, step: int | None = None,
-                pure: bool | None = None, field=None):
+                pure: bool | None = None, field=None, tables=None):
         """One step; returns (state', signal or None).  Dispatches on the
         model kind, on noise and on pure: whether the states, which may carry
         leading batch axes, are state vectors (default: only a 1-d state is).
@@ -251,7 +251,10 @@ class Model:
         kind None takes the noise-averaged step, the linear master equation,
         whose signal is the observable means of the new density matrix.
         Baselines take None.  field: the step's
-        monitoring.conditioning_field(noise), if known."""
+        monitoring.conditioning_field(noise), if known.  tables: a density
+        step's state-independent tables, if known, as run_ensemble forms
+        them for a state that the Euler step handles whole: combined_step's
+        (rate, sums), or me_step's rate."""
         if pure is None:
             pure = state.ndim == 1
         if self.kind in MONITORED_KINDS:
@@ -260,7 +263,7 @@ class Model:
                 if pure:
                     raise ValueError("the unconditional evolution needs a density matrix")
                 new = me_step(state, self.density_hamiltonian, spec, self.feedback, dt,
-                              backaction=self.backaction, step=step)
+                              backaction=self.backaction, step=step, rate=tables)
                 return new, spec.means(new)
             if pure:
                 prob = (state.conj() * state).real
@@ -268,9 +271,11 @@ class Model:
                 new = sse_step(state, self.hamiltonian_operator, spec, self.feedback, noise, dt,
                                step=step, field=field)
                 return new, means + noise
-            signal = spec.means(state) + noise
+            diagonal = _diag(state).real  # read once, for the means and for <c>
+            signal = np.einsum("ox,...x->...o", spec.family, diagonal) + noise  # spec.means
             new = combined_step(state, self.density_hamiltonian, spec, self.feedback, noise, dt,
-                                step=step, field=field, signal=signal)
+                                step=step, field=field, signal=signal, diagonal=diagonal,
+                                tables=tables)
             return new, signal
         if self.kind == "sn":
             if not pure:

@@ -211,6 +211,17 @@ class TestLinearityWitness:
         assert report.linear
         assert report.distance < report.tolerance
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the Euler sn step renormalizes (1 - i dt (H + V)) psi by a state-dependent "
+        "norm, so plain Schroedinger evolution (G = 0) reads nonlinear: distance 1.6e-8 "
+        "against the sn tolerance 1e-9; the fix is an exact-phase step, exp(-i dt v) "
+        "applied to U psi with U = exp(-i H dt), which keeps the norm without renormalizing"))
+    def test_state_sourced_baseline_without_coupling_is_linear(self):
+        # criterion 9's 12-site ensembles, at t = 0.1 and dt = 1e-4
+        grid, sup, mix = self._ensembles(12)
+        model = build_model(ModelSpec(kind="sn", grid=grid, particles=ParticleSet([1.0]), G=0.0))
+        assert linearity_witness(model, sup, mix, t=0.1, dt=1e-4).linear
+
     def test_state_sourced_baseline_is_not(self):
         grid, sup, mix = self._ensembles(12)
         spec = ModelSpec(kind="sn", grid=grid, particles=ParticleSet([1.0]), G=0.5)

@@ -58,6 +58,21 @@ class TestRun:
         assert summary["seeds"] == [7]
         assert "wall_time_s" in summary
 
+    def test_summary_reruns_equal_but_timings(self, tmp_path):
+        # the timing fields are the one part of summary.json outside the
+        # byte contract
+        cfg = write_config(tmp_path / "run.yaml", base_config(
+            integration={"dt": 1e-4, "steps": 50, "ensemble": 2, "seed": 7}))
+        timings = ("wall_time_s", "build_s", "run_s", "write_s", "steps_per_s")
+        summaries = []
+        for out in ("a", "b"):
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+            summary = json.loads((tmp_path / out / "summary.json").read_text())
+            assert all(summary.pop(key) > 0 for key in timings)
+            summaries.append(json.dumps(summary, sort_keys=True))
+        assert summaries[0] == summaries[1]
+        assert json.loads(summaries[0])["seeds"] == [7, 8]
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml", base_config())
         main(["run", "--config", cfg, "--out", str(tmp_path / "a")])

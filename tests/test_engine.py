@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import collapsesim
 from collapsesim import engine
 from collapsesim.config import single_particle_state
 from collapsesim.engine import (FeedbackSpec, MonitoringSpec, _commutator, _conditioning,
-                                hfb_family_identity_check)
+                                _pair_sums, hfb_family_identity_check)
 from collapsesim.kernels import CorrelationKernel
 from collapsesim.lattice import GuardError
 from collapsesim.models import ModelSpec, density_family, newton_family
@@ -48,9 +49,9 @@ def grid_specs(n=8, sigma=1.0, gamma=1.0, G=0.2, smear_fb=False):
 
 
 def conditioning(rho, d):
-    """_conditioning of the field d: from its half field and <d>."""
+    """_conditioning of the field d: from the pair sums of its half field and <d>."""
     cmean = np.einsum("x,x->", d, np.diagonal(rho).real)
-    return _conditioning(rho, 0.5 * d, cmean, np.empty_like(rho))
+    return _conditioning(rho, _pair_sums(0.5 * d), cmean, np.empty_like(rho))
 
 
 class TestHcal:
@@ -1079,6 +1080,129 @@ class TestRunEnsemble:
         model, psi = self.cat_model()
         with pytest.raises(ValueError, match=name):
             ensemble_mean(model, np.outer(psi, psi.conj()), self.dt, 3, seeds, chunk=chunk)
+
+
+def table_model(family, n, feedback, seed):
+    """A built model on n configurations (one particle on an n-site chain)
+    whose monitoring is csl, dp or a random explicit family of 3
+    observables (MatrixKernel), with or without feedback."""
+    model = build_model(ModelSpec(kind="csl" if family == "matrix" else family,
+                                  grid=LatticeGrid((n,), 1.0), particles=ParticleSet([1.0]),
+                                  sigma=1.0, G=0.02))
+    if family == "matrix":
+        _, mon, fb = step_family("matrix", n, seed)
+        model = replace(model, monitoring=mon, feedback=fb, backaction=fb.backaction_diagonal(mon))
+    if not feedback:
+        model = replace(model, feedback=None, backaction=None)
+    return model
+
+
+def expression_run(initial, model, dt, steps, seeds, unconditional, block):
+    """Final states and last signals of run_ensemble's batch, stepped with
+    the tests/oracles.py expression forms: the same noise blocks of block
+    steps and the same conditioning fields, and every table formed per step."""
+    mon, fb, H = model.monitoring, model.feedback, model.hamiltonian
+    rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
+    rho = np.broadcast_to(initial, (len(seeds),) + initial.shape).copy()
+    for i in range(steps):
+        if unconditional:
+            rho = expression_me_step(rho, H, mon, fb, dt, backaction=model.backaction)
+            signal = mon.means(rho)
+            continue
+        if i % block == 0:
+            noises = np.stack([mon.sample_noise_flat(dt, rng, (min(block, steps - i),))
+                               for rng in rngs], axis=1)
+            fields = mon.conditioning_field(noises)
+        noise, field = noises[i % block], fields[i % block]
+        signal = mon.means(rho) + noise
+        rho = expression_combined_step(rho, H, mon, fb, noise, dt, field=field, signal=signal)
+    return rho, signal
+
+
+class TestStepTables:
+    """run_ensemble forms the dt-scaled rate table of a density step that
+    _euler handles whole once per run, and a conditional step's half field
+    and pair sums once per noise block, in chunks of at most TILE_BYTES."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 16), members=st.integers(1, 5),
+           family=st.sampled_from(["csl", "dp", "matrix"]), feedback=st.booleans(),
+           unconditional=st.booleans(), block=st.integers(3, 9),
+           tile=st.sampled_from([1, 2, 3, 0]), seed=st.integers(0, 2**32 - 1))
+    def test_trajectories_equal_expression_steps(self, n, members, family, feedback,
+                                                 unconditional, block, tile, seed):
+        # NOISE_BLOCK = block steps, and 2 * block + 1 steps cross two block
+        # boundaries; tile k > 0 makes pair-sum chunks of 2k steps of a state
+        # handled whole, tile 0 blocks of 3 rows (the whole state for n <= 3)
+        model = table_model(family, n, feedback, seed)
+        rng = np.random.default_rng(seed)
+        initial = random_density_matrix(rng, n)
+        seeds = [int(s) for s in rng.integers(0, 2**32, members)]
+        steps, dt = 2 * block + 1, 1e-5 if family == "matrix" else 1e-4  # guard stays quiet
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "NOISE_BLOCK", block)
+            mp.setattr(engine, "TILE_BYTES", 16 * members * n * (n * tile if tile else 3))
+            recs = run_ensemble(initial, model, dt, steps, seeds, record_every=steps,
+                                record_signal=True, snapshot_every=steps,
+                                monitor_positivity=False, unconditional=unconditional)
+        rho, signal = expression_run(initial, model, dt, steps, seeds, unconditional, block)
+        for k, rec in enumerate(recs):
+            assert rec.snapshots[-1][1].tobytes() == rho[k].tobytes()
+            assert rec.signals[-1].tobytes() == signal[k].tobytes()
+
+    @pytest.mark.parametrize("unconditional", [False, True])
+    def test_rate_table_formed_once_per_run(self, monkeypatch, unconditional):
+        # 600 steps in three noise blocks and three batches of one member:
+        # one table for the run; a state in blocks of rows forms none whole
+        model = table_model("dp", 6, True, 0)
+        rho = random_density_matrix(np.random.default_rng(0), 6)
+        name = "_master_rate" if unconditional else "_monitored_rate"
+        rows, form = [], getattr(engine, name)
+
+        def spy(*args):
+            rows.append(args[-1] if len(args) == 3 + unconditional else slice(None))
+            return form(*args)
+
+        monkeypatch.setattr(engine, name, spy)
+        monkeypatch.setattr(engine, "BATCH_BYTES", 1)
+        run_ensemble(rho, model, 1e-3, 600, [1, 2, 3], record_every=600,
+                     monitor_positivity=False, unconditional=unconditional)
+        assert rows == [slice(None)]
+        rows.clear()
+        monkeypatch.setattr(engine, "TILE_BYTES", 16 * 6 * 2)  # blocks of 2 rows
+        run_ensemble(rho, model, 1e-3, 3, [1], record_every=3, monitor_positivity=False,
+                     unconditional=unconditional)
+        assert rows == [slice(0, 2), slice(2, 4), slice(4, 6)] * 3
+
+    def test_pair_sum_chunk_within_tile_bytes(self, monkeypatch):
+        # the demo's batch (4 members, n = 16): a whole block of pair sums
+        # would take 256 x 8 KiB = 2 MiB; each chunk holds at most TILE_BYTES,
+        # and its broadcast add peaks above that by numpy's two ufunc buffers
+        model = table_model("csl", 16, True, 0)
+        rho = random_density_matrix(np.random.default_rng(0), 16)
+        run_ensemble(rho, model, 1e-4, 2, [0], monitor_positivity=False)  # builds the tables
+        grown, pair_sums = [], engine._pair_sums
+
+        def traced(half, *args, **kwargs):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = pair_sums(half, *args, **kwargs)
+            held, peak = tracemalloc.get_traced_memory()
+            grown.append((held - before, peak - before, out.nbytes))
+            return out
+
+        monkeypatch.setattr(engine, "_pair_sums", traced)
+        tracemalloc.start()
+        try:
+            run_ensemble(rho, model, 1e-4, 300, [0, 1, 2, 3], record_every=300,
+                         monitor_positivity=False)
+        finally:
+            tracemalloc.stop()
+        assert len(grown) == 16 + 3  # 256 steps in chunks of 16, then 44 steps
+        held, peak, nbytes = np.max(grown, axis=0)
+        assert nbytes == engine.TILE_BYTES
+        assert held <= engine.TILE_BYTES + 1024  # + the array's header
+        assert peak <= held + 2 * 8 * np.getbufsize() + 4096  # + the iterator's own
 
 
 BLAS_THREADS_SCRIPT = """
