@@ -354,7 +354,7 @@ def feedback_step(rho_free: np.ndarray, potential, dt: float) -> np.ndarray:
 
 def combined_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
                   fb: FeedbackSpec | None, noise, dt: float,
-                  step: int | None = None, field=None, signal=None, diagonal=None,
+                  step: int | None = None, field=None, signal=None,
                   tables=None) -> np.ndarray:
     """One step of the feedback-completed conditional master equation.
 
@@ -369,10 +369,9 @@ def combined_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
     preserved identically (every feedback term is a commutator).
 
     noise is flat, (..., n_obs).  With fb None this is sme_step.
-    field (spec.conditioning_field(noise)), signal (spec.means(rho) +
-    noise) and diagonal (the real diagonal of rho, which spec.means reads)
-    may be passed in when the caller already holds them; otherwise they
-    are computed here.  tables = (rate, sums), with rate =
+    field (spec.conditioning_field(noise)) and signal (spec.means(rho) +
+    noise) may be passed in when the caller already holds them; otherwise
+    they are computed here.  tables = (rate, sums), with rate =
     _monitored_rate(spec.pair_rate, dt) and sums = _pair_sums(field / 2),
     may be passed in for a state that _euler handles whole (run_ensemble
     forms them per run and per noise block); otherwise the terms form them
@@ -380,14 +379,12 @@ def combined_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
     """
     if field is None:
         field = spec.conditioning_field(noise)
-    if diagonal is None:
-        diagonal = _diag(rho).real
     v = None
     if fb is not None:
         if signal is None:
             signal = spec.means(rho) + noise
         v = fb.potential(signal)
-    cmean = np.einsum("...x,...x->...", field, diagonal)
+    cmean = np.einsum("...x,...x->...", field, _diag(rho).real)
     half = 0.5 * field if tables is None else None
     return _euler(H, rho, dt, step, _monitored_terms, (tables, spec.pair_rate, half, cmean, v))
 
@@ -426,15 +423,13 @@ def _monitored_terms(inc, rho, rows, dt: float, args) -> None:
 
 def me_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
             fb: FeedbackSpec | None, dt: float,
-            backaction=None, step: int | None = None, rate=None) -> np.ndarray:
+            backaction=None, step: int | None = None) -> np.ndarray:
     """Noise-averaged step: deterministic, linear, trace preserving and
     completely positive (double commutators with nonnegative kernels).  The
     increment is -1j * dt * [H, rho] - 1j * dt * (b(x) - b(y)) * rho
     - dt * rate * rho with rate = 0.125 * pair_rate + 0.5 * pair_rate_inverse
     and b the back-action diagonal; without feedback only the first term
-    and the first part of rate.  The dt-scaled table (_master_rate) may be
-    passed in as rate for a state that _euler handles whole; otherwise the
-    terms form it per step, or per block of rows."""
+    and the first part of rate."""
     inverse = None
     if fb is None:
         backaction = None
@@ -442,28 +437,20 @@ def me_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
         inverse = fb.pair_rate_inverse
         if backaction is None:
             backaction = fb.backaction_diagonal(spec)
-    return _euler(H, rho, dt, step, _master_terms, (rate, spec.pair_rate, inverse, backaction))
-
-
-def _master_rate(pair_rate, pair_rate_inverse, dt: float, rows=slice(None)) -> np.ndarray:
-    """dt * (0.125 * pair_rate + 0.5 * pair_rate_inverse) on the given rows,
-    and dt * (0.125 * pair_rate) with pair_rate_inverse None (no feedback):
-    the dt-scaled rate table of me_step."""
-    rate = 0.125 * pair_rate[rows]
-    if pair_rate_inverse is not None:
-        rate += 0.5 * pair_rate_inverse[rows]
-    return np.multiply(dt, rate, out=rate)
+    return _euler(H, rho, dt, step, _master_terms, (spec.pair_rate, inverse, backaction))
 
 
 def _master_terms(inc, rho, rows, dt: float, args) -> None:
-    """me_step's terms after the commutator; args = (rate, pair_rate,
-    pair_rate_inverse, backaction): rate is _master_rate of the whole
-    state, or None to form the rows' table here; pair_rate_inverse and
-    backaction are None without feedback."""
-    rate, pair_rate, pair_rate_inverse, backaction = args
-    term = None if backaction is None else _potential_terms(inc, rho, rows, dt, backaction)
-    if rate is None:
-        rate = _master_rate(pair_rate, pair_rate_inverse, dt, rows)
+    """me_step's terms after the commutator; args = (pair_rate,
+    pair_rate_inverse, backaction), and backaction None leaves out the
+    feedback's."""
+    pair_rate, pair_rate_inverse, backaction = args
+    rate = 0.125 * pair_rate[rows]
+    term = None
+    if backaction is not None:
+        term = _potential_terms(inc, rho, rows, dt, backaction)
+        rate += 0.5 * pair_rate_inverse[rows]
+    np.multiply(dt, rate, out=rate)
     inc -= np.multiply(rate, rho, out=term)
 
 
@@ -630,9 +617,9 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
     of at most BATCH_BYTES of states, noise and conditioning fields.
     Member k draws NOISE_BLOCK steps of noise per call from the Philox
     stream of seeds[k], and the block's conditioning fields are computed
-    right after the draw.  Where _euler handles a density matrix whole,
-    the step's dt-scaled rate table is formed once per run and a
-    conditional step's pair sums once per block (Model.advance's tables).
+    right after the draw.  Where _euler handles a density matrix whole, a
+    conditional step's dt-scaled rate table is formed once per run and its
+    pair sums once per block (Model.advance's tables).
     Block draws, block fields and these tables equal per-step ones bit for
     bit and each step acts on every member alone, so record k is fully
     determined by (model, initial, dt, steps, seeds[k]).
@@ -674,25 +661,21 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
     records = []
     block_bytes = 8 * NOISE_BLOCK * (n_obs + initial.shape[-1]) if draws else 0
     width = max(1, BATCH_BYTES // (initial.nbytes + block_bytes))
-    # A density step that _euler handles whole takes its dt-scaled rate
-    # table, formed here once in the first batch's shape, and a conditional
-    # step the pair sums of its half field, formed per noise block in
-    # chunks of steps that hold at most TILE_BYTES.
-    rates = None
+    # A conditional density step that _euler handles whole takes its
+    # dt-scaled rate table, formed here once, and the pair sums of its half
+    # field, formed per noise block in chunks of steps that hold at most
+    # TILE_BYTES.  The first batch is the widest.
+    rate = None
     first = np.broadcast_to(initial, (min(width, len(seeds)),) + initial.shape)
-    if model.monitoring is not None and not pure and _whole(first):
-        mon, fb = model.monitoring, model.feedback
-        table = (_master_rate(mon.pair_rate, None if fb is None else fb.pair_rate_inverse, dt)
-                 if unconditional else _monitored_rate(mon.pair_rate, dt))
-        rates = np.broadcast_to(table, first.shape).copy()
+    if draws and not pure and _whole(first):
+        rate = _monitored_rate(model.monitoring.pair_rate, dt)
     for start in range(0, len(seeds), width):
         batch = [new_record(seed) for seed in seeds[start:start + width]]
         rngs = [np.random.Generator(np.random.Philox(rec.seed)) for rec in batch]
         state = np.broadcast_to(initial, (len(batch),) + initial.shape).copy()
-        tables = rate = None if rates is None else rates[:len(batch)]
         chunk = max(1, TILE_BYTES // (8 * state.size))  # steps of pair sums at once
         j = 0
-        signal = noise = field = None
+        signal = noise = field = tables = None
         for i in range(steps + 1):
             if i > 0:
                 if draws:

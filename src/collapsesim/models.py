@@ -27,7 +27,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .engine import (DenseHamiltonian, FeedbackSpec, MonitoringSpec, _diag, combined_step,
+from .engine import (DenseHamiltonian, FeedbackSpec, MonitoringSpec, combined_step,
                      hamiltonian_step, me_step, sse_step)
 from .kernels import (CorrelationKernel, axis_profile_3d, coulomb_multiplier,
                       coulomb_potential, smear_multiplier, smeared_point_profile)
@@ -251,10 +251,10 @@ class Model:
         kind None takes the noise-averaged step, the linear master equation,
         whose signal is the observable means of the new density matrix.
         Baselines take None.  field: the step's
-        monitoring.conditioning_field(noise), if known.  tables: a density
-        step's state-independent tables, if known, as run_ensemble forms
-        them for a state that the Euler step handles whole: combined_step's
-        (rate, sums), or me_step's rate."""
+        monitoring.conditioning_field(noise), if known.  tables: a
+        conditional density step's state-independent tables, combined_step's
+        (rate, sums), if known, as run_ensemble forms them for a state that
+        the Euler step handles whole."""
         if pure is None:
             pure = state.ndim == 1
         if self.kind in MONITORED_KINDS:
@@ -263,7 +263,7 @@ class Model:
                 if pure:
                     raise ValueError("the unconditional evolution needs a density matrix")
                 new = me_step(state, self.density_hamiltonian, spec, self.feedback, dt,
-                              backaction=self.backaction, step=step, rate=tables)
+                              backaction=self.backaction, step=step)
                 return new, spec.means(new)
             if pure:
                 prob = (state.conj() * state).real
@@ -271,11 +271,9 @@ class Model:
                 new = sse_step(state, self.hamiltonian_operator, spec, self.feedback, noise, dt,
                                step=step, field=field)
                 return new, means + noise
-            diagonal = _diag(state).real  # read once, for the means and for <c>
-            signal = np.einsum("ox,...x->...o", spec.family, diagonal) + noise  # spec.means
+            signal = spec.means(state) + noise
             new = combined_step(state, self.density_hamiltonian, spec, self.feedback, noise, dt,
-                                step=step, field=field, signal=signal, diagonal=diagonal,
-                                tables=tables)
+                                step=step, field=field, signal=signal, tables=tables)
             return new, signal
         if self.kind == "sn":
             if not pure:

@@ -1120,9 +1120,10 @@ def expression_run(initial, model, dt, steps, seeds, unconditional, block):
 
 
 class TestStepTables:
-    """run_ensemble forms the dt-scaled rate table of a density step that
-    _euler handles whole once per run, and a conditional step's half field
-    and pair sums once per noise block, in chunks of at most TILE_BYTES."""
+    """run_ensemble forms the dt-scaled rate table of a conditional density
+    step that _euler handles whole once per run, and its half field and pair
+    sums once per noise block, in chunks of at most TILE_BYTES; the
+    noise-averaged step forms its table per step."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 16), members=st.integers(1, 5),
@@ -1150,29 +1151,26 @@ class TestStepTables:
             assert rec.snapshots[-1][1].tobytes() == rho[k].tobytes()
             assert rec.signals[-1].tobytes() == signal[k].tobytes()
 
-    @pytest.mark.parametrize("unconditional", [False, True])
-    def test_rate_table_formed_once_per_run(self, monkeypatch, unconditional):
+    def test_rate_table_formed_once_per_run(self, monkeypatch):
         # 600 steps in three noise blocks and three batches of one member:
         # one table for the run; a state in blocks of rows forms none whole
         model = table_model("dp", 6, True, 0)
         rho = random_density_matrix(np.random.default_rng(0), 6)
-        name = "_master_rate" if unconditional else "_monitored_rate"
-        rows, form = [], getattr(engine, name)
+        formed, form = [], engine._monitored_rate
 
-        def spy(*args):
-            rows.append(args[-1] if len(args) == 3 + unconditional else slice(None))
-            return form(*args)
+        def spy(pair_rate, dt, rows=slice(None)):
+            formed.append(rows)
+            return form(pair_rate, dt, rows)
 
-        monkeypatch.setattr(engine, name, spy)
+        monkeypatch.setattr(engine, "_monitored_rate", spy)
         monkeypatch.setattr(engine, "BATCH_BYTES", 1)
         run_ensemble(rho, model, 1e-3, 600, [1, 2, 3], record_every=600,
-                     monitor_positivity=False, unconditional=unconditional)
-        assert rows == [slice(None)]
-        rows.clear()
+                     monitor_positivity=False)
+        assert formed == [slice(None)]
+        formed.clear()
         monkeypatch.setattr(engine, "TILE_BYTES", 16 * 6 * 2)  # blocks of 2 rows
-        run_ensemble(rho, model, 1e-3, 3, [1], record_every=3, monitor_positivity=False,
-                     unconditional=unconditional)
-        assert rows == [slice(0, 2), slice(2, 4), slice(4, 6)] * 3
+        run_ensemble(rho, model, 1e-3, 3, [1], record_every=3, monitor_positivity=False)
+        assert formed == [slice(0, 2), slice(2, 4), slice(4, 6)] * 3
 
     def test_pair_sum_chunk_within_tile_bytes(self, monkeypatch):
         # the demo's batch (4 members, n = 16): a whole block of pair sums

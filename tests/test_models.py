@@ -541,27 +541,28 @@ class TestChunks:
             out += [model.monitoring.pair_rate, model.feedback.pair_rate_inverse]
         return [a.tobytes() for a in out]
 
-    # Random draws stay at or below 1,024 configurations: one draw of two
-    # particles on 4^3 (4,096) costs 3 s at one configuration per chunk, so
-    # that case is the explicit example, which every run checks.
+    # per_chunk counts configurations per chunk in units that keep a draw
+    # to at most 64 chunks: a chunk costs about 1.5 ms, so two particles on
+    # 4^3 (4,096 configurations) at one configuration per chunk take 3 s.
+    # That largest case is also the explicit example, which every run checks.
     @settings(max_examples=30, deadline=None)
-    @given(shape=st.tuples(st.lists(st.integers(2, 4), min_size=1, max_size=3),
-                           st.integers(1, 2)).filter(lambda s: np.prod(s[0]) ** s[1] <= 1024),
-           kind=st.sampled_from(["csl", "dp"]), sigma=st.floats(0.1, 2.0),
-           smeared=st.booleans(), per_chunk=st.integers(1, 5),
+    @given(dims=st.lists(st.integers(2, 4), min_size=1, max_size=3),
+           count=st.integers(1, 2), kind=st.sampled_from(["csl", "dp"]),
+           sigma=st.floats(0.1, 2.0), smeared=st.booleans(), per_chunk=st.integers(1, 5),
            idx=st.lists(st.integers(0, 4095), min_size=1, max_size=6))
-    @example(shape=([4, 4, 4], 2), kind="dp", sigma=1.0, smeared=True, per_chunk=5,
+    @example(dims=[4, 4, 4], count=2, kind="dp", sigma=1.0, smeared=True, per_chunk=5,
              idx=[0, 1365, 4095])
-    def test_tables_do_not_depend_on_chunk_size(self, shape, kind, sigma, smeared, per_chunk,
-                                                idx):
-        dims, count = shape
+    def test_tables_do_not_depend_on_chunk_size(self, dims, count, kind, sigma, smeared,
+                                                per_chunk, idx):
         grid = LatticeGrid(dims, 1.0)
         spec = ModelSpec(kind=kind, grid=grid, particles=ParticleSet([1.0, 2.5][:count]),
                          sigma=sigma, G=0.7, feedback_smearing=smeared)
-        configs = config_sites(grid, spec.particles)[np.remainder(idx, grid.n_sites**count)]
+        n_cfg = grid.n_sites**count
+        configs = config_sites(grid, spec.particles)[np.remainder(idx, n_cfg)]
         default = self.tables(spec, configs)
-        # per_chunk configurations or kernel columns per chunk
-        with mock.patch.object(lattice, "FFT_CHUNK_BYTES", 16 * grid.n_sites * per_chunk):
+        # per_chunk units of configurations or kernel columns per chunk
+        unit = -(-n_cfg // 64)
+        with mock.patch.object(lattice, "FFT_CHUNK_BYTES", 16 * grid.n_sites * per_chunk * unit):
             assert self.tables(spec, configs) == default
 
     @settings(max_examples=30, deadline=None)
