@@ -316,6 +316,8 @@ def main(argv=None) -> int:
         return cmd_presets(args.json)
     try:
         cfg = load_config(args.config)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError([f"--seed: must be a nonnegative integer; got {args.seed}"])
     except (ConfigError, OSError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

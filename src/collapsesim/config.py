@@ -188,7 +188,8 @@ def parse_config(data: dict) -> RunConfig:
     dt = num(isec.get("dt", 1e-3), "integration.dt", "a positive number", fallback=1e-3)
     steps = num(isec.get("steps", 100), "integration.steps", "a positive integer", kind=int)
     ensemble = num(isec.get("ensemble", 1), "integration.ensemble", "an integer >= 1", kind=int)
-    seed = num(isec.get("seed", 0), "integration.seed", "an integer", lambda x: True, int, 0)
+    seed = num(isec.get("seed", 0), "integration.seed", "a nonnegative integer",
+               lambda x: x >= 0, int, 0)
     representation = isec.get("representation")
     kind = None if spec is None else spec.kind
     if representation is None:

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import GuardError, LatticeGrid, ManyBodyHamiltonian, _field_values
+from .lattice import GuardError, LatticeGrid, ManyBodyHamiltonian
 
 STEP_GUARD_FRACTION = 0.1  # reject Euler steps with |increment|_1 above this fraction of |rho|_1
 NOISE_BLOCK = 256  # steps of noise drawn per seed in one call
@@ -347,8 +347,7 @@ def sme_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec, noise, dt: fl
 
 def feedback_step(rho_free: np.ndarray, potential, dt: float) -> np.ndarray:
     """Exact conjugation by exp(-i V dt) for a real diagonal potential V."""
-    v = _field_values(potential)
-    phase = np.exp(-1j * dt * v)
+    phase = np.exp(-1j * dt * np.asarray(potential))
     return phase[..., :, None] * rho_free * phase.conj()[..., None, :]
 
 
@@ -483,7 +482,7 @@ def hfb_identity_check(A, B, rho: np.ndarray, tol: float = 1e-12) -> bool:
     families satisfy it through the symmetry of the Newton kernel; use
     hfb_family_identity_check for that statement.
     """
-    a, b = np.diag(_field_values(A)), np.diag(_field_values(B))
+    a, b = np.diag(np.asarray(A)), np.diag(np.asarray(B))
     anti = a @ rho + rho @ a
     lhs = -0.5j * (b @ anti - anti @ b)
     ab = a @ b + b @ a
@@ -553,7 +552,6 @@ class TrajectoryRecord:
     trace: np.ndarray
     purity: np.ndarray
     positions: np.ndarray  # (n_rec, n_particles): <x_n> along grid axis 0
-    density_means: np.ndarray | None = None  # (n_rec, n_obs)
     signals: np.ndarray | None = None  # (n_rec, n_obs) signal of the step just taken
     offdiagonals: np.ndarray | None = None  # (n_rec, n_pairs) |rho_xy|
     min_eigenvalue: np.ndarray | None = None
@@ -579,15 +577,13 @@ def _record(batch, j, istep, state, signal, wmins, model, pure: bool, pairs,
         purity = np.einsum("...xy,...yx->...", state, state).real / (tr * tr)
     positions = (model.position_coordinates @ p[..., None])[..., 0] / tr[:, None]
     rec0 = batch[0]
-    if rec0.density_means is not None or (rec0.signals is not None and signal is None):
+    if rec0.signals is not None and signal is None:
         means = (model.monitoring.family @ p[..., None])[..., 0]
     if rec0.offdiagonals is not None:
         xs, ys = pairs.T
         coherences = state[:, xs] * state[:, ys].conj() if pure else state[:, xs, ys]
     for k, rec in enumerate(batch):
         rec.trace[j], rec.purity[j], rec.positions[j] = tr[k], purity[k], positions[k]
-        if rec.density_means is not None:
-            rec.density_means[j] = means[k]
         if rec.signals is not None:
             rec.signals[j] = means[k] if signal is None else signal[k]
         if rec.offdiagonals is not None:
@@ -601,8 +597,7 @@ def _record(batch, j, istep, state, signal, wmins, model, pure: bool, pairs,
 
 
 def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
-                 record_every: int = 1, record_density: bool = False,
-                 record_signal: bool = False, offdiagonal_pairs=(),
+                 record_every: int = 1, record_signal: bool = False, offdiagonal_pairs=(),
                  snapshot_every: int = 0, monitor_positivity: bool | None = None,
                  unconditional: bool = False) -> list[TrajectoryRecord]:
     """Integrate one seeded trajectory per seed of a built model (records
@@ -653,7 +648,6 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
         return TrajectoryRecord(
             seed=seed, times=times, trace=np.empty(n_rec), purity=np.empty(n_rec),
             positions=np.empty((n_rec, model.particles.count)),
-            density_means=np.empty((n_rec, n_obs)) if (record_density and n_obs) else None,
             signals=np.empty((n_rec, n_obs)) if (record_signal and n_obs) else None,
             offdiagonals=np.empty((n_rec, len(pairs))) if len(pairs) else None,
             min_eigenvalue=np.empty(n_rec) if monitor_positivity else None)

@@ -5,9 +5,10 @@ with M sites is the set of M^N joint position tuples.  Every operator that
 is diagonal in the position basis (mass densities, Newton potentials,
 feedback potentials) is stored as a real array over that configuration
 space, never as a dense matrix.  Density matrices are dense complex arrays
-over the same basis.  The many-body Hamiltonian, a sum of one-particle
-matrices plus a diagonal potential, is applied to state vectors particle by
-particle (ManyBodyHamiltonian), with the bytes of the dense product; its
+over the same basis.  The many-body Hamiltonian is the kinetic sum of
+one-particle matrices alone, with no diagonal potential; it is applied to
+state vectors particle by particle (ManyBodyHamiltonian), with the bytes of
+the dense product; its
 dense matrix is built only when density matrices, or state vectors of one
 kinetic particle, whose every row is dense, need it.
 
@@ -134,9 +135,8 @@ class ParticleSet:
 
     masses: tuple[float, ...]
     kinetic: tuple[bool, ...] = None  # free Laplacian on/off per particle
-    external: tuple = None  # optional per-site potential per particle
 
-    def __init__(self, masses, kinetic=None, external=None):
+    def __init__(self, masses, kinetic=None):
         masses = tuple(float(m) for m in np.atleast_1d(masses))
         if any(m <= 0 for m in masses):
             raise ValueError("all masses must be positive")
@@ -147,13 +147,8 @@ class ParticleSet:
             kinetic = tuple(bool(k) for k in np.atleast_1d(kinetic))
         if len(kinetic) != n:
             raise ValueError("kinetic flags must match particle count")
-        if external is not None:
-            external = tuple(None if v is None else np.asarray(v, float) for v in external)
-            if len(external) != n:
-                raise ValueError("external potentials must match particle count")
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "kinetic", kinetic)
-        object.__setattr__(self, "external", external)
 
     @property
     def count(self) -> int:
@@ -188,10 +183,6 @@ class DiagonalField:
 
     def spread(self) -> float:
         return float(self.values.max() - self.values.min())
-
-
-def _field_values(f) -> np.ndarray:
-    return f.values if isinstance(f, DiagonalField) else np.asarray(f)
 
 
 def displacement_index(grid: LatticeGrid, a, b) -> np.ndarray:
@@ -236,8 +227,8 @@ def kinetic_hamiltonian(grid: LatticeGrid, particles: ParticleSet) -> np.ndarray
 
 
 class ManyBodyHamiltonian:
-    """The many-body Hamiltonian, kinetic_hamiltonian(grid, particles) plus
-    a diagonal potential over the configurations, applied to state vectors:
+    """The many-body Hamiltonian kinetic_hamiltonian(grid, particles), the
+    kinetic sum alone with no diagonal potential, applied to state vectors:
     by einsum over the dense H where every row of it is dense (one particle,
     kinetic: rows_dense), else particle by particle without it.
 
@@ -245,9 +236,8 @@ class ManyBodyHamiltonian:
     matrix; it is called on first use.
     """
 
-    def __init__(self, grid: LatticeGrid, particles: ParticleSet, potential: np.ndarray,
-                 dense):
-        self.grid, self.particles, self.potential = grid, particles, potential
+    def __init__(self, grid: LatticeGrid, particles: ParticleSet, dense):
+        self.grid, self.particles = grid, particles
         self.kinetic = [p for p, k in enumerate(particles.kinetic) if k]
         self.rows_dense = particles.count == 1 and self.kinetic == [0]
         self._dense = dense
@@ -266,10 +256,9 @@ class ManyBodyHamiltonian:
             masses = self.particles.masses
             matrices = [(p, 0.0 + _single_particle_kinetic(self.grid, masses[p]))
                         for p in self.kinetic]
-            diag = np.zeros(self.potential.shape)
+            diag = np.zeros(self.grid.n_sites ** self.particles.count)
             for p, h in matrices:
                 self._view(diag, p)[...] += np.diagonal(h)[:, None]
-            diag += self.potential
             if matrices:
                 diag = self._front(diag).reshape(diag.shape)
             self._cast[dtype] = [(p, h.astype(dtype)) for p, h in matrices], diag
@@ -336,18 +325,6 @@ class ManyBodyHamiltonian:
         for p, h in reversed(matrices[:-1]):
             self._sweep(out, psi, p, h, lower=False)
         return out
-
-
-def external_potential_diagonal(grid: LatticeGrid, particles: ParticleSet) -> np.ndarray:
-    """Diagonal of sum_n V_ext,n(x_n) over configurations (zeros if none set)."""
-    sites = config_sites(grid, particles)
-    diag = np.zeros(sites.shape[0])
-    if particles.external is None:
-        return diag
-    for n, v in enumerate(particles.external):
-        if v is not None:
-            diag += v.reshape(-1)[sites[:, n]]
-    return diag
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,7 @@ from .engine import (DenseHamiltonian, FeedbackSpec, MonitoringSpec, combined_st
 from .kernels import (CorrelationKernel, axis_profile_3d, coulomb_multiplier,
                       coulomb_potential, smear_multiplier, smeared_point_profile)
 from .lattice import (DiagonalField, LatticeGrid, LatticeUnits, ManyBodyHamiltonian,
-                      ParticleSet, config_sites, displacement_index,
-                      external_potential_diagonal, kinetic_hamiltonian)
+                      ParticleSet, config_sites, displacement_index, kinetic_hamiltonian)
 
 MONITORED_KINDS = ("csl", "dp")
 MODEL_KINDS = MONITORED_KINDS + ("sn", "pair")
@@ -60,8 +59,9 @@ class ModelSpec:
                 raise ValueError(
                     "monitored models need sigma > 0: the smeared density keeps "
                     "the feedback potential finite")
-            if self.gamma <= 0 or self.kappa <= 0:
-                raise ValueError("kernel strengths must be positive")
+            if self.gamma <= 0 or self.kappa <= 0 or (self.kind == "dp" and self.G <= 0):
+                raise ValueError("kernel strengths must be positive: gamma, kappa, and G "
+                                 "on dp, whose strength is kappa G")
         if self.G < 0:
             raise ValueError("G must be >= 0")
         if self.kind == "pair" and self.particles.count < 2:
@@ -194,15 +194,6 @@ def pair_potential_diagonal(grid: LatticeGrid, particles: ParticleSet, G: float,
     return vals
 
 
-def dense_hamiltonian(grid: LatticeGrid, particles: ParticleSet, ext: np.ndarray) -> np.ndarray:
-    """The many-body H as a dense matrix: kinetic part plus the external
-    potential diagonal ext."""
-    H = kinetic_hamiltonian(grid, particles)
-    if np.any(ext):
-        H.reshape(-1)[:: len(ext) + 1] += ext  # same bits as H + diag(ext): H holds no -0.0
-    return H
-
-
 @dataclass
 class Model:
     """A fully wired model, shareable across workers.  Its fields are fixed
@@ -287,8 +278,7 @@ class Model:
 def build_model(spec: ModelSpec) -> Model:
     """Wire monitored observables, kernel, feedback and baselines per spec."""
     grid, particles = spec.grid, spec.particles
-    ext = external_potential_diagonal(grid, particles)
-    H = ManyBodyHamiltonian(grid, particles, ext, partial(dense_hamiltonian, grid, particles, ext))
+    H = ManyBodyHamiltonian(grid, particles, partial(kinetic_hamiltonian, grid, particles))
 
     sites = config_sites(grid, particles)
     coords0 = grid.axis_coordinates[0]

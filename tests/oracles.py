@@ -233,8 +233,6 @@ def member_record(rec, j, istep, state, last_signal, wmin, model, pure, pairs,
     rec.trace[j] = tr
     rec.purity[j] = 1.0 if pure else np.einsum("xy,yx->", state, state).real / (tr * tr)
     rec.positions[j] = model.position_coordinates @ p / tr
-    if rec.density_means is not None:
-        rec.density_means[j] = model.monitoring.family @ p
     if rec.signals is not None:
         rec.signals[j] = last_signal if last_signal is not None else model.monitoring.family @ p
     if rec.offdiagonals is not None:

@@ -155,6 +155,15 @@ class TestRun:
         cfg = write_config(tmp_path / "bad.yaml", {"grid": {"dims": [8]}})
         assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", [["run"], ["analyze", "linearity"]])
+    def test_negative_seed_option_exit_2(self, tmp_path, capsys, command):
+        # Philox takes no negative seed: the override is checked like the config's
+        out = tmp_path / "out"
+        assert main(command + ["--config", str(DEMO_CONFIG), "--seed", "-2",
+                               "--out", str(out)]) == 2
+        assert "--seed: must be a nonnegative integer; got -2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("loader", YAML_LOADERS)
     def test_malformed_yaml_exit_2(self, tmp_path, monkeypatch, capsys, loader):
         monkeypatch.setattr(config, "SAFE_LOADER", loader)
@@ -219,6 +228,8 @@ class TestRun:
         ({("model", "kind"): "generic", ("model", "kernel_kind"): "sn"}, "model.kernel_kind",
          "'sn'"),
         ({("output", "snapshot_every"): 1}, "output.snapshot_every", "got 1"),
+        ({("model", "kind"): "dp", ("model", "G"): 0.0}, "model:", "kappa G"),
+        ({("integration", "seed"): -3}, "integration.seed", "-3"),
     ], ids=["steps-true", "seed-false", "record-every-true", "mass-true", "G-true",
             "signal-site-true", "dt-nan", "sigma-inf", "dims-fraction", "center-length-3",
             "width-text", "cat-center-text", "kinetic-text", "smearing-text",
@@ -227,7 +238,7 @@ class TestRun:
             "unknown-initial-key", "unknown-model-key", "unknown-integration-key",
             "unknown-output-key", "unknown-analyze-block", "unknown-analyze-block-key",
             "kernel-kind-not-generic", "generic-without-kernel-kind", "generic-kernel-kind-sn",
-            "snapshots-on-run"])
+            "snapshots-on-run", "dp-G-zero", "seed-negative"])
     def test_bad_number_or_initial_block_exit_2(self, tmp_path, capsys, edits, key, shown):
         # each value passes a bare isinstance or float() test, fails only inside
         # numpy, or sits under a key or a model kind that nothing reads

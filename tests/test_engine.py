@@ -802,9 +802,9 @@ class TestRunTrajectory:
         psi[3] = psi[5] = 2**-0.5
         rho = np.outer(psi, psi.conj())
         a = run_trajectory(rho, model, 1e-4, 100, seed=11, record_signal=True,
-                           record_density=True, offdiagonal_pairs=[(3, 5)])
+                           offdiagonal_pairs=[(3, 5)])
         b = run_trajectory(rho, model, 1e-4, 100, seed=11, record_signal=True,
-                           record_density=True, offdiagonal_pairs=[(3, 5)])
+                           offdiagonal_pairs=[(3, 5)])
         c = run_trajectory(rho, model, 1e-4, 100, seed=12)
         np.testing.assert_array_equal(a.purity, b.purity)
         np.testing.assert_array_equal(a.signals, b.signals)
@@ -844,8 +844,8 @@ class TestRunTrajectory:
         assert 1.0 - rec.purity[-1] < 10.0 * dt
 
 
-RECORD_FIELDS = ("times", "trace", "purity", "positions", "density_means", "signals",
-                 "offdiagonals", "min_eigenvalue")
+RECORD_FIELDS = ("times", "trace", "purity", "positions", "signals", "offdiagonals",
+                 "min_eigenvalue")
 
 
 def assert_records_bitwise_equal(a, b):
@@ -864,8 +864,8 @@ def assert_records_bitwise_equal(a, b):
 class TestRunEnsemble:
     # 300 steps: one full noise block and a partial one
     steps, dt = 300, 1e-4
-    options = dict(record_every=7, record_signal=True, record_density=True,
-                   offdiagonal_pairs=[(3, 5)], snapshot_every=100)
+    options = dict(record_every=7, record_signal=True, offdiagonal_pairs=[(3, 5)],
+                   snapshot_every=100)
 
     @staticmethod
     def cat_model():
@@ -893,9 +893,9 @@ class TestRunEnsemble:
 
     @settings(max_examples=60, deadline=None)
     @given(pure=st.booleans(), members=st.integers(1, 5), sites=st.integers(2, 20),
-           two=st.booleans(), density=st.booleans(), with_signal=st.booleans(),
+           two=st.booleans(), with_signal=st.booleans(),
            n_pairs=st.integers(0, 3), snapshot=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_batched_record_equals_member_record(self, pure, members, sites, two, density,
+    def test_batched_record_equals_member_record(self, pure, members, sites, two,
                                                  with_signal, n_pairs, snapshot, seed):
         # engine._record writes one record step of a whole batch; each member
         # must get the bytes of the member-by-member rule (oracles.member_record)
@@ -916,7 +916,6 @@ class TestRunEnsemble:
             return [engine.TrajectoryRecord(
                 seed=k, times=np.zeros(3), trace=np.zeros(3), purity=np.zeros(3),
                 positions=np.zeros((3, model.particles.count)),
-                density_means=np.zeros((3, n_obs)) if density else None,
                 signals=np.zeros((3, n_obs)), offdiagonals=np.zeros((3, n_pairs)) if n_pairs else None,
                 min_eigenvalue=None if pure else np.zeros(3)) for k in range(members)]
 
@@ -1220,10 +1219,9 @@ def digest(particles, dims, initial):
     else:
         state = np.kron(*states)
     (rec,) = run_ensemble(state, model, 1e-3, 5, [7], record_signal=True,
-                          record_density=True, snapshot_every=5, monitor_positivity=False)
+                          snapshot_every=5, monitor_positivity=False)
     h = hashlib.sha256()
-    for arr in (rec.trace, rec.purity, rec.positions, rec.density_means, rec.signals,
-                rec.snapshots[-1][1]):
+    for arr in (rec.trace, rec.purity, rec.positions, rec.signals, rec.snapshots[-1][1]):
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
@@ -1284,8 +1282,7 @@ class TestPureRecord:
         model.advance = spy
         steps = 5
         recs = run_ensemble(psi, model, 1e-3, steps, seeds, record_every=record_every,
-                            record_density=True, record_signal=True,
-                            offdiagonal_pairs=pairs)
+                            record_signal=True, offdiagonal_pairs=pairs)
         rec_steps = sorted(set(range(0, steps + 1, record_every)) | {steps})
         family = model.monitoring.family
         for k, rec in enumerate(recs):
@@ -1299,7 +1296,6 @@ class TestPureRecord:
                 assert rec.trace[j].tobytes() == tr.tobytes()
                 positions = model.position_coordinates @ p / tr
                 assert rec.positions[j].tobytes() == positions.tobytes()
-                assert rec.density_means[j].tobytes() == (family @ p).tobytes()
                 signal = family @ p if i == 0 else stepped[i - 1][1][k]
                 assert rec.signals[j].tobytes() == signal.tobytes()
                 expect = np.array([abs(rho[a, b]) for a, b in pairs])
@@ -1320,7 +1316,7 @@ class TestPureRecord:
         model.monitoring.self_quadratic  # a (n_obs, n) table built on first use, outside the count
         tracemalloc.start()
         try:
-            run_trajectory(psi, model, 1e-3, 4, 0, record_density=True, record_signal=True,
+            run_trajectory(psi, model, 1e-3, 4, 0, record_signal=True,
                            offdiagonal_pairs=[(0, 1)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:

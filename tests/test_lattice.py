@@ -140,14 +140,7 @@ class TestHamiltonianApply:
         kinetic = data.draw(st.lists(st.booleans(), min_size=n_particles,
                                      max_size=n_particles))
         rng = np.random.default_rng(seed)
-        external = []
-        for with_potential in data.draw(st.lists(st.booleans(), min_size=n_particles,
-                                                 max_size=n_particles)):
-            v = rng.standard_normal(n_sites) if with_potential else None
-            if v is not None:
-                v[rng.random(n_sites) < 0.3] = -0.0
-            external.append(v)
-        parts = ParticleSet(masses, kinetic=kinetic, external=external)
+        parts = ParticleSet(masses, kinetic=kinetic)
         model = build_model(ModelSpec(kind="sn", grid=LatticeGrid(dims), particles=parts))
         n = n_sites**n_particles
         psi = rng.standard_normal(batch + (n,)) + 1j * rng.standard_normal(batch + (n,))
@@ -166,8 +159,7 @@ class TestHamiltonianApply:
         # with no kinetic particle only the diagonal is left
         rng = np.random.default_rng(15)
         grid = LatticeGrid((4, 4))
-        external = [rng.standard_normal(16), None, rng.standard_normal(16)]
-        parts = ParticleSet([0.7, 1.3, 2.1], kinetic=kinetic, external=external)
+        parts = ParticleSet([0.7, 1.3, 2.1], kinetic=kinetic)
         model = build_model(ModelSpec(kind="sn", grid=grid, particles=parts))
         psi = rng.standard_normal(batch + (4096,)) + 1j * rng.standard_normal(batch + (4096,))
         op = model.hamiltonian_operator

@@ -13,8 +13,7 @@ from collapsesim import (LatticeGrid, MatrixKernel, ParticleSet, build_backactio
 from collapsesim import engine, lattice
 from collapsesim.config import ConfigError, parse_config
 from collapsesim.engine import FeedbackSpec, MonitoringSpec
-from collapsesim.lattice import (config_sites, external_potential_diagonal,
-                                kinetic_hamiltonian)
+from collapsesim.lattice import config_sites, kinetic_hamiltonian
 from collapsesim.models import (MODEL_KINDS, MONITORED_KINDS, ModelSpec, config_families,
                                 density_family, mean_density, newton_family,
                                 pair_potential_diagonal, preset_lattice_values, PRESETS)
@@ -50,6 +49,25 @@ class TestBackactionHamiltonian:
             ModelSpec(kind="dp", grid=grid, particles=parts, sigma=1.0,
                       kappa=k, G=1.0)).values for k in (0.5, 2.0)]
         np.testing.assert_array_equal(kappas[0], kappas[1])
+
+    @pytest.mark.parametrize("kind", ["csl", "dp"])
+    def test_three_masses_interact_pairwise(self, kind):
+        # V of three particles is the sum of the three two-particle V's minus
+        # one set of one-particle self constants: no three-body term and no
+        # self term that depends on the configuration
+        grid, masses = LatticeGrid((4, 4), 1.0), (0.7, 1.3, 2.1)
+
+        def backaction(*ms):
+            spec = ModelSpec(kind=kind, grid=grid, particles=ParticleSet(ms), sigma=1.0, G=1.0)
+            return build_backaction_hamiltonian(spec).values
+
+        sites = config_sites(grid, ParticleSet(masses))
+        want = -sum(backaction(m)[0] for m in masses)
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            want = want + backaction(masses[a], masses[b])[sites[:, a] * grid.n_sites
+                                                           + sites[:, b]]
+        got = backaction(*masses)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_two_particle_newton_tail(self):
         # d = 8 sigma on a 32^3 box; Ewald-corrected against -G m1 m2 / d
@@ -411,44 +429,6 @@ class TestBaselineStepBytes:
         assert x.tobytes() == before
 
 
-class TestExternalPotential:
-    def test_external_field_enters_hamiltonian_diagonal(self):
-        grid = LatticeGrid((6,), 1.0)
-        vext = np.linspace(0.0, 1.0, 6)
-        parts = ParticleSet([1.0], kinetic=[False], external=[vext])
-        model = build_model(ModelSpec(kind="sn", grid=grid, particles=parts, G=0.0))
-        np.testing.assert_allclose(np.diag(model.hamiltonian), vext, atol=1e-14)
-        np.testing.assert_allclose(model.hamiltonian - np.diag(vext), 0.0,
-                                   atol=1e-14)
-
-    def test_two_particle_external_sums_per_slot(self):
-        grid = LatticeGrid((3,), 1.0)
-        v1 = np.array([0.0, 1.0, 2.0])
-        v2 = np.array([10.0, 20.0, 30.0])
-        parts = ParticleSet([1.0, 1.0], kinetic=[False, False], external=[v1, v2])
-        model = build_model(ModelSpec(kind="pair", grid=grid, particles=parts,
-                                      G=0.0))
-        diag = np.diag(model.hamiltonian)
-        from collapsesim.lattice import config_sites
-        sites = config_sites(grid, parts)
-        expect = v1[sites[:, 0]] + v2[sites[:, 1]]
-        np.testing.assert_allclose(diag, expect, atol=1e-14)
-
-    def test_in_place_diagonal_bitwise(self):
-        # kinetic particles with an external potential each: H is the kinetic
-        # matrix plus diag(ext) bit for bit, zero signs included
-        grid = LatticeGrid((4, 3), (1.0, 0.7))
-        rng = np.random.default_rng(3)
-        v1, v2 = rng.standard_normal(12), rng.standard_normal(12)
-        v1[0] = -0.0
-        parts = ParticleSet([1.0, 2.5], external=[v1, v2])
-        model = build_model(ModelSpec(kind="csl", grid=grid, particles=parts,
-                                      sigma=1.0, G=0.1))
-        ext = external_potential_diagonal(grid, parts)
-        expect = kinetic_hamiltonian(grid, parts) + np.diag(ext)
-        assert model.hamiltonian.tobytes() == expect.tobytes()
-
-
 class TestTwoParticlePureDigests:
     # frozen SHA-256 of the records and final states of two-particle
     # state-vector runs, which step through the per-particle apply of H
@@ -456,8 +436,7 @@ class TestTwoParticlePureDigests:
     def digest(records):
         h = hashlib.sha256()
         for rec in records:
-            for name in ("times", "trace", "purity", "positions", "density_means",
-                         "signals", "offdiagonals"):
+            for name in ("times", "trace", "purity", "positions", "signals", "offdiagonals"):
                 value = getattr(rec, name)
                 if value is not None:
                     h.update(np.ascontiguousarray(value).tobytes())
@@ -470,11 +449,10 @@ class TestTwoParticlePureDigests:
         model = build_model(ModelSpec(kind="dp", grid=self.grid, particles=ParticleSet([1.0, 2.5]),
                                       sigma=1.0, kappa=2.0, G=0.05))
         psi = random_state(np.random.default_rng(1), 1296)
-        recs = run_ensemble(psi, model, 1e-3, 5, [3, 4], record_density=True,
-                            record_signal=True, offdiagonal_pairs=[(0, 1), (5, 700)],
-                            snapshot_every=5)
+        recs = run_ensemble(psi, model, 1e-3, 5, [3, 4], record_signal=True,
+                            offdiagonal_pairs=[(0, 1), (5, 700)], snapshot_every=5)
         assert self.digest(recs) == (
-            "794eaf3accc5ecfb76fff4a8a74673a2440f37d0118a87bc4df1c6b994a878dc")
+            "cf96ebcbfe9277d5d67b6536fceff46d6bc2a9b118b89222bc8ae3343bbb5aef")
 
     def test_mean_field(self):
         model = build_model(ModelSpec(kind="sn", grid=self.grid,
@@ -484,14 +462,13 @@ class TestTwoParticlePureDigests:
         assert self.digest(recs) == (
             "6194e0477648540cec292af6de4e5fda1d2aabe78791ac570f69a85ef4554d35")
 
-    def test_pair_with_external_potentials(self):
-        ext = np.random.default_rng(5).standard_normal((2, 36))
+    def test_pair(self):
         model = build_model(ModelSpec(kind="pair", grid=self.grid, G=0.5,
-                                      particles=ParticleSet([1.0, 2.0], external=list(ext))))
+                                      particles=ParticleSet([1.0, 2.0])))
         psi = random_state(np.random.default_rng(3), 1296)
         recs = run_ensemble(psi, model, 1e-3, 5, [0], snapshot_every=5)
         assert self.digest(recs) == (
-            "047696a52179f8dc2dc06f8e87e35a6e07f4902b2a05db5f11dc7abfc5f99109")
+            "558a6887ce7bff82c7f6fdbe003c715b21da4a9861ac45a04f8f664d4cc9a4d3")
 
 
 class TestConfigFields:

@@ -1,0 +1,62 @@
+"""Every top-level function and class of the package has a caller outside
+the tests: code in src/, demos/ or bench/ refers to it, or the acceptance
+gate imports it.  A definition that only unit tests reach is dead code."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PUBLIC_API = {"fit_offdiagonal_decay"}  # exported from collapsesim; only tests call it
+
+
+def definitions(tree):
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def references(tree, path, own):
+    """Names, attributes and imported names in tree (imports in __init__.py
+    excluded), and the attribute names that bench/spans.py wraps; a
+    definition's references to itself in its own body are left out.  own
+    is whether tree is a module of the package."""
+    found = set()
+    for top in tree.body:
+        skip = getattr(top, "name", None) if own else None  # a def or class statement
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                found.update(alias.name for alias in node.names)
+                continue
+            elif (path.name == "spans.py" and isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute) and node.func.attr == "wrap"):
+                found.update(arg.value for arg in node.args if isinstance(arg, ast.Constant))
+                continue
+            else:
+                continue
+            if name != skip:
+                found.add(name)
+    return found
+
+
+def unreferenced(root: Path) -> list[str]:
+    """module.name of each top-level definition in root/src/collapsesim
+    that nothing in root's src, demos or bench code (bench tests excluded)
+    refers to and that root/tests/test_acceptance.py does not import."""
+    package = sorted((root / "src" / "collapsesim").glob("*.py"))
+    callers = sorted((root / "demos").glob("*.py")) + sorted((root / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in package + callers}
+    used = set(PUBLIC_API)
+    for path, tree in trees.items():
+        used |= references(tree, path, own=path in package)
+    gate = ast.parse((root / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    used |= {alias.name for node in ast.walk(gate) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    return [f"{path.stem}.{node.name}" for path in package
+            for node in definitions(trees[path]) if node.name not in used]
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    assert unreferenced(ROOT) == []
