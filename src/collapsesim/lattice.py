@@ -6,11 +6,10 @@ is diagonal in the position basis (mass densities, Newton potentials,
 feedback potentials) is stored as a real array over that configuration
 space, never as a dense matrix.  Density matrices are dense complex arrays
 over the same basis.  The many-body Hamiltonian is the kinetic sum of
-one-particle matrices alone, with no diagonal potential; it is applied to
+one-particle matrices alone, with no diagonal potential.  It is applied to
 state vectors particle by particle (ManyBodyHamiltonian), with the bytes of
-the dense product; its
-dense matrix is built only when density matrices, or state vectors of one
-kinetic particle, whose every row is dense, need it.
+the dense product; its dense matrix is built only when density matrices, or
+state vectors of one kinetic particle, whose every row is dense, need it.
 
 Lattice dictionary used consistently by all modules:
 
