@@ -45,7 +45,7 @@ v_pair = build_backaction_hamiltonian(spec, configs=configs).values
 v_self = 2.0 * build_backaction_hamiltonian(
     ModelSpec(kind="csl", grid=grid, particles=ParticleSet([1.0]),
               sigma=sigma, G=G), configs=[[0]]).values[0]
-sigma_eff = sigma * math.sqrt(2.0) if spec.resolved_feedback_smearing else sigma
+sigma_eff = sigma * math.sqrt(2.0) if spec.feedback_smearing else sigma
 print(f"{'d':>4} {'V_inter':>12} {'V_corrected':>12} {'-G/d':>12} {'rel err':>9} "
       f"{'erf law':>12} {'rel err':>9}")
 for d, v in zip(ds, v_pair):

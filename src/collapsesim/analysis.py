@@ -79,7 +79,7 @@ def united_dp_rate(spec: ModelSpec, x_config, y_config) -> float:
     spectral Poisson solver (Parseval)."""
     if spec.kind != "dp":
         raise ValueError("the united form applies to the Coulomb-correlated kernel")
-    if not spec.resolved_feedback_smearing:
+    if not spec.feedback_smearing:
         raise ValueError("the united form needs the smeared potential")
     grid = spec.grid
     _, phi = config_families(spec, [x_config, y_config])
@@ -161,7 +161,7 @@ def _ensemble_average(model: Model, members, t: float, dt: float,
     dim = len(members[0][1])
     avg = np.zeros((dim, dim), complex)
     for k, (weight, psi) in enumerate(members):
-        if model.kind == "sn":
+        if model.spec.kind == "sn":
             state = run_ensemble(psi, model, dt, steps, [0], record_every=steps,
                                  snapshot_every=steps)[0].snapshots[-1][1]
             avg += weight * np.outer(state, state.conj())
@@ -186,7 +186,7 @@ def linearity_witness(model: Model, ensemble_a, ensemble_b, t: float, dt: float,
         raise ValueError("ensembles must prepare identical density matrices")
     a = _ensemble_average(model, ensemble_a, t, dt, n_samples, seed0)
     b = _ensemble_average(model, ensemble_b, t, dt, n_samples, seed0 + 10_000_000)
-    if model.kind == "sn":
+    if model.spec.kind == "sn":
         tol, total = 1e-9, len(ensemble_a) + len(ensemble_b)
     else:
         total = n_samples * len(ensemble_a)
@@ -217,8 +217,7 @@ def pair_potential_curve(spec: ModelSpec, separations, axis: int = 0,
     m1, m2 = particles.masses
     self_energy = 0.0
     for m in (m1, m2):
-        one = replace(spec, kind="sn", particles=ParticleSet([m]),  # 'pair' needs 2 particles
-                      feedback_smearing=spec.resolved_feedback_smearing)
+        one = replace(spec, kind="sn", particles=ParticleSet([m]))  # 'pair' needs 2 particles
         self_energy += build_backaction_hamiltonian(one, configs=[[0]]).values[0]
     box = grid.dims[axis] * grid.spacing[axis]
     cubic3d = grid.ndim == 3 and len(set(grid.dims)) == 1 and len(set(grid.spacing)) == 1

@@ -204,9 +204,9 @@ def _analyze_kappa_scan(cfg: RunConfig, out_dir: Path) -> int:
     _require_rate_model(cfg, "kappa-scan")
     block = cfg.analyze.get("kappa_scan", {})
     kappas = block.get("kappas", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
-    if not isinstance(kappas, list) or not all(
+    if not isinstance(kappas, list) or not kappas or not all(
             _number(k, float, "kappa-scan", "kappas") > 0 for k in kappas):
-        raise ConfigError([f"analyze kappa-scan: kappas must be a list of positive "
+        raise ConfigError([f"analyze kappa-scan: kappas must be a non-empty list of positive "
                            f"numbers; got {kappas!r}"])
     axis = _axis(cfg, block, "kappa-scan")
     (sep,) = _separations(cfg, [block.get("separation", 3)], axis, "kappa-scan", "separation")

@@ -19,7 +19,7 @@ that kind; `kernel_kind` set on any other kind is an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -48,12 +48,12 @@ class RunConfig:
     ensemble: int
     seed: int
     representation: str  # 'density' or 'pure'
-    record_every: int = 1
-    offdiagonal_pairs: list = field(default_factory=list)
-    signal_sites: list = field(default_factory=list)
-    snapshot_every: int = 0
-    analyze: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+    record_every: int
+    offdiagonal_pairs: list
+    signal_sites: list
+    snapshot_every: int
+    analyze: dict
+    raw: dict
 
 
 def number(value, kind=float):
@@ -173,9 +173,8 @@ def parse_config(data: dict) -> RunConfig:
     elif kind not in MODEL_KINDS:
         errors.append(f"model.kind: must be one of {MODEL_KINDS}")
     if kind in MODEL_KINDS and grid is not None and particles is not None:
-        values = {key: num(msec.get(key, d), f"model.{key}", "a nonnegative number",
-                           lambda x: x >= 0, fallback=d)
-                  for key, d in (("sigma", 1.0), ("gamma", 1.0), ("kappa", 2.0), ("G", 1.0))}
+        values = {key: num(msec[key], f"model.{key}", "a nonnegative number", lambda x: x >= 0)
+                  for key in ("sigma", "gamma", "kappa", "G") if key in msec}
         try:
             spec = ModelSpec(kind=kind, grid=grid, particles=particles, **values,
                              feedback_smearing=flag(msec.get("feedback_smearing"),

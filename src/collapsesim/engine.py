@@ -647,7 +647,7 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
     def new_record(seed):
         return TrajectoryRecord(
             seed=seed, times=times, trace=np.empty(n_rec), purity=np.empty(n_rec),
-            positions=np.empty((n_rec, model.particles.count)),
+            positions=np.empty((n_rec, model.spec.particles.count)),
             signals=np.empty((n_rec, n_obs)) if (record_signal and n_obs) else None,
             offdiagonals=np.empty((n_rec, len(pairs))) if len(pairs) else None,
             min_eigenvalue=np.empty(n_rec) if monitor_positivity else None)

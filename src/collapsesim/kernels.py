@@ -78,9 +78,9 @@ class CorrelationKernel:
         if self.kind not in ("csl", "dp"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "csl" and self.gamma <= 0:
-            raise ValueError("csl strength gamma must be positive")
+            raise ValueError("csl strength gamma needs gamma > 0")
         if self.kind == "dp" and (self.kappa <= 0 or self.G <= 0):
-            raise ValueError("dp parameters kappa, G must be positive")
+            raise ValueError("dp strength kappa G needs kappa > 0 and G > 0")
 
     @cached_property
     def multiplier(self) -> np.ndarray:

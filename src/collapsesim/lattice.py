@@ -248,9 +248,8 @@ class ManyBodyHamiltonian:
 
     def _terms(self, dtype):
         """(p, 0.0 + h_p) per kinetic particle, cast to dtype, and the diagonal
-        of H, summed in kinetic_hamiltonian's order and, if there is a
-        kinetic particle, in the _front layout; built on the first
-        per-particle apply of each dtype."""
+        of H, summed in kinetic_hamiltonian's order, in the _front layout;
+        built on the first per-particle apply of each dtype."""
         if dtype not in self._cast:
             masses = self.particles.masses
             matrices = [(p, 0.0 + _single_particle_kinetic(self.grid, masses[p]))
@@ -258,8 +257,7 @@ class ManyBodyHamiltonian:
             diag = np.zeros(self.grid.n_sites ** self.particles.count)
             for p, h in matrices:
                 self._view(diag, p)[...] += np.diagonal(h)[:, None]
-            if matrices:
-                diag = self._front(diag).reshape(diag.shape)
+            diag = self._front(diag).reshape(diag.shape)
             self._cast[dtype] = [(p, h.astype(dtype)) for p, h in matrices], diag
         return self._cast[dtype]
 
@@ -296,7 +294,8 @@ class ManyBodyHamiltonian:
         ..., particle 0's j > x_0.  Below, each term is one multiply-add of
         a triangle column into a view of the accumulator, in that order.
         The accumulator starts at +0 and so never holds -0, which makes the
-        zero products einsum adds in between change no finite sum.
+        zero products einsum adds in between change no finite sum; with no
+        kinetic particle H = 0 and the +0 accumulator is the result.
 
         The last kinetic particle q's terms (lower triangle, diagonal, upper
         triangle) come one after another in every row's order, so they run
@@ -308,10 +307,9 @@ class ManyBodyHamiltonian:
         if self.rows_dense:
             return np.einsum("xy,...y->...x", self.dense, psi)
         out = np.zeros(psi.shape, np.result_type(psi, float))
-        matrices, diagonal = self._terms(out.dtype)
-        if not matrices:
-            out += diagonal * psi
+        if not self.kinetic:
             return out
+        matrices, diagonal = self._terms(out.dtype)
         for p, h in matrices[:-1]:
             self._sweep(out, psi, p, h, lower=True)
         h, front = matrices[-1][1], self._front(out)

@@ -40,7 +40,8 @@ MODEL_KINDS = MONITORED_KINDS + ("sn", "pair")
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Parameters selecting one of the monitored-gravity models or a baseline."""
+    """Parameters selecting one of the monitored-gravity models or a baseline,
+    each resolved once, here; a built Model reads them from its spec."""
 
     kind: str
     grid: LatticeGrid
@@ -49,7 +50,7 @@ class ModelSpec:
     gamma: float = 1.0  # csl monitoring strength
     kappa: float = 2.0  # dp dimensionless strength (2 minimizes decoherence)
     G: float = 1.0  # gravitational constant (lattice units)
-    feedback_smearing: bool | None = None  # None: off for csl, on for dp
+    feedback_smearing: bool | None = None  # None resolves to off for csl, on for dp
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -59,24 +60,18 @@ class ModelSpec:
                 raise ValueError(
                     "monitored models need sigma > 0: the smeared density keeps "
                     "the feedback potential finite")
-            if self.gamma <= 0 or self.kappa <= 0 or (self.kind == "dp" and self.G <= 0):
-                raise ValueError("kernel strengths must be positive: gamma, kappa, and G "
-                                 "on dp, whose strength is kappa G")
+            self.kernel  # the kernel checks the strengths it reads
         if self.G < 0:
             raise ValueError("G must be >= 0")
         if self.kind == "pair" and self.particles.count < 2:
             raise ValueError("the pair-potential baseline needs at least 2 particles")
-
-    @property
-    def resolved_feedback_smearing(self) -> bool:
-        if self.feedback_smearing is not None:
-            return self.feedback_smearing
-        return self.kind == "dp"
+        if self.feedback_smearing is None:
+            object.__setattr__(self, "feedback_smearing", self.kind == "dp")
 
     @cached_property
     def kernel(self) -> CorrelationKernel:
-        """The monitoring correlation kernel of a monitored kind, built once
-        per spec; the model and the closed-form rates both read it."""
+        """The monitoring correlation kernel of a monitored kind, built with
+        the spec; the model and the closed-form rates both read it."""
         return CorrelationKernel(kind=self.kind, grid=self.grid, gamma=self.gamma,
                                  kappa=self.kappa, G=self.G)
 
@@ -90,7 +85,7 @@ def _field_chunks(spec: ModelSpec, configs: np.ndarray):
     profile = smeared_point_profile(grid, spec.sigma).reshape(-1)
     point = smeared_point_profile(grid, 0.0).reshape(-1)
     mult = coulomb_multiplier(grid, spec.G)
-    if spec.resolved_feedback_smearing:
+    if spec.feedback_smearing:
         mult = mult * smear_multiplier(grid, spec.sigma)
     r = np.arange(grid.n_sites)
     for sl in grid.fft_chunks(len(configs)):
@@ -117,7 +112,7 @@ def config_families(spec: ModelSpec, configs=None) -> tuple[np.ndarray, np.ndarr
 
     configs: optional (n, N) array of per-particle site indices; default is
     every joint configuration.  Phi is slaved to the sharp density and is
-    convolved with g_sigma when spec.resolved_feedback_smearing (required
+    convolved with g_sigma when spec.feedback_smearing (required
     for the Coulomb-correlated kernel).  The families, V(x) and the
     closed-form rates all read _field_chunks, the package's one field path.
     """
@@ -221,18 +216,6 @@ class Model:
         one complex copy and one symmetry test per model, not per step."""
         return DenseHamiltonian(self.hamiltonian)
 
-    @property
-    def kind(self) -> str:
-        return self.spec.kind
-
-    @property
-    def grid(self) -> LatticeGrid:
-        return self.spec.grid
-
-    @property
-    def particles(self) -> ParticleSet:
-        return self.spec.particles
-
     def advance(self, state: np.ndarray, dt: float, noise=None, step: int | None = None,
                 pure: bool | None = None, field=None, tables=None):
         """One step; returns (state', signal or None).  Dispatches on the
@@ -248,7 +231,7 @@ class Model:
         the Euler step handles whole."""
         if pure is None:
             pure = state.ndim == 1
-        if self.kind in MONITORED_KINDS:
+        if self.spec.kind in MONITORED_KINDS:
             spec = self.monitoring
             if noise is None:
                 if pure:
@@ -266,7 +249,7 @@ class Model:
             new = combined_step(state, self.density_hamiltonian, spec, self.feedback, noise, dt,
                                 step=step, field=field, signal=signal, tables=tables)
             return new, signal
-        if self.kind == "sn":
+        if self.spec.kind == "sn":
             if not pure:
                 raise ValueError("the mean-field baseline evolves state vectors")
             return sn_step(state, self, dt, step=step), None
@@ -322,7 +305,7 @@ def sn_step(psi: np.ndarray, model: Model, dt: float, step: int | None = None) -
     Euler step with the resulting single-particle potential; the norm is
     restored exactly afterwards (Euler preserves it to O(dt^2)).  psi may
     carry leading batch axes."""
-    grid, particles = model.grid, model.particles
+    grid, particles = model.spec.grid, model.spec.particles
     prob = (psi.conj() * psi).real
     phi = coulomb_potential(mean_density(grid, particles, prob), grid, model.spec.G)
     phi_flat = phi.reshape(prob.shape[:-1] + (-1,))

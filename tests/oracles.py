@@ -209,7 +209,7 @@ def expression_vector_step(psi, H, v, dt):
 def expression_sn_step(psi, model, dt):
     """The mean-field step: the potential sourced by <rho> of psi, then
     expression_vector_step."""
-    grid, particles = model.grid, model.particles
+    grid, particles = model.spec.grid, model.spec.particles
     prob = (psi.conj() * psi).real
     phi = coulomb_potential(mean_density(grid, particles, prob), grid, model.spec.G)
     phi_flat = phi.reshape(prob.shape[:-1] + (-1,))

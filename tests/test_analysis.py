@@ -321,7 +321,7 @@ class TestPairPotentialCurve:
         # L = 32 and grow with sigma / L.
         spec = ModelSpec(kind=kind, grid=LatticeGrid((32, 32, 32), 1.0),
                          particles=ParticleSet([1.0, 1.0]), sigma=sigma, G=1.0)
-        smeared = spec.resolved_feedback_smearing
+        smeared = spec.feedback_smearing
         assert smeared == (kind == "dp")
         rows = pair_potential_curve(spec, range(1, 9), corrected=True)
         errors = [abs(row.corrected / erf_pair_potential(row.separation, 1.0, 1.0, 1.0, sigma,

@@ -1,6 +1,8 @@
+import copy
 import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +232,8 @@ class TestRun:
         ({("output", "snapshot_every"): 1}, "output.snapshot_every", "got 1"),
         ({("model", "kind"): "dp", ("model", "G"): 0.0}, "model:", "kappa G"),
         ({("integration", "seed"): -3}, "integration.seed", "-3"),
+        ({("model", "gamma"): 0.0}, "model:", "csl strength gamma"),
+        ({("model", "kind"): "dp", ("model", "kappa"): 0.0}, "model:", "kappa G"),
     ], ids=["steps-true", "seed-false", "record-every-true", "mass-true", "G-true",
             "signal-site-true", "dt-nan", "sigma-inf", "dims-fraction", "center-length-3",
             "width-text", "cat-center-text", "kinetic-text", "smearing-text",
@@ -238,7 +242,8 @@ class TestRun:
             "unknown-initial-key", "unknown-model-key", "unknown-integration-key",
             "unknown-output-key", "unknown-analyze-block", "unknown-analyze-block-key",
             "kernel-kind-not-generic", "generic-without-kernel-kind", "generic-kernel-kind-sn",
-            "snapshots-on-run", "dp-G-zero", "seed-negative"])
+            "snapshots-on-run", "dp-G-zero", "seed-negative", "csl-gamma-zero",
+            "dp-kappa-zero"])
     def test_bad_number_or_initial_block_exit_2(self, tmp_path, capsys, edits, key, shown):
         # each value passes a bare isinstance or float() test, fails only inside
         # numpy, or sits under a key or a model kind that nothing reads
@@ -291,15 +296,40 @@ class TestLegacyGenericKind:
 class TestReadme:
     README = Path(__file__).resolve().parents[1] / "README.md"
 
-    def test_config_example_parses(self):
-        # every key the README's schema example shows is one parse_config reads
+    def example(self):
+        """The README's schema example, as text."""
         text = self.README.read_text(encoding="utf-8")
         section = text[text.index("## Run configuration schema (YAML)"):]
         start = section.index("```yaml\n") + len("```yaml\n")
-        example = section[start:section.index("```\n", start)]
-        cfg = config.parse_config(yaml.safe_load(example))
+        return section[start:section.index("```\n", start)]
+
+    def test_config_example_parses(self):
+        # every key the README's schema example shows is one parse_config reads
+        cfg = config.parse_config(yaml.safe_load(self.example()))
         assert cfg.spec.kind == "csl" and set(cfg.analyze) == {
             "rate", "pair_potential", "kappa_scan", "linearity"}
+
+    def test_example_names_every_known_key(self):
+        # and every key parse_config knows, section by section, is named in
+        # the example (a value or a comment), so an added or renamed key
+        # cannot leave the schema stale; the known keys are the ones
+        # parse_config lists for an unknown key
+        text = self.example()
+        data = yaml.safe_load(text)
+        paths = [(), ("grid",), ("particles", 0), ("particles", 0, "initial"), ("model",),
+                 ("integration",), ("output",), ("analyze",),
+                 *(("analyze", block) for block in data["analyze"])]
+        for path in paths:
+            edited = copy.deepcopy(data)
+            section = edited
+            for part in path:
+                section = section[part]
+            section["unknown"] = 0
+            with pytest.raises(config.ConfigError) as info:
+                config.parse_config(edited)
+            (error,) = info.value.errors
+            for key in error.split("known keys are ")[1].split(", "):
+                assert re.search(rf"\b{key}:", text), (path, key)
 
 
 class TestAnalyze:
@@ -460,6 +490,28 @@ class TestAnalyze:
         assert main(["analyze", what, "--config", cfg, "--out", str(tmp_path)]) == 2
         err, bad = capsys.readouterr().err, value[0] if isinstance(value, list) else value
         assert f"analyze {what}: {key} must be" in err and repr(bad) in err
+
+    def test_empty_kappas_exit_2(self, tmp_path, capsys):
+        data = yaml.safe_load(DEMO_CONFIG.read_text())
+        data["analyze"]["kappa_scan"]["kappas"] = []
+        cfg = write_config(tmp_path / "empty.yaml", data)
+        assert main(["analyze", "kappa-scan", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert ("analyze kappa-scan: kappas must be a non-empty list of positive numbers; "
+                "got []") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, key", [("csl", "kappa"), ("dp", "gamma")])
+    def test_unread_strength_zero_keeps_bytes(self, tmp_path, kind, key):
+        # csl's kernel reads only gamma, dp's only kappa and G: the strength
+        # a kind does not read may be 0 and moves no byte of the rate table
+        data = yaml.safe_load(DEMO_CONFIG.read_text())
+        data["model"]["kind"] = kind
+        data["model"].pop(key, None)
+        tables = []
+        for name, model in (("without", data["model"]), ("zero", {**data["model"], key: 0})):
+            cfg = write_config(tmp_path / f"{name}.yaml", {**data, "model": model})
+            assert main(["analyze", "rate", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            tables.append((tmp_path / name / "rate.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_quoted_number_exit_2(self, tmp_path, capsys):
         # one number check for run and analyze keys: a YAML string is no number

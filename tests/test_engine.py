@@ -915,7 +915,7 @@ class TestRunEnsemble:
         def blank():
             return [engine.TrajectoryRecord(
                 seed=k, times=np.zeros(3), trace=np.zeros(3), purity=np.zeros(3),
-                positions=np.zeros((3, model.particles.count)),
+                positions=np.zeros((3, model.spec.particles.count)),
                 signals=np.zeros((3, n_obs)), offdiagonals=np.zeros((3, n_pairs)) if n_pairs else None,
                 min_eigenvalue=None if pure else np.zeros(3)) for k in range(members)]
 
@@ -1068,7 +1068,7 @@ class TestRunEnsemble:
         model, psi = self.cat_model()
         state = np.outer(psi, psi.conj())
         if run in ("sn", "pair"):
-            model = build_model(ModelSpec(kind=run, grid=model.grid,
+            model = build_model(ModelSpec(kind=run, grid=model.spec.grid,
                                           particles=ParticleSet([1.0, 1.0]), G=0.1))
             state = np.kron(psi, psi)
         with pytest.raises(ValueError, match="dt must be a positive finite number"):

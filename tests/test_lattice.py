@@ -156,7 +156,7 @@ class TestHamiltonianApply:
         # the last kinetic particle (2, or 1 before a static one) works on
         # copies with its axis moved in front of particles 0 to q - 1,
         # kinetic or not; particle 0 works on views in that layout, and
-        # with no kinetic particle only the diagonal is left
+        # with no kinetic particle H = 0
         rng = np.random.default_rng(15)
         grid = LatticeGrid((4, 4))
         parts = ParticleSet([0.7, 1.3, 2.1], kinetic=kinetic)
@@ -164,6 +164,19 @@ class TestHamiltonianApply:
         psi = rng.standard_normal(batch + (4096,)) + 1j * rng.standard_normal(batch + (4096,))
         op = model.hamiltonian_operator
         assert op.apply(psi).tobytes() == einsum_apply(model.hamiltonian, psi).tobytes()
+
+    def test_zero_hamiltonian_is_plus_zero(self):
+        # no kinetic particle: apply returns its +0 accumulator, einsum's
+        # bytes over the zero H, with no -0 where psi is negative
+        parts = ParticleSet([1.0, 2.0], kinetic=[False, False])
+        op = build_model(ModelSpec(kind="sn", grid=LatticeGrid((3,)),
+                                   particles=parts)).hamiltonian_operator
+        rng = np.random.default_rng(4)
+        for psi in (-np.abs(rng.standard_normal((4, 9))),
+                    -np.abs(rng.standard_normal((2, 9))) * (1 - 1j)):
+            out = op.apply(psi)
+            assert out.tobytes() == einsum_apply(op.dense, psi).tobytes()
+            assert not np.signbit(out.view(float)).any()
 
     def test_apply_memory(self):
         # two particles on 8x8: the accumulator, the copies of it and of psi

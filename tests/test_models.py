@@ -1,6 +1,7 @@
 import hashlib
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -156,6 +157,24 @@ class TestBuildModel:
         intrinsic = 0.125 * model.monitoring.pair_rate
         np.testing.assert_allclose(total, 2.0 * intrinsic,
                                    atol=1e-10 * max(1e-300, np.abs(total).max()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(MODEL_KINDS),
+           strengths=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+                              min_size=3, max_size=3))
+    def test_strength_rule_is_the_kernels(self, kind, strengths):
+        # a spec raises exactly when a strength its kernel reads is 0: csl
+        # reads gamma, dp kappa and G, the baselines none; feedback_smearing
+        # resolves to kind == "dp" at construction
+        gamma, kappa, G = strengths
+        make = partial(ModelSpec, kind=kind, grid=LatticeGrid((4,), 1.0),
+                       particles=ParticleSet([1.0, 1.0]), gamma=gamma, kappa=kappa, G=G)
+        if 0.0 in {"csl": [gamma], "dp": [kappa, G]}.get(kind, []):
+            with pytest.raises(ValueError, match="strength"):
+                make()
+        else:
+            assert make() == make(feedback_smearing=kind == "dp")
+            assert make().feedback_smearing is (kind == "dp")
 
     def test_monitored_needs_positive_sigma(self):
         grid = LatticeGrid((4,), 1.0)
@@ -400,7 +419,7 @@ class TestBaselineStepBytes:
         kind = "sn" if step == "sn_step" else "pair"
         model = build_model(ModelSpec(kind=kind, grid=LatticeGrid(dims, 1.0),
                                       particles=ParticleSet([1.0, 1.5, 0.7][:count]), G=G))
-        n = model.grid.n_sites ** count
+        n = model.spec.grid.n_sites ** count
         rng = np.random.default_rng(seed)
         shape = batch + ((n, n) if step == "advance_density" else (n,))
         x = rng.standard_normal(shape)
@@ -511,7 +530,7 @@ class TestChunks:
         out = [*config_families(spec), *config_families(spec, configs),
                density_family(spec.grid, spec.particles, spec.sigma),
                newton_family(spec.grid, spec.particles, spec.G,
-                             spec.resolved_feedback_smearing, spec.sigma),
+                             spec.feedback_smearing, spec.sigma),
                model.monitoring.family, model.feedback.family, model.backaction,
                build_backaction_hamiltonian(spec).values, model.monitoring.self_quadratic]
         if len(model.backaction) <= 1024:  # (n_cfg, n_cfg) tables
