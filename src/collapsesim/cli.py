@@ -30,7 +30,8 @@ import numpy as np
 import yaml
 
 from . import analysis
-from .config import ConfigError, RunConfig, build_initial_state, load_config, number
+from .config import (ConfigError, RunConfig, build_initial_state, load_config,
+                     single_particle_state)
 # run_trajectory is not called here; bench/spans.py looks it up as cli.run_trajectory
 from .engine import run_ensemble, run_trajectory  # noqa: F401
 from .lattice import GuardError
@@ -132,44 +133,10 @@ def _require_rate_model(cfg: RunConfig, what: str) -> None:
                            f"{cfg.spec.particles.count} particles, kind {cfg.spec.kind!r}"])
 
 
-def _number(value, kind, what: str, key: str):
-    """config.number(value, kind); anything else exits 2 naming the key and the value."""
-    x = number(value, kind)
-    if x is None:
-        noun = "a whole number" if kind is int else "a finite number"
-        raise ConfigError([f"analyze {what}: {key} must be {noun}; got {value!r}"])
-    return x
-
-
-def _axis(cfg: RunConfig, block: dict, what: str) -> int:
-    """The block's grid axis (default 0), one of the grid's own."""
-    axis, ndim = _number(block.get("axis", 0), int, what, "axis"), cfg.spec.grid.ndim
-    if not 0 <= axis < ndim:
-        raise ConfigError([f"analyze {what}: axis must be in 0..{ndim - 1} on this "
-                           f"{ndim}-d grid; got {axis}"])
-    return axis
-
-
-def _separations(cfg: RunConfig, seps, axis: int, what: str, key: str = "separations"):
-    """Separations as whole site counts along the axis, each inside the grid."""
-    if not isinstance(seps, list):
-        raise ConfigError([f"analyze {what}: {key} must be a list; got {seps!r}"])
-    length = cfg.spec.grid.dims[axis]
-    seps = [_number(d, int, what, key) for d in seps]
-    outside = [d for d in seps if not 0 <= d < length]
-    if outside:
-        raise ConfigError([f"analyze {what}: {key} must be in 0..{length - 1} sites along "
-                           f"axis {axis}; got {', '.join(map(str, outside))}"])
-    return seps
-
-
 def _analyze_rate(cfg: RunConfig, out_dir: Path) -> int:
     _require_rate_model(cfg, "rate")
-    block = cfg.analyze.get("rate", {})
-    axis = _axis(cfg, block, "rate")
-    seps = block.get("separations", list(range(0, max(2, min(cfg.spec.grid.dims) // 4 + 1))))
-    prof = analysis.decoherence_profile(cfg.spec, _separations(cfg, seps, axis, "rate"),
-                                        axis=axis)
+    block = cfg.analyze["rate"]
+    prof = analysis.decoherence_profile(cfg.spec, block["separations"], axis=block["axis"])
     rows = zip(prof.separations, prof.intrinsic, prof.backaction, prof.total)
     _write_csv(out_dir / "rate.csv",
                ["d (length)", "rate_intrinsic (1/time)",
@@ -181,18 +148,9 @@ def _analyze_pair_potential(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.spec.particles.count != 2:
         raise ConfigError([f"analyze pair-potential needs exactly two particles; "
                            f"the config has {cfg.spec.particles.count}"])
-    block = cfg.analyze.get("pair_potential", {})
-    axis = _axis(cfg, block, "pair-potential")
-    seps = block.get("separations")
-    if seps is None:
-        seps = list(range(1, cfg.spec.grid.dims[axis] // 2 + 1))
-    corrected = block.get("corrected", True)
-    if not isinstance(corrected, bool):
-        raise ConfigError([f"analyze pair-potential: corrected must be true or false; "
-                           f"got {corrected!r}"])
-    rows = analysis.pair_potential_curve(cfg.spec,
-                                         _separations(cfg, seps, axis, "pair-potential"),
-                                         axis=axis, corrected=corrected)
+    block = cfg.analyze["pair_potential"]
+    rows = analysis.pair_potential_curve(cfg.spec, block["separations"], axis=block["axis"],
+                                         corrected=block["corrected"])
     _write_csv(out_dir / "pair_potential.csv",
                ["d (length)", "V_inter (energy)", "V_corrected (energy)",
                 "newton_ratio (1)"],
@@ -202,15 +160,9 @@ def _analyze_pair_potential(cfg: RunConfig, out_dir: Path) -> int:
 
 def _analyze_kappa_scan(cfg: RunConfig, out_dir: Path) -> int:
     _require_rate_model(cfg, "kappa-scan")
-    block = cfg.analyze.get("kappa_scan", {})
-    kappas = block.get("kappas", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
-    if not isinstance(kappas, list) or not kappas or not all(
-            _number(k, float, "kappa-scan", "kappas") > 0 for k in kappas):
-        raise ConfigError([f"analyze kappa-scan: kappas must be a non-empty list of positive "
-                           f"numbers; got {kappas!r}"])
-    axis = _axis(cfg, block, "kappa-scan")
-    (sep,) = _separations(cfg, [block.get("separation", 3)], axis, "kappa-scan", "separation")
-    rows, best = analysis.kappa_scan(cfg.spec, kappas, sep, axis=axis)
+    block = cfg.analyze["kappa_scan"]
+    rows, best = analysis.kappa_scan(cfg.spec, block["kappas"], block["separation"],
+                                     axis=block["axis"])
     _write_csv(out_dir / "kappa_scan.csv",
                ["kappa (1)", "rate_total (1/time)", "is_minimum (0/1)"],
                ((k, r, 1.0 if k == best else 0.0) for k, r in rows))
@@ -218,18 +170,15 @@ def _analyze_kappa_scan(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _analyze_linearity(cfg: RunConfig, out_dir: Path) -> int:
-    block = cfg.analyze.get("linearity", {})
-    t = _number(block.get("time", 0.2), float, "linearity", "time")
-    samples = _number(block.get("samples", 200), int, "linearity", "samples")
+    t, samples = cfg.analyze["linearity"]["time"], cfg.analyze["linearity"]["samples"]
     init, n = cfg.initial[0], cfg.spec.particles.count
     if n != 1 or init.get("type") != "cat":
         raise ConfigError([f"analyze linearity needs one particle in a cat initial state; the "
                            f"config has {n} particles, particle 0 {init.get('type')!r}"])
-    if int(round(t / cfg.dt)) < 1 or samples < 1:
+    if int(round(t / cfg.dt)) < 1:
         raise ConfigError([f"analyze linearity needs a time of at least one step (dt = "
-                           f"{cfg.dt:g}) and samples >= 1; got time {t:g}, samples {samples}"])
+                           f"{cfg.dt:g}); got time {t:g}"])
     model = build_model(cfg.spec)
-    from .config import single_particle_state
     grid = cfg.spec.grid
     a = single_particle_state(grid, {"type": "gaussian", "center": init["centers"][0],
                                      "width": init.get("width", 1.0)})

@@ -7,7 +7,7 @@ A run file is a single YAML document with nested sections::
     model:        {kind: csl|dp|sn|pair, sigma, gamma, kappa, G, feedback_smearing}
     integration:  {dt, steps, ensemble, seed, representation}
     output:       {record_every, offdiagonal_pairs, signal_sites, snapshot_every}
-    analyze:      per-subcommand parameter blocks (see cli)
+    analyze:      per-subcommand parameter blocks, resolved with their defaults
 
 Gaussian packets are specified by center/width/momentum per axis (lattice
 units); cat states by two centers sharing one width.  Unknown keys are
@@ -52,7 +52,7 @@ class RunConfig:
     offdiagonal_pairs: list
     signal_sites: list
     snapshot_every: int
-    analyze: dict
+    analyze: dict  # every analyze block, its values checked and defaulted
     raw: dict
 
 
@@ -231,9 +231,44 @@ def parse_config(data: dict) -> RunConfig:
               "kappa_scan": ("kappas", "separation", "axis"), "linearity": ("time", "samples")}
     asec = data.get("analyze")
     asec = mapping({} if asec is None else asec, "analyze", tuple(blocks)) or {}
-    for key, block in asec.items():
-        if key in blocks:
-            mapping(block, f"analyze.{key}", blocks[key])
+    rate, pair, scan, lin = (mapping(asec.get(key, {}), f"analyze.{key}", keys) or {}
+                             for key, keys in blocks.items())
+    analyze = {}
+    if grid is not None:
+        def along(block, key):
+            """The block's axis (default 0), its site count n and the rule for a site on it."""
+            ax = num(block.get("axis", 0), f"analyze.{key}.axis",
+                     f"an axis in 0..{grid.ndim - 1} of this {grid.ndim}-d grid",
+                     lambda x: 0 <= x < grid.ndim, int, 0)
+            return ax, grid.dims[ax], f"in 0..{grid.dims[ax] - 1} sites along axis {ax}"
+
+        def separations(block, key, default):
+            """The block's axis and its separations (default(n)), whole and inside the grid."""
+            ax, n, rule = along(block, key)
+            value = block.get("separations", default(n))
+            out = (_vector(value, int) if value else []) if isinstance(value, list) else None
+            if out is None or not all(0 <= d < n for d in out):
+                errors.append(f"analyze.{key}.separations: must be a list of whole numbers "
+                              f"{rule}; got {value!r}")
+            return {"axis": ax, "separations": out}
+
+        analyze["rate"] = separations(rate, "rate", lambda n: list(range(0, max(2, n // 4 + 1))))
+        analyze["pair_potential"] = {
+            **separations(pair, "pair_potential", lambda n: list(range(1, n // 2 + 1))),
+            "corrected": flag(pair.get("corrected", True), "analyze.pair_potential.corrected")}
+        kappas = scan.get("kappas", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+        listed = _vector(kappas) if isinstance(kappas, list) else None
+        if listed is None or min(listed) <= 0:
+            errors.append(f"analyze.kappa_scan.kappas: must be a non-empty list of positive "
+                          f"numbers; got {kappas!r}")
+        ax, n, rule = along(scan, "kappa_scan")
+        analyze["kappa_scan"] = {"axis": ax, "kappas": listed, "separation": num(
+            scan.get("separation", min(3, n - 1)), "analyze.kappa_scan.separation",
+            f"a whole number {rule}", lambda x: 0 <= x < n, int, 0)}
+    analyze["linearity"] = {
+        "time": num(lin.get("time", 0.2), "analyze.linearity.time", "a positive number"),
+        "samples": num(lin.get("samples", 200), "analyze.linearity.samples",
+                       "a positive integer", kind=int)}
 
     if errors:
         raise ConfigError(errors)
@@ -242,7 +277,7 @@ def parse_config(data: dict) -> RunConfig:
                      record_every=record_every,
                      offdiagonal_pairs=[[int(v) for v in pr] for pr in pairs],
                      signal_sites=[int(s) for s in sites],
-                     snapshot_every=snapshot_every, analyze=asec, raw=data)
+                     snapshot_every=snapshot_every, analyze=analyze, raw=data)
 
 
 def load_config(path) -> RunConfig:

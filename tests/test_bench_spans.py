@@ -1,7 +1,8 @@
 """The benchmark's tracer wraps names in the package's modules from outside
 (bench/spans.py).  A change that deletes or renames one of them passes the
 package's own tests and breaks only the traced benchmark, so it is checked
-here: every wrapped name exists, and restore puts every original back."""
+here: every wrapped name exists, and restore puts every original back.
+The same holds for the demo configuration that the benchmark copies."""
 
 import importlib.util
 import re
@@ -9,7 +10,8 @@ from pathlib import Path
 
 from collapsesim import analysis, cli, config, engine, kernels, models
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 OWNERS = (analysis, cli, config, engine, kernels, models, kernels.CorrelationKernel,
           models.Model)
 
@@ -38,3 +40,10 @@ def test_wrapped_names_exist_and_are_restored():
     for owner, old, new in zip(OWNERS, before, after):
         assert old.keys() == new.keys(), owner
         assert all(new[key] is value for key, value in old.items()), owner
+
+
+def test_bench_config_is_the_demo_config():
+    # the cli_demo workload runs bench/run_config.yaml, and its recorded
+    # digests (bench/cli_demo_sha256.json) are those of demos/run_config.yaml
+    assert ((ROOT / "bench" / "run_config.yaml").read_bytes()
+            == (ROOT / "demos" / "run_config.yaml").read_bytes())

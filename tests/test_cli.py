@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from collapsesim import config
 from collapsesim.cli import main
@@ -259,6 +260,31 @@ class TestRun:
         assert key in err and shown in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("block, key, shown", [
+        ({"rate": {"separations": [0, 99]}}, "analyze.rate.separations", "got [0, 99]"),
+        ({"rate": {"axis": 1}}, "analyze.rate.axis", "got 1"),
+        ({"kappa_scan": {"kappas": [-1.0]}}, "analyze.kappa_scan.kappas", "got [-1.0]"),
+        ({"kappa_scan": {"separation": 8}}, "analyze.kappa_scan.separation", "got 8"),
+        ({"pair_potential": {"corrected": "no"}}, "analyze.pair_potential.corrected",
+         "got 'no'"),
+        ({"linearity": {"time": 0}}, "analyze.linearity.time", "got 0"),
+        ({"linearity": {"samples": 2.5}}, "analyze.linearity.samples", "got 2.5"),
+    ], ids=["separations-outside", "axis-outside", "kappa-negative", "separation-outside",
+            "corrected-text", "time-zero", "samples-fraction"])
+    def test_bad_analyze_value_listed_with_run_errors_exit_2(self, tmp_path, capsys, block,
+                                                             key, shown):
+        # run reads no analyze block, yet a bad analyze value exits 2 at load,
+        # in the one message that lists the run sections' errors
+        data = base_config(analyze=block)
+        data["integration"]["steps"] = 0
+        cfg = write_config(tmp_path / "run.yaml", data)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "integration.steps: must be a positive integer; got 0" in err
+        assert f"{key}: must be" in err and shown in err
+        assert not (tmp_path / "out").exists()
+
     def test_guard_trip_exit_3(self, tmp_path, capsys):
         data = base_config()
         data["model"]["G"] = 5.0
@@ -444,12 +470,14 @@ class TestAnalyze:
         assert main(["analyze", "linearity", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "needs one particle" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("block", [{"time": 4e-5}, {"samples": 0}],
-                             ids=["time-below-one-step", "no-samples"])
-    def test_linearity_needs_a_step_and_a_sample_exit_2(self, tmp_path, capsys, block):
+    @pytest.mark.parametrize("block, shown", [
+        ({"time": 4e-5}, "at least one step"),
+        ({"samples": 0}, "analyze.linearity.samples: must be a positive integer; got 0")],
+        ids=["time-below-one-step", "no-samples"])
+    def test_linearity_needs_a_step_and_a_sample_exit_2(self, tmp_path, capsys, block, shown):
         cfg = write_config(tmp_path / "lin.yaml", self.linearity_config(**block))
         assert main(["analyze", "linearity", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "at least one step" in capsys.readouterr().err
+        assert shown in capsys.readouterr().err
 
     @pytest.mark.parametrize("axis", [1, -1])
     @pytest.mark.parametrize("what", ["rate", "kappa-scan", "pair-potential"])
@@ -460,7 +488,8 @@ class TestAnalyze:
         data["analyze"] = {what.replace("-", "_"): {"axis": axis}}
         cfg = write_config(tmp_path / "axis.yaml", data)
         assert main(["analyze", what, "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "axis must be in 0..0" in capsys.readouterr().err
+        assert (f"analyze.{what.replace('-', '_')}.axis: must be an axis in 0..0 of this "
+                f"1-d grid; got {axis}") in capsys.readouterr().err
 
     @pytest.mark.parametrize("what, block", [
         ("rate", {"separations": [0, 99]}), ("rate", {"separations": [-1]}),
@@ -473,7 +502,10 @@ class TestAnalyze:
         data["analyze"] = {what.replace("-", "_"): block}
         cfg = write_config(tmp_path / "sep.yaml", data)
         assert main(["analyze", what, "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "must be in 0..7 sites along axis 0" in capsys.readouterr().err
+        ((key, value),) = block.items()
+        assert (f"analyze.{what.replace('-', '_')}.{key}: must be "
+                f"{'a whole number' if key == 'separation' else 'a list of whole numbers'} "
+                f"in 0..7 sites along axis 0; got {value!r}") in capsys.readouterr().err
 
     @pytest.mark.parametrize("what, key, value", [
         ("rate", "axis", "x"), ("rate", "separations", [1.5]), ("rate", "separations", 3),
@@ -489,14 +521,14 @@ class TestAnalyze:
         cfg = write_config(tmp_path / "kind.yaml", data)
         assert main(["analyze", what, "--config", cfg, "--out", str(tmp_path)]) == 2
         err, bad = capsys.readouterr().err, value[0] if isinstance(value, list) else value
-        assert f"analyze {what}: {key} must be" in err and repr(bad) in err
+        assert f"analyze.{what.replace('-', '_')}.{key}: must be" in err and repr(bad) in err
 
     def test_empty_kappas_exit_2(self, tmp_path, capsys):
         data = yaml.safe_load(DEMO_CONFIG.read_text())
         data["analyze"]["kappa_scan"]["kappas"] = []
         cfg = write_config(tmp_path / "empty.yaml", data)
         assert main(["analyze", "kappa-scan", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert ("analyze kappa-scan: kappas must be a non-empty list of positive numbers; "
+        assert ("analyze.kappa_scan.kappas: must be a non-empty list of positive numbers; "
                 "got []") in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, key", [("csl", "kappa"), ("dp", "gamma")])
@@ -513,14 +545,56 @@ class TestAnalyze:
             tables.append((tmp_path / name / "rate.csv").read_bytes())
         assert tables[0] == tables[1]
 
+    @pytest.mark.parametrize("axis, expected", [(0, [0, 1, 2, 3, 4]), (1, [0, 1])])
+    def test_rate_default_separations_read_the_block_axis(self, tmp_path, axis, expected):
+        # d = 0 .. max(1, L // 4) with L the sites along the block's own axis
+        data = base_config(grid={"dims": [16, 4], "spacing": 1.0})
+        data["analyze"] = {"rate": {"axis": axis}}
+        cfg = write_config(tmp_path / "rate.yaml", data)
+        assert main(["analyze", "rate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        _, table = read_csv(tmp_path / "rate.csv")
+        assert table[:, 0].tolist() == expected
+
+    def test_kappa_scan_default_separation_on_two_sites(self, tmp_path):
+        # the default separation is min(3, L - 1): d = 1 on a 2-site chain
+        data = base_config(grid={"dims": [2], "spacing": 1.0})
+        data["particles"][0]["initial"]["center"] = [0.0]
+        tables = []
+        for name, block in (("default", {}), ("explicit", {"separation": 1})):
+            data["analyze"] = {"kappa_scan": block}
+            cfg = write_config(tmp_path / f"{name}.yaml", data)
+            out = tmp_path / name
+            assert main(["analyze", "kappa-scan", "--config", cfg, "--out", str(out)]) == 0
+            tables.append((out / "kappa_scan.csv").read_bytes())
+        assert tables[0] == tables[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=st.lists(st.integers(2, 16), min_size=1, max_size=3), data=st.data())
+    def test_defaults_lie_inside_every_grid(self, dims, data):
+        # analyze defaults are resolved at load, so they must never fail a
+        # config that runs no analysis: none on any grid, with or without an axis
+        axes = {key: data.draw(st.integers(0, len(dims) - 1), label=key)
+                for key in ("rate", "pair_potential", "kappa_scan")}
+        for given_axes in (None, axes):
+            raw = base_config(grid={"dims": dims, "spacing": 1.0})
+            if given_axes:
+                raw["analyze"] = {key: {"axis": ax} for key, ax in given_axes.items()}
+            analyze = config.parse_config(raw).analyze
+            assert set(analyze) == {"rate", "pair_potential", "kappa_scan", "linearity"}
+            for key, ax in axes.items():
+                block = analyze[key]
+                assert block["axis"] == (ax if given_axes else 0)
+                seps = block.get("separations", [block.get("separation")])
+                assert seps and all(0 <= d < dims[block["axis"]] for d in seps), (key, seps)
+
     def test_quoted_number_exit_2(self, tmp_path, capsys):
         # one number check for run and analyze keys: a YAML string is no number
         data = base_config()
         data["analyze"] = {"rate": {"separations": ["3"]}}
         cfg = write_config(tmp_path / "quoted.yaml", data)
         assert main(["analyze", "rate", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "analyze rate: separations must be a whole number; got '3'" in (
-            capsys.readouterr().err)
+        assert ("analyze.rate.separations: must be a list of whole numbers in 0..7 sites "
+                "along axis 0; got ['3']") in capsys.readouterr().err
 
 
 class TestAnalyzeBytes:
