@@ -11,9 +11,7 @@ A run file is a single YAML document with nested sections::
 
 Gaussian packets are specified by center/width/momentum per axis (lattice
 units); cat states by two centers sharing one width.  Unknown keys are
-errors too, and all errors are collected and reported together.  Old run
-files may say `kind: generic` with `kernel_kind: csl|dp`, which reads as
-that kind; `kernel_kind` set on any other kind is an error.
+errors too, and all errors are collected and reported together.
 """
 
 from __future__ import annotations
@@ -162,17 +160,12 @@ def parse_config(data: dict) -> RunConfig:
             errors.append(f"particles: {exc}")
 
     msec = mapping(data.get("model", {}), "model", ("kind", "sigma", "gamma", "kappa", "G",
-                                                    "feedback_smearing", "kernel_kind")) or {}
+                                                    "feedback_smearing")) or {}
     spec = None
-    kind, kernel_kind = msec.get("kind"), msec.get("kernel_kind")
-    if kind == "generic" and kernel_kind in MONITORED_KINDS:
-        kind = kernel_kind  # the legacy alias: 'generic' named its kernel in kernel_kind
-    elif kind == "generic" or kernel_kind is not None:
-        errors.append(f"model.kernel_kind: must be 'csl' or 'dp' on the legacy kind 'generic' "
-                      f"and unset on any other kind; got {kernel_kind!r} on kind {kind!r}")
-    elif kind not in MODEL_KINDS:
+    kind = msec.get("kind")
+    if kind not in MODEL_KINDS:
         errors.append(f"model.kind: must be one of {MODEL_KINDS}")
-    if kind in MODEL_KINDS and grid is not None and particles is not None:
+    elif grid is not None and particles is not None:
         values = {key: num(msec[key], f"model.{key}", "a nonnegative number", lambda x: x >= 0)
                   for key in ("sigma", "gamma", "kappa", "G") if key in msec}
         try:

@@ -13,6 +13,8 @@ kernels):
 The zero-mode policy -- k = 0 excluded from the potential and from the
 Coulomb-correlated noise -- means the potential is defined up to a
 constant and the total-mass component of the signal is deterministic.
+
+Strengths and G are never defaulted here: models.ModelSpec sets them all.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def smeared_point_profile(grid: LatticeGrid, sigma: float) -> np.ndarray:
     return smear(prof, grid, sigma)
 
 
-def coulomb_multiplier(grid: LatticeGrid, G: float = 1.0) -> np.ndarray:
+def coulomb_multiplier(grid: LatticeGrid, G: float) -> np.ndarray:
     k2 = grid.k_squared
     mult = np.zeros_like(k2)
     nz = k2 > 0
@@ -53,7 +55,7 @@ def coulomb_multiplier(grid: LatticeGrid, G: float = 1.0) -> np.ndarray:
     return mult
 
 
-def coulomb_potential(density: np.ndarray, grid: LatticeGrid, G: float = 1.0) -> np.ndarray:
+def coulomb_potential(density: np.ndarray, grid: LatticeGrid, G: float) -> np.ndarray:
     """Solve laplacian(Phi) = 4 pi G rho spectrally; mean of Phi set to zero."""
     return grid.apply_multiplier(np.asarray(density, float), coulomb_multiplier(grid, G))
 
@@ -70,17 +72,17 @@ class CorrelationKernel:
 
     kind: str
     grid: LatticeGrid
-    gamma: float = 1.0  # csl strength
-    kappa: float = 2.0  # dp dimensionless strength
-    G: float = 1.0  # gravitational constant, dp only
+    gamma: float | None = None  # csl strength; None: not given
+    kappa: float | None = None  # dp dimensionless strength
+    G: float | None = None  # gravitational constant, dp only
 
     def __post_init__(self):
         if self.kind not in ("csl", "dp"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "csl" and self.gamma <= 0:
-            raise ValueError("csl strength gamma needs gamma > 0")
-        if self.kind == "dp" and (self.kappa <= 0 or self.G <= 0):
-            raise ValueError("dp strength kappa G needs kappa > 0 and G > 0")
+        read = (self.gamma,) if self.kind == "csl" else (self.kappa, self.G)
+        if not all(s is not None and 0 < s < np.inf for s in read):  # nan fails too
+            raise ValueError("csl strength gamma needs a finite gamma > 0" if self.kind == "csl"
+                             else "dp strength kappa G needs finite kappa > 0 and G > 0")
 
     @cached_property
     def multiplier(self) -> np.ndarray:
@@ -236,15 +238,13 @@ def periodic_image_correction(d: float, box: float) -> float:
     return ewald_periodic_coulomb([d, 0.0, 0.0], box) - 1.0 / d
 
 
-def axis_profile_3d(n: int, spacing: float, multiplier_fn) -> np.ndarray:
-    """Radial 3d kernel restricted to one axis of an n^3 periodic box.
+def axis_coulomb_3d(n: int, spacing: float, G: float) -> np.ndarray:
+    """3d Coulomb Green function restricted to one axis of an n^3 periodic box.
 
-    Builds the kernel spectrally on the auxiliary n x n x n lattice and
-    returns its values at displacements (j*spacing, 0, 0).  This is how a
-    1d chain embedded in 3d space sees any of the 3d-form kernels,
-    periodic images included.
+    Solves spectrally on the auxiliary n x n x n lattice and returns the
+    potential at displacements (j*spacing, 0, 0).  This is how a 1d chain
+    embedded in 3d space sees the Newton potential, periodic images included.
     """
     aux = LatticeGrid((n, n, n), spacing)
-    mult = multiplier_fn(aux)
-    prof = aux.ifft(mult).real / aux.cell_volume  # kernel applied to a lattice delta
+    prof = aux.ifft(coulomb_multiplier(aux, G)).real / aux.cell_volume  # of a lattice delta
     return np.ascontiguousarray(prof[:, 0, 0])

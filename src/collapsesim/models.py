@@ -29,7 +29,7 @@ import numpy as np
 
 from .engine import (DenseHamiltonian, FeedbackSpec, MonitoringSpec, combined_step,
                      hamiltonian_step, me_step, sse_step)
-from .kernels import (CorrelationKernel, axis_profile_3d, coulomb_multiplier,
+from .kernels import (CorrelationKernel, axis_coulomb_3d, coulomb_multiplier,
                       coulomb_potential, smear_multiplier, smeared_point_profile)
 from .lattice import (DiagonalField, LatticeGrid, LatticeUnits, ManyBodyHamiltonian,
                       ParticleSet, config_sites, displacement_index, kinetic_hamiltonian)
@@ -56,13 +56,15 @@ class ModelSpec:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind in MONITORED_KINDS:
-            if self.sigma <= 0:
+            if not 0 < self.sigma < np.inf:  # nan fails every comparison
                 raise ValueError(
-                    "monitored models need sigma > 0: the smeared density keeps "
-                    "the feedback potential finite")
+                    "monitored models need a finite sigma > 0: the smeared density "
+                    "keeps the feedback potential finite")
             self.kernel  # the kernel checks the strengths it reads
-        if self.G < 0:
-            raise ValueError("G must be >= 0")
+        elif not 0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be finite and >= 0")
+        if not 0 <= self.G < np.inf:
+            raise ValueError("G must be finite and >= 0")
         if self.kind == "pair" and self.particles.count < 2:
             raise ValueError("the pair-potential baseline needs at least 2 particles")
         if self.feedback_smearing is None:
@@ -163,23 +165,17 @@ def kappa_decoherence_coefficient(kappa: float) -> float:
     return kappa / 4.0 + 1.0 / kappa
 
 
-def pair_potential_diagonal(grid: LatticeGrid, particles: ParticleSet, G: float,
-                            embedded_3d: bool) -> np.ndarray:
+def pair_potential_diagonal(grid: LatticeGrid, particles: ParticleSet, G: float) -> np.ndarray:
     """Exact inter-particle Newton pair potential over configurations.
 
-    On 1d chains the 3d-form kernel is evaluated at embedded 3d distances
-    (the chain is one axis of a periodic 3d box); otherwise the grid's own
-    spectral Coulomb Green function is used.
+    The grid picks the Green function: a 1d chain is one axis of a periodic
+    3d box and reads the 3d one at embedded distances (axis_coulomb_3d);
+    any other grid reads its own spectral one, the potential of a point mass.
     """
-    if embedded_3d:
-        if grid.ndim != 1:
-            raise ValueError("embedded_3d applies to 1d chains only")
-        w_axis = axis_profile_3d(grid.dims[0], grid.spacing[0],
-                                 lambda aux: coulomb_multiplier(aux, G))
+    if grid.ndim == 1:
+        w_axis = axis_coulomb_3d(grid.dims[0], grid.spacing[0], G)
     else:
-        delta = np.zeros(grid.dims)
-        delta[(0,) * grid.ndim] = 1.0 / grid.cell_volume
-        w_axis = coulomb_potential(delta, grid, G).reshape(-1)
+        w_axis = coulomb_potential(smeared_point_profile(grid, 0.0), grid, G).reshape(-1)
     sites = config_sites(grid, particles)
     vals = np.zeros(sites.shape[0])
     for n in range(particles.count):
@@ -275,7 +271,7 @@ def build_model(spec: ModelSpec) -> Model:
         feedback = FeedbackSpec(family=nfam, kernel=spec.kernel, grid=grid)
         backaction = feedback.backaction_diagonal(monitoring)
     elif spec.kind == "pair":
-        pair_diag = pair_potential_diagonal(grid, particles, spec.G, grid.ndim == 1)
+        pair_diag = pair_potential_diagonal(grid, particles, spec.G)
 
     model = Model(spec=spec, hamiltonian_operator=H, monitoring=monitoring, feedback=feedback,
                   backaction=backaction, position_coordinates=pos, pair_potential=pair_diag)

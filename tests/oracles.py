@@ -5,15 +5,16 @@ dense matrix algebra instead of element-wise field updates, scalar
 arithmetic instead of vectorized engine steps, Kronecker sums instead of
 in-place many-body assembly, chained expressions instead of in-place
 step arithmetic, real-space sums and scipy
-quadrature instead of spectral multiplication, and a damped mode sum
-instead of the packaged erfc-split Ewald green function.
+quadrature instead of spectral multiplication, a damped mode sum
+instead of the packaged erfc-split Ewald green function, and the matrix
+exponential of the master equation's generator instead of Euler steps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import eigh
+from scipy.linalg import eigh, expm
 from scipy.special import erf, erfc
 
 from collapsesim.engine import _commutator, _diag
@@ -190,6 +191,25 @@ def expression_me_step(rho, H, spec, fb, dt, backaction=None):
         rate = rate + 0.5 * fb.pair_rate_inverse
     inc = inc - dt * rate * rho
     return rho + inc
+
+
+def exact_master(H, monitoring, feedback, backaction, rho0, t):
+    """rho(t) of the noise-averaged master equation that me_step integrates,
+    exactly: expm of its n^2 x n^2 generator -i(H (x) I - I (x) H^T) - diag(D)
+    on rho0 in row-major vec, with D = 0.125 pair_rate + 0.5 pair_rate_inverse
+    + i(b(x) - b(y)) (b the back-action diagonal, backaction or the
+    feedback's own when None); without feedback D = 0.125 pair_rate."""
+    H, rho0 = np.asarray(H), np.asarray(rho0)
+    n = len(rho0)
+    if n > 16:
+        raise ValueError(f"the dense generator is meant for n <= 16; got n = {n}")
+    D = 0.125 * monitoring.pair_rate
+    if feedback is not None:
+        b = feedback.backaction_diagonal(monitoring) if backaction is None else backaction
+        D = D + 0.5 * feedback.pair_rate_inverse + 1j * (b[:, None] - b[None, :])
+    eye = np.eye(n)
+    generator = -1j * (np.kron(H, eye) - np.kron(eye, H.T)) - np.diag(D.reshape(-1))
+    return (expm(t * generator) @ rho0.reshape(-1)).reshape(n, n)
 
 
 def expression_pair_step(rho, model, dt):

@@ -226,10 +226,12 @@ class TestRun:
         ({("analyze",): {"rates": {}}}, "analyze.rates", "unknown key"),
         ({("analyze",): {"rate": {"separation": [1, 2]}}}, "analyze.rate.separation",
          "unknown key"),
-        ({("model", "kernel_kind"): "dp"}, "kernel_kind", "'dp'"),
-        ({("model", "kind"): "generic"}, "model.kernel_kind", "None on kind 'generic'"),
+        ({("model", "kernel_kind"): "dp"}, "model.kernel_kind", "unknown key"),
+        ({("model", "kind"): "generic"}, "model.kind",
+         "must be one of ('csl', 'dp', 'sn', 'pair')"),
         ({("model", "kind"): "generic", ("model", "kernel_kind"): "sn"}, "model.kernel_kind",
-         "'sn'"),
+         "unknown key; known keys are kind, sigma, gamma, kappa, G, feedback_smearing\n"
+         "  model.kind: must be one of ('csl', 'dp', 'sn', 'pair')"),
         ({("output", "snapshot_every"): 1}, "output.snapshot_every", "got 1"),
         ({("model", "kind"): "dp", ("model", "G"): 0.0}, "model:", "kappa G"),
         ({("integration", "seed"): -3}, "integration.seed", "-3"),
@@ -295,30 +297,6 @@ class TestRun:
         assert "step-size" in err and "step" in err
 
 
-class TestLegacyGenericKind:
-    """Old run files name a kernel through the kind 'generic' and kernel_kind;
-    they read as that kind and write its bytes."""
-
-    @pytest.mark.parametrize("legacy", [
-        {"kind": "generic", "kernel_kind": "dp"},
-        {"kind": "generic", "kernel_kind": "csl", "feedback_smearing": True},
-    ], ids=["dp", "csl-smeared"])
-    def test_same_bytes_as_the_kernel_kind(self, tmp_path, legacy):
-        named = {key: v for key, v in legacy.items() if key != "kernel_kind"}
-        named["kind"] = legacy["kernel_kind"]
-        outputs = []
-        for name, model in (("legacy", legacy), ("named", named)):
-            cfg = write_config(tmp_path / f"{name}.yaml",
-                               base_config(model={**model, "sigma": 1.0, "G": 0.1}))
-            out = tmp_path / name
-            assert main(["run", "--config", cfg, "--out", str(out / "run")]) == 0
-            for what in ("rate", "kappa-scan"):
-                assert main(["analyze", what, "--config", cfg, "--out", str(out)]) == 0
-            outputs.append([(out / f).read_bytes() for f in
-                            ("run/trajectory_0000.csv", "rate.csv", "kappa_scan.csv")])
-        assert outputs[0] == outputs[1]
-
-
 class TestReadme:
     README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -356,6 +334,14 @@ class TestReadme:
             (error,) = info.value.errors
             for key in error.split("known keys are ")[1].split(", "):
                 assert re.search(rf"\b{key}:", text), (path, key)
+
+    def test_kind_comment_names_the_model_kinds(self):
+        # the schema names each model kind by its one spelling: the kind
+        # comment lists MODEL_KINDS, and no retired alias appears anywhere
+        line = re.search(r"^  kind: \w+ +# (.*)$", self.example(), re.M)
+        assert tuple(line.group(1).split(" | ")) == config.MODEL_KINDS
+        text = self.README.read_text(encoding="utf-8")
+        assert "generic" not in text and "kernel_kind" not in text
 
 
 class TestAnalyze:

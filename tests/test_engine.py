@@ -18,7 +18,7 @@ from collapsesim import (LatticeGrid, MatrixKernel, ParticleSet, build_model,
                          sme_step, sse_step)
 import collapsesim
 from collapsesim import engine
-from collapsesim.config import single_particle_state
+from collapsesim.config import build_initial_state, load_config, single_particle_state
 from collapsesim.engine import (FeedbackSpec, MonitoringSpec, _commutator, _conditioning,
                                 _pair_sums, hfb_family_identity_check)
 from collapsesim.kernels import CorrelationKernel
@@ -26,7 +26,7 @@ from collapsesim.lattice import GuardError
 from collapsesim.models import ModelSpec, density_family, newton_family
 
 from conftest import DenseOperator, random_density_matrix, random_state
-from oracles import (dense_hcal, expression_combined_step, expression_me_step,
+from oracles import (dense_hcal, exact_master, expression_combined_step, expression_me_step,
                      expression_sme_step, member_record, scalar_sme_step_2x2,
                      spectral_propagator)
 
@@ -727,6 +727,55 @@ class TestMeStep:
         for chunk in (7, n):
             got = ensemble_mean(model, rho0, 1e-3, 30, seeds=range(n), chunk=chunk)
             assert got.tobytes() == ref.tobytes()
+
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "run_config.yaml"
+
+
+def exact_master_case(case):
+    """(H, monitoring, feedback, backaction, rho0) of a master-equation test
+    model: the demo run (csl), dp on a 16-site chain, or a random explicit
+    family of 3 observables on 6 configurations (MatrixKernel)."""
+    if case == "matrix":
+        H, mon, fb = step_family("matrix", 6, 5)
+        return H, mon, fb, None, random_density_matrix(np.random.default_rng(5), 6)
+    if case == "demo":
+        cfg = load_config(DEMO_CONFIG)
+        spec, psi = cfg.spec, build_initial_state(cfg)
+    else:
+        grid = LatticeGrid((16,), 1.0)
+        spec = ModelSpec(kind="dp", grid=grid, particles=ParticleSet([1.0]), kappa=2.0, G=0.5)
+        psi = single_particle_state(grid, {"type": "cat", "centers": [[4.0], [11.0]]})
+    model = build_model(spec)
+    return (model.hamiltonian, model.monitoring, model.feedback, model.backaction,
+            np.outer(psi, psi.conj()))
+
+
+class TestExactMaster:
+    """me_step against the matrix exponential of its generator."""
+
+    @pytest.mark.parametrize("case", ["demo", "dp-chain", "matrix"])
+    def test_euler_me_step_is_first_order(self, case):
+        # Euler's error to t = 0.2 falls tenfold with a tenfold smaller step
+        H, mon, fb, b, rho0 = exact_master_case(case)
+        exact = exact_master(H, mon, fb, b, rho0, 0.2)
+        errors = []
+        for steps in (200, 2000):
+            rho = rho0.astype(complex)
+            for _ in range(steps):
+                rho = me_step(rho, H, mon, fb, 0.2 / steps, backaction=b)
+            errors.append(np.abs(rho - exact).max())
+        assert 9.0 <= errors[0] / errors[1] <= 11.0, errors
+
+    @pytest.mark.parametrize("case", ["demo", "dp-chain", "matrix"])
+    def test_without_hamiltonian_is_the_closed_form(self, case):
+        # at H = 0 every entry decays and turns on its own: exp(-D t) o rho0
+        _, mon, fb, b, rho0 = exact_master_case(case)
+        b = fb.backaction_diagonal(mon) if b is None else b
+        D = (0.125 * mon.pair_rate + 0.5 * fb.pair_rate_inverse
+             + 1j * (b[:, None] - b[None, :]))
+        got = exact_master(np.zeros_like(mon.pair_rate), mon, fb, b, rho0, 0.7)
+        np.testing.assert_allclose(got, np.exp(-0.7 * D) * rho0, rtol=0, atol=1e-14)
 
 
 class TestSseStep:

@@ -4,10 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from collapsesim import CorrelationKernel, LatticeGrid, coulomb_potential, smear
 from collapsesim.engine import MonitoringSpec
-from collapsesim.kernels import (MatrixKernel, axis_profile_3d,
-                                 coulomb_multiplier, ewald_periodic_coulomb,
-                                 periodic_image_correction,
-                                 smeared_point_profile)
+from collapsesim.kernels import (MatrixKernel, axis_coulomb_3d, ewald_periodic_coulomb,
+                                 periodic_image_correction, smeared_point_profile)
 
 from oracles import circular_convolution, coulomb_double_sum, periodic_coulomb_modesum
 
@@ -58,8 +56,8 @@ class TestCoulomb:
     def test_linearity(self, rng):
         grid = LatticeGrid((8, 8), 1.0)
         a, b = rng.standard_normal((8, 8)), rng.standard_normal((8, 8))
-        lhs = coulomb_potential(a + b, grid)
-        rhs = coulomb_potential(a, grid) + coulomb_potential(b, grid)
+        lhs = coulomb_potential(a + b, grid, 1.3)
+        rhs = coulomb_potential(a, grid, 1.3) + coulomb_potential(b, grid, 1.3)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_point_mass_newton_law_midrange(self):
@@ -209,6 +207,17 @@ class TestKernelInvariants:
         retained = grid.ifft(grid.fft(f) * kern.retained).real
         np.testing.assert_allclose(back, retained, atol=1e-12)
 
+    @pytest.mark.parametrize("kind,params", [
+        ("csl", {}), ("csl", dict(gamma=np.nan)), ("csl", dict(gamma=np.inf)),
+        ("dp", dict(kappa=2.0)), ("dp", dict(G=1.0)), ("dp", dict(kappa=np.nan, G=1.0)),
+        ("dp", dict(kappa=2.0, G=np.inf)),
+    ], ids=["csl-none", "csl-nan", "csl-inf", "dp-no-G", "dp-no-kappa", "dp-nan", "dp-inf"])
+    def test_strength_missing_or_nonfinite_raises(self, kind, params):
+        # the kernel defaults no strength: each one its kind reads is given,
+        # finite and > 0, and one it does not read may be left out
+        with pytest.raises(ValueError, match="strength"):
+            CorrelationKernel(kind, LatticeGrid((4,), 1.0), **params)
+
     def test_multipliers_nonnegative(self):
         grid = LatticeGrid((6, 6), 1.0)
         for kern in (CorrelationKernel("csl", grid, gamma=0.5),
@@ -278,9 +287,9 @@ class TestEwald:
 class TestAxisProfile:
     def test_matches_direct_3d_solve(self):
         n = 8
-        prof = axis_profile_3d(n, 1.0, lambda aux: coulomb_multiplier(aux, 1.0))
+        prof = axis_coulomb_3d(n, 1.0, 0.6)
         grid = LatticeGrid((n, n, n), 1.0)
         dens = np.zeros(grid.dims)
         dens[0, 0, 0] = 1.0 / grid.cell_volume
-        phi = coulomb_potential(dens, grid, 1.0)
+        phi = coulomb_potential(dens, grid, 0.6)
         np.testing.assert_allclose(prof, phi[:, 0, 0], atol=1e-12)

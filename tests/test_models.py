@@ -12,8 +12,8 @@ from collapsesim import (LatticeGrid, MatrixKernel, ParticleSet, build_backactio
                          build_model, hamiltonian_step, kappa_decoherence_coefficient,
                          me_step, run_ensemble, sn_step)
 from collapsesim import engine, lattice
-from collapsesim.config import ConfigError, parse_config
 from collapsesim.engine import FeedbackSpec, MonitoringSpec
+from collapsesim.kernels import axis_coulomb_3d
 from collapsesim.lattice import config_sites, kinetic_hamiltonian
 from collapsesim.models import (MODEL_KINDS, MONITORED_KINDS, ModelSpec, config_families,
                                 density_family, mean_density, newton_family,
@@ -176,38 +176,29 @@ class TestBuildModel:
             assert make() == make(feedback_smearing=kind == "dp")
             assert make().feedback_smearing is (kind == "dp")
 
+    # the settings each kind reads, and whether 0 is in range for it
+    ZERO_OK = {("csl", "sigma"): False, ("csl", "gamma"): False, ("csl", "G"): True,
+               ("dp", "sigma"): False, ("dp", "kappa"): False, ("dp", "G"): False,
+               ("sn", "sigma"): True, ("sn", "G"): True, ("pair", "G"): True}
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=st.sampled_from(sorted(ZERO_OK)), data=st.data())
+    def test_nonfinite_or_out_of_range_setting_raises(self, case, data):
+        # only finite values in range build: nan, +-inf and values below the
+        # range raise for every kind that reads the setting (nan compares
+        # False both ways, so a check written `x <= 0` lets it through)
+        kind, key = case
+        below = (st.floats(max_value=-1e-300) if self.ZERO_OK[case]
+                 else st.floats(max_value=0.0, allow_nan=False))
+        bad = data.draw(st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]), below))
+        with pytest.raises(ValueError):
+            ModelSpec(kind=kind, grid=LatticeGrid((4,), 1.0), particles=ParticleSet([1.0, 1.0]),
+                      **{key: bad})
+
     def test_monitored_needs_positive_sigma(self):
         grid = LatticeGrid((4,), 1.0)
         with pytest.raises(ValueError, match="sigma"):
             ModelSpec(kind="dp", grid=grid, particles=ParticleSet([1.0]), sigma=0.0)
-
-    @staticmethod
-    def run_file_spec(**model):
-        """The ModelSpec that parse_config reads from a one-particle run file
-        on a 6-site chain with this model block."""
-        return parse_config({"grid": {"dims": [6]},
-                             "particles": [{"initial": {"type": "gaussian", "center": [3.0]}}],
-                             "model": model}).spec
-
-    def test_generic_kind_explicit_kernel_choice(self):
-        # a run file's legacy kind 'generic' reads as the kind its kernel_kind names
-        base = dict(sigma=1.0, gamma=0.7, G=0.2)
-        gen = self.run_file_spec(kind="generic", kernel_kind="csl", **base)
-        assert gen == csl_spec(LatticeGrid((6,), 1.0), ParticleSet([1.0]), **base)
-        assert self.run_file_spec(kind="csl", kernel_kind=None, **base) == gen
-        # the optional smearing flag overrides the kernel default
-        smeared = self.run_file_spec(kind="generic", kernel_kind="csl",
-                                     feedback_smearing=True, **base)
-        assert smeared == replace(gen, feedback_smearing=True)
-        gen, smeared = build_model(gen), build_model(smeared)
-        assert np.abs(smeared.feedback.family - gen.feedback.family).max() > 1e-6
-
-    def test_generic_requires_kernel_kind(self):
-        # kernel_kind names csl or dp on the legacy kind and nothing elsewhere
-        for model in ({"kind": "generic"}, {"kind": "generic", "kernel_kind": "sn"},
-                      {"kind": "dp", "kernel_kind": "dp"}, {"kind": "pair", "kernel_kind": "csl"}):
-            with pytest.raises(ConfigError, match="model.kernel_kind"):
-                self.run_file_spec(**model)
 
     def test_one_name_per_model(self):
         # the Python API has no 'generic' kind: a spec's kind names its kernel
@@ -370,18 +361,50 @@ class TestExactPairBaseline:
             delta, grid, 1.0)[d, 0, 0]
         assert pair_d == pytest.approx(v_ba - v_self, rel=0.05)
 
-    def test_pair_diagonal_matches_backaction_on_chain(self):
-        # same comparison through the full diagonal on a dense-friendly chain
-        grid = LatticeGrid((16,), 1.0)
-        parts = ParticleSet([1.0, 1.0])
-        pair = pair_potential_diagonal(grid, parts, G=1.0, embedded_3d=False)
-        assert pair.shape == (256,)
-        flat = 0 * 16 + 5
-        delta = np.zeros(16)
-        delta[0] = 1.0
+    def test_chain_reads_the_embedded_3d_green_function(self):
+        # a chain is one axis of a periodic 3d box: each pair of particles
+        # adds m_n m_p times the 3d Coulomb potential at their distance
+        grid, G = LatticeGrid((9,), 0.8), 0.6
+        parts = ParticleSet([1.0, 2.0, 0.5])
+        model = build_model(ModelSpec(kind="pair", grid=grid, particles=parts, G=G))
+        w = axis_coulomb_3d(9, 0.8, G)
+        expected = [sum(parts.masses[n] * parts.masses[q] * w[(x[n] - x[q]) % 9]
+                        for n in range(3) for q in range(n + 1, 3))
+                    for x in config_sites(grid, parts)]
+        np.testing.assert_allclose(model.pair_potential, expected, rtol=1e-14, atol=0)
+
+    def test_grid_reads_its_own_green_function(self):
+        # any other grid: the pair potential is the grid's own Coulomb
+        # potential of a point mass, read at the particles' displacement
         from collapsesim import coulomb_potential
-        np.testing.assert_allclose(pair[flat], coulomb_potential(delta, grid, 1.0)[5],
-                                   atol=1e-12)
+
+        grid, G = LatticeGrid((6, 5), (1.0, 0.7)), 0.6
+        parts = ParticleSet([1.0, 2.0])
+        model = build_model(ModelSpec(kind="pair", grid=grid, particles=parts, G=G))
+        point = np.zeros(grid.dims)
+        point[0, 0] = 1.0 / grid.cell_volume
+        phi = coulomb_potential(point, grid, G)
+        expected = []
+        for a, b in config_sites(grid, parts):
+            (ia, ja), (ib, jb) = np.unravel_index(a, grid.dims), np.unravel_index(b, grid.dims)
+            expected.append(2.0 * phi[(ia - ib) % 6, (ja - jb) % 5])
+        np.testing.assert_allclose(model.pair_potential, expected, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("dims, spacing, masses, digest", [
+        ((16,), 1.0, (1.0, 1.5),
+         "ba1d13cbe1f1b7490976100a9ae15ff842b6d10328e26fc13ff50bb827e3cf0b"),
+        ((12,), 0.7, (1.0, 0.5, 2.0),
+         "8833ce409b9d509e776872c4cddd2d74c6dbf0a2fe0cf8b55d146f8d1680777c"),
+        ((6, 5), 1.0, (1.0, 2.0),
+         "37b3ec8b8b307531200befaf2fe16983909c723a30a1ff14c9570138b05c492a"),
+        ((4, 4, 4), 1.0, (1.0, 1.0),
+         "f6f5381323e502c2ec50bdd3d175b187cc27687ae5efd3520ba18680698d54a9"),
+    ], ids=["chain-16", "chain-12-three", "grid-6x5", "grid-4x4x4"])
+    def test_pair_potential_bytes(self, dims, spacing, masses, digest):
+        # pinned: the diagonal's bytes at G = 0.8, recorded before the Green
+        # function was chosen from the grid alone
+        vals = pair_potential_diagonal(LatticeGrid(dims, spacing), ParticleSet(list(masses)), 0.8)
+        assert hashlib.sha256(vals.tobytes()).hexdigest() == digest
 
     def test_without_gravity_is_free(self, rng):
         grid = LatticeGrid((6,), 1.0)

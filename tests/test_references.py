@@ -3,7 +3,12 @@ the tests: code in src/, demos/ or bench/ refers to it, or the acceptance
 gate imports it.  A definition that only unit tests reach is dead code."""
 
 import ast
+import dataclasses
+import inspect
+import numbers
 from pathlib import Path
+
+from collapsesim import kernels
 
 ROOT = Path(__file__).resolve().parents[1]
 PUBLIC_API = {"fit_offdiagonal_decay"}  # exported from collapsesim; only tests call it
@@ -60,3 +65,17 @@ def unreferenced(root: Path) -> list[str]:
 
 def test_every_definition_has_a_caller_outside_the_tests():
     assert unreferenced(ROOT) == []
+
+
+def test_kernels_default_no_model_setting():
+    # models.ModelSpec is the one home of the strengths and G: no field of
+    # CorrelationKernel and no kernels function gives them a number of its own
+    names = ("gamma", "kappa", "G")
+    found = {f"CorrelationKernel.{f.name}": f.default
+             for f in dataclasses.fields(kernels.CorrelationKernel) if f.name in names}
+    for fname, fn in inspect.getmembers(kernels, inspect.isfunction):
+        if fn.__module__ == kernels.__name__:
+            found.update({f"{fname}({p.name})": p.default
+                          for p in inspect.signature(fn).parameters.values() if p.name in names})
+    assert {"CorrelationKernel.gamma", "coulomb_potential(G)", "axis_coulomb_3d(G)"} <= set(found)
+    assert {where: d for where, d in found.items() if isinstance(d, numbers.Number)} == {}
