@@ -203,13 +203,12 @@ class PairPotentialRow:
     newton_ratio: float  # corrected * d / (-G m1 m2); 1 for the bare Newton law
 
 
-def pair_potential_curve(spec: ModelSpec, separations, axis: int = 0,
-                         corrected: bool = True) -> list[PairPotentialRow]:
+def pair_potential_curve(spec: ModelSpec, separations, axis: int = 0) -> list[PairPotentialRow]:
     """Emergent two-particle potential versus separation along one axis.
 
     Self-energy constants are removed by subtracting the single-particle
-    potentials; on a cubic 3d grid the periodic-image contribution can be
-    removed with the Ewald Green function, exposing the bare Newton law.
+    potentials; on a cubic 3d grid at d > 0 the periodic-image contribution
+    is removed with the Ewald Green function, exposing the bare Newton law.
     """
     grid, particles = spec.grid, spec.particles
     if particles.count != 2:
@@ -227,7 +226,7 @@ def pair_potential_curve(spec: ModelSpec, separations, axis: int = 0,
     for d, v in zip(separations, pair - self_energy):
         sep = float(d) * grid.spacing[axis]
         vc = v
-        if corrected and cubic3d and sep > 0:
+        if cubic3d and sep > 0:
             vc = v + spec.G * m1 * m2 * periodic_image_correction(sep, box)
         ratio = vc * sep / (-spec.G * m1 * m2) if sep > 0 and spec.G > 0 else np.nan
         rows.append(PairPotentialRow(separation=sep, potential=float(v),

@@ -10,9 +10,9 @@ Subcommands::
 Exit codes: 0 success, 2 invalid configuration, 3 numerical guard tripped.
 CSV files carry a header row with units and 17 significant digits, so a
 (config, seed) pair reproduces them byte for byte.  The JSON summary echoes
-the resolved configuration; its timing fields (wall_time_s, build_s, run_s,
-write_s and steps_per_s) are the values excluded from the
-byte-reproducibility contract.  The trajectories of an ensemble
+the configuration as the file gives it, defaults not filled in; its timing
+fields (wall_time_s, build_s, run_s, write_s and steps_per_s) are the values
+excluded from the byte-reproducibility contract.  The trajectories of an ensemble
 are stepped together in one batch (engine.run_ensemble); trajectory i
 depends only on the config and on seed + i.
 """
@@ -149,8 +149,7 @@ def _analyze_pair_potential(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError([f"analyze pair-potential needs exactly two particles; "
                            f"the config has {cfg.spec.particles.count}"])
     block = cfg.analyze["pair_potential"]
-    rows = analysis.pair_potential_curve(cfg.spec, block["separations"], axis=block["axis"],
-                                         corrected=block["corrected"])
+    rows = analysis.pair_potential_curve(cfg.spec, block["separations"], axis=block["axis"])
     _write_csv(out_dir / "pair_potential.csv",
                ["d (length)", "V_inter (energy)", "V_corrected (energy)",
                 "newton_ratio (1)"],

@@ -220,7 +220,7 @@ def parse_config(data: dict) -> RunConfig:
                          "a nonnegative integer", lambda x: x >= 0, int, 0)
 
     blocks = {"rate": ("separations", "axis"),
-              "pair_potential": ("separations", "corrected", "axis"),
+              "pair_potential": ("separations", "axis"),
               "kappa_scan": ("kappas", "separation", "axis"), "linearity": ("time", "samples")}
     asec = data.get("analyze")
     asec = mapping({} if asec is None else asec, "analyze", tuple(blocks)) or {}
@@ -246,9 +246,8 @@ def parse_config(data: dict) -> RunConfig:
             return {"axis": ax, "separations": out}
 
         analyze["rate"] = separations(rate, "rate", lambda n: list(range(0, max(2, n // 4 + 1))))
-        analyze["pair_potential"] = {
-            **separations(pair, "pair_potential", lambda n: list(range(1, n // 2 + 1))),
-            "corrected": flag(pair.get("corrected", True), "analyze.pair_potential.corrected")}
+        analyze["pair_potential"] = separations(pair, "pair_potential",
+                                                lambda n: list(range(1, n // 2 + 1)))
         kappas = scan.get("kappas", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
         listed = _vector(kappas) if isinstance(kappas, list) else None
         if listed is None or min(listed) <= 0:

@@ -339,10 +339,10 @@ def _euler(H, rho, dt: float, step, terms, args) -> np.ndarray:
 
 
 def sme_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec, noise, dt: float,
-             step: int | None = None, field=None) -> np.ndarray:
+             field=None) -> np.ndarray:
     """One Ito Euler step of the monitored dynamics without feedback
     (field as in combined_step)."""
-    return combined_step(rho, H, spec, None, noise, dt, step, field)
+    return combined_step(rho, H, spec, None, noise, dt, field=field)
 
 
 def feedback_step(rho_free: np.ndarray, potential, dt: float) -> np.ndarray:
@@ -719,6 +719,8 @@ def ensemble_mean(model, rho0: np.ndarray, dt: float, steps: int, seeds,
     in seed order, so the result does not depend on the chunk size, bit
     for bit.
     """
+    if np.ndim(rho0) != 2 or rho0.shape[0] != rho0.shape[1]:
+        raise ValueError(f"rho0 must be an (n, n) density matrix; got shape {np.shape(rho0)}")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must not be empty: the mean of no trajectories")

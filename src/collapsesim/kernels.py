@@ -185,12 +185,6 @@ class MatrixKernel:
     def apply_inverse(self, f: np.ndarray) -> np.ndarray:
         return np.asarray(f, float) @ self.inverse.T
 
-    def quad(self, f, g) -> float:
-        return float(np.asarray(f, float) @ self.matrix @ np.asarray(g, float))
-
-    def quad_inverse(self, f, g) -> float:
-        return float(np.asarray(f, float) @ self.inverse @ np.asarray(g, float))
-
     def sample_noise(self, dt: float, rng: np.random.Generator, size=()) -> np.ndarray:
         if dt <= 0:
             raise ValueError("dt must be positive")
@@ -199,11 +193,11 @@ class MatrixKernel:
         return (white @ self._noise_chol.T) / np.sqrt(dt)
 
 
-def ewald_periodic_coulomb(r_vec, box: float, alpha: float | None = None,
-                           n_real: int = 3, n_recip: int = 8) -> float:
+def ewald_periodic_coulomb(r_vec, box: float) -> float:
     """Periodic continuum Coulomb Green function on a cubic box (with
     neutralizing background): sum over images of 1/|r+nL| split the Ewald
-    way between real and reciprocal space.
+    way between real and reciprocal space, with the fixed splitting
+    alpha = 5/L over 3 real-space and 8 reciprocal shells per axis.
 
     Approaches 1/|r| plus an O(1/L) image correction for |r| << L; the k=0
     background term matches the spectral solver's zero-mode policy.
@@ -212,16 +206,15 @@ def ewald_periodic_coulomb(r_vec, box: float, alpha: float | None = None,
 
     r_vec = np.asarray(r_vec, float)
     L = float(box)
-    if alpha is None:
-        alpha = 5.0 / L
+    alpha = 5.0 / L
     vol = L**3
-    shifts = np.arange(-n_real, n_real + 1)
+    shifts = np.arange(-3, 4)
     sx, sy, sz = np.meshgrid(shifts, shifts, shifts, indexing="ij")
     images = r_vec + L * np.stack([sx, sy, sz], axis=-1).reshape(-1, 3)
     dist = np.linalg.norm(images, axis=1)
     dist = dist[dist > 0]
     total = float(np.sum(erfc(alpha * dist) / dist))
-    ns = np.arange(-n_recip, n_recip + 1)
+    ns = np.arange(-8, 9)
     nx, ny, nz = np.meshgrid(ns, ns, ns, indexing="ij")
     mask = (nx**2 + ny**2 + nz**2) > 0
     kvecs = (2.0 * np.pi / L) * np.stack([nx[mask], ny[mask], nz[mask]], axis=-1)

@@ -56,8 +56,8 @@ class LatticeGrid:
         if any(n < 2 for n in dims):
             raise ValueError("each axis needs at least 2 sites")
         sp = np.broadcast_to(np.atleast_1d(np.asarray(spacing, float)), (len(dims),))
-        if np.any(sp <= 0):
-            raise ValueError("spacing must be positive")
+        if not np.all((0 < sp) & (sp < np.inf)):  # nan fails too
+            raise ValueError("spacing must be positive and finite")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", tuple(float(a) for a in sp))
 
@@ -137,8 +137,8 @@ class ParticleSet:
 
     def __init__(self, masses, kinetic=None):
         masses = tuple(float(m) for m in np.atleast_1d(masses))
-        if any(m <= 0 for m in masses):
-            raise ValueError("all masses must be positive")
+        if not all(0 < m < np.inf for m in masses):  # nan fails too
+            raise ValueError("all masses must be positive and finite")
         n = len(masses)
         if kinetic is None:
             kinetic = (True,) * n

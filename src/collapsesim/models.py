@@ -160,8 +160,8 @@ def build_backaction_hamiltonian(spec: ModelSpec, configs=None) -> DiagonalField
 def kappa_decoherence_coefficient(kappa: float) -> float:
     """Total Coulomb-kernel decoherence coefficient kappa/4 + 1/kappa
     (minimum 1 at kappa = 2, symmetric under kappa -> 4/kappa)."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not 0 < kappa < np.inf:  # nan fails too
+        raise ValueError("kappa must be positive and finite")
     return kappa / 4.0 + 1.0 / kappa
 
 
@@ -212,11 +212,11 @@ class Model:
         one complex copy and one symmetry test per model, not per step."""
         return DenseHamiltonian(self.hamiltonian)
 
-    def advance(self, state: np.ndarray, dt: float, noise=None, step: int | None = None,
-                pure: bool | None = None, field=None, tables=None):
+    def advance(self, state: np.ndarray, dt: float, noise=None, step: int | None = None, *,
+                pure: bool, field=None, tables=None):
         """One step; returns (state', signal or None).  Dispatches on the
         model kind, on noise and on pure: whether the states, which may carry
-        leading batch axes, are state vectors (default: only a 1-d state is).
+        leading batch axes, are state vectors.
         noise is the step's flat signal noise, (..., n_obs); on a monitored
         kind None takes the noise-averaged step, the linear master equation,
         whose signal is the observable means of the new density matrix.
@@ -225,8 +225,6 @@ class Model:
         conditional density step's state-independent tables, combined_step's
         (rate, sums), if known, as run_ensemble forms them for a state that
         the Euler step handles whole."""
-        if pure is None:
-            pure = state.ndim == 1
         if self.spec.kind in MONITORED_KINDS:
             spec = self.monitoring
             if noise is None:

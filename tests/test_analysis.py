@@ -6,6 +6,7 @@ from collapsesim import (LatticeGrid, ParticleSet, build_model, combined_step,
                          fit_offdiagonal_decay, kappa_scan, linearity_witness,
                          pair_potential_curve, run_ensemble, trace_distance)
 from collapsesim.analysis import backaction_prefactor_report, united_dp_rate
+from collapsesim.kernels import periodic_image_correction
 from collapsesim.models import ModelSpec
 
 from oracles import (delta_inverse_r_squared_integral, erf_pair_potential,
@@ -301,15 +302,26 @@ class TestPairPotentialCurve:
         grid = LatticeGrid((32, 32, 32), 1.0)
         spec = ModelSpec(kind="csl", grid=grid,
                          particles=ParticleSet([1.0, 1.0]), sigma=1.0, G=1.0)
-        rows = pair_potential_curve(spec, [8], corrected=True)
+        rows = pair_potential_curve(spec, [8])
         assert rows[0].newton_ratio == pytest.approx(1.0, abs=0.02)
 
-    def test_raw_column_differs_by_image_term(self):
-        grid = LatticeGrid((32, 32, 32), 1.0)
-        spec = ModelSpec(kind="csl", grid=grid,
-                         particles=ParticleSet([1.0, 1.0]), sigma=1.0, G=1.0)
-        rows = pair_potential_curve(spec, [8], corrected=False)
-        assert rows[0].corrected == rows[0].potential
+    @pytest.mark.parametrize("dims, spacing", [
+        ((8, 8), 1.0), ((8, 8, 6), 1.0), ((6, 6, 6), (1.0, 1.0, 2.0))])
+    def test_no_correction_off_cubic_3d_grids(self, dims, spacing):
+        spec = ModelSpec(kind="csl", grid=LatticeGrid(dims, spacing),
+                         particles=ParticleSet([1.0, 2.0]), sigma=1.0, G=0.5)
+        rows = pair_potential_curve(spec, [0, 1, 2, 3])
+        assert all(row.corrected == row.potential for row in rows)
+
+    def test_cubic_correction_is_the_image_term(self):
+        spec = ModelSpec(kind="csl", grid=LatticeGrid((8, 8, 8), 1.5),
+                         particles=ParticleSet([1.0, 2.0]), sigma=1.0, G=0.5)
+        zero, *rows = pair_potential_curve(spec, [0, 1, 2, 3])
+        assert zero.corrected == zero.potential
+        for row in rows:
+            image = 0.5 * 1.0 * 2.0 * periodic_image_correction(row.separation, 12.0)
+            assert row.corrected == row.potential + image
+            assert image != 0.0
 
 
     @pytest.mark.parametrize("kind, sigma, bound", [
@@ -323,7 +335,7 @@ class TestPairPotentialCurve:
                          particles=ParticleSet([1.0, 1.0]), sigma=sigma, G=1.0)
         smeared = spec.feedback_smearing
         assert smeared == (kind == "dp")
-        rows = pair_potential_curve(spec, range(1, 9), corrected=True)
+        rows = pair_potential_curve(spec, range(1, 9))
         errors = [abs(row.corrected / erf_pair_potential(row.separation, 1.0, 1.0, 1.0, sigma,
                                                          smeared) - 1.0) for row in rows]
         assert max(errors) < bound

@@ -227,6 +227,8 @@ class TestRun:
         ({("analyze",): {"rate": {"separation": [1, 2]}}}, "analyze.rate.separation",
          "unknown key"),
         ({("model", "kernel_kind"): "dp"}, "model.kernel_kind", "unknown key"),
+        ({("analyze",): {"pair_potential": {"corrected": False}}},
+         "analyze.pair_potential.corrected", "unknown key; known keys are separations, axis"),
         ({("model", "kind"): "generic"}, "model.kind",
          "must be one of ('csl', 'dp', 'sn', 'pair')"),
         ({("model", "kind"): "generic", ("model", "kernel_kind"): "sn"}, "model.kernel_kind",
@@ -244,9 +246,9 @@ class TestRun:
             "unknown-top-key", "unknown-grid-key", "unknown-particle-key",
             "unknown-initial-key", "unknown-model-key", "unknown-integration-key",
             "unknown-output-key", "unknown-analyze-block", "unknown-analyze-block-key",
-            "kernel-kind-not-generic", "generic-without-kernel-kind", "generic-kernel-kind-sn",
-            "snapshots-on-run", "dp-G-zero", "seed-negative", "csl-gamma-zero",
-            "dp-kappa-zero"])
+            "kernel-kind-not-generic", "pair-potential-corrected",
+            "generic-without-kernel-kind", "generic-kernel-kind-sn", "snapshots-on-run",
+            "dp-G-zero", "seed-negative", "csl-gamma-zero", "dp-kappa-zero"])
     def test_bad_number_or_initial_block_exit_2(self, tmp_path, capsys, edits, key, shown):
         # each value passes a bare isinstance or float() test, fails only inside
         # numpy, or sits under a key or a model kind that nothing reads
@@ -267,12 +269,10 @@ class TestRun:
         ({"rate": {"axis": 1}}, "analyze.rate.axis", "got 1"),
         ({"kappa_scan": {"kappas": [-1.0]}}, "analyze.kappa_scan.kappas", "got [-1.0]"),
         ({"kappa_scan": {"separation": 8}}, "analyze.kappa_scan.separation", "got 8"),
-        ({"pair_potential": {"corrected": "no"}}, "analyze.pair_potential.corrected",
-         "got 'no'"),
         ({"linearity": {"time": 0}}, "analyze.linearity.time", "got 0"),
         ({"linearity": {"samples": 2.5}}, "analyze.linearity.samples", "got 2.5"),
     ], ids=["separations-outside", "axis-outside", "kappa-negative", "separation-outside",
-            "corrected-text", "time-zero", "samples-fraction"])
+            "time-zero", "samples-fraction"])
     def test_bad_analyze_value_listed_with_run_errors_exit_2(self, tmp_path, capsys, block,
                                                              key, shown):
         # run reads no analyze block, yet a bad analyze value exits 2 at load,
@@ -434,6 +434,18 @@ class TestAnalyze:
                      "--out", str(tmp_path)]) == 2
         assert "exactly two particles" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [False, "no"])
+    def test_corrected_key_is_unknown_exit_2(self, tmp_path, capsys, value):
+        # the image correction always applies where it can: no key turns it off
+        data = base_config()
+        data["particles"] = data["particles"] * 2
+        data["analyze"] = {"pair_potential": {"corrected": value}}
+        cfg = write_config(tmp_path / "corrected.yaml", data)
+        assert main(["analyze", "pair-potential", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert ("analyze.pair_potential.corrected: unknown key; known keys are separations, "
+                "axis") in capsys.readouterr().err
+        assert not (tmp_path / "pair_potential.csv").exists()
+
     @pytest.mark.parametrize("what", ["rate", "kappa-scan"])
     def test_rate_tables_need_one_particle_exit_2(self, tmp_path, capsys, what):
         data = base_config()
@@ -498,7 +510,7 @@ class TestAnalyze:
         ("kappa-scan", "separation", "many"), ("kappa-scan", "kappas", ["a"]),
         ("kappa-scan", "kappas", [0.0]), ("pair-potential", "axis", True),
         ("linearity", "samples", "many"), ("linearity", "time", "x"),
-        ("linearity", "time", float("inf")), ("pair-potential", "corrected", "no")])
+        ("linearity", "time", float("inf"))])
     def test_block_value_of_wrong_kind_exit_2(self, tmp_path, capsys, what, key, value):
         data = self.linearity_config() if what == "linearity" else base_config()
         if what == "pair-potential":

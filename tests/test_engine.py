@@ -1051,7 +1051,7 @@ class TestRunEnsemble:
         assert a.tobytes() == b.tobytes()  # no noise: every seed agrees
         state = psi
         for i in range(1, 21):
-            state, _ = model.advance(state, 1e-3, None, step=i)
+            state, _ = model.advance(state, 1e-3, None, step=i, pure=True)
         np.testing.assert_allclose(a, state, atol=1e-14)
 
     @pytest.mark.parametrize("dims", [(8,), (4, 4)])
@@ -1096,7 +1096,7 @@ class TestRunEnsemble:
     def test_noise_averaged_step_needs_density_matrix(self):
         model, psi = self.cat_model()
         with pytest.raises(ValueError, match="density matrix"):
-            model.advance(psi, self.dt)
+            model.advance(psi, self.dt, pure=True)
         with pytest.raises(ValueError, match="density matrix"):
             run_ensemble(psi, model, self.dt, 3, [0], unconditional=True)
 
@@ -1128,6 +1128,13 @@ class TestRunEnsemble:
         model, psi = self.cat_model()
         with pytest.raises(ValueError, match=name):
             ensemble_mean(model, np.outer(psi, psi.conj()), self.dt, 3, seeds, chunk=chunk)
+
+    def test_ensemble_mean_needs_density_matrix(self):
+        # the mean of state vectors depends on their phases: no density matrix
+        model, psi = self.cat_model()
+        for state in (psi, np.outer(psi, psi.conj())[:, :4], np.stack([psi, psi])):
+            with pytest.raises(ValueError, match=r"rho0 must be an \(n, n\) density matrix"):
+                ensemble_mean(model, state, self.dt, 3, range(2))
 
 
 def table_model(family, n, feedback, seed):

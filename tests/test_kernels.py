@@ -247,11 +247,9 @@ class TestKernelInvariants:
 
 
 class TestMatrixKernel:
-    def test_quad_and_inverse(self, rng):
-        m = np.array([[2.0, 0.3], [0.3, 1.0]])
-        kern = MatrixKernel(m)
+    def test_apply_inverse_round_trip(self, rng):
+        kern = MatrixKernel(np.array([[2.0, 0.3], [0.3, 1.0]]))
         f = rng.standard_normal(2)
-        assert kern.quad(f, f) == pytest.approx(f @ m @ f)
         np.testing.assert_allclose(kern.apply_inverse(kern.apply(f)), f, atol=1e-12)
 
     def test_noise_covariance(self):
@@ -266,11 +264,6 @@ class TestMatrixKernel:
 
 
 class TestEwald:
-    def test_alpha_independence(self):
-        a = ewald_periodic_coulomb([5.0, 0, 0], 32.0, alpha=4.0 / 32)
-        b = ewald_periodic_coulomb([5.0, 0, 0], 32.0, alpha=7.0 / 32)
-        assert a == pytest.approx(b, abs=1e-9)
-
     def test_matches_modesum_oracle(self):
         for d in (3.0, 8.0, 12.0):
             ours = ewald_periodic_coulomb([d, 0, 0], 32.0)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from collapsesim import (DiagonalField, LatticeGrid, MatrixKernel, MonitoringSpec,
                          ParticleSet, kinetic_hamiltonian)
 from collapsesim.lattice import config_sites, displacement_index
-from collapsesim.models import ModelSpec, build_model, density_family
+from collapsesim.models import (ModelSpec, build_model, density_family,
+                                kappa_decoherence_coefficient)
 
 from conftest import random_density_matrix
 from oracles import (dense_double_commutator, einsum_apply, kron_sum_hamiltonian,
@@ -257,6 +258,19 @@ class TestValidators:
     def test_positive_masses(self):
         with pytest.raises(ValueError):
             ParticleSet([1.0, -1.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(bad=st.floats(max_value=0.0) | st.sampled_from([np.nan, np.inf]),
+           good=st.floats(1e-3, 1e3), slot=st.integers(0, 1))
+    def test_nonfinite_or_out_of_range_rejected(self, bad, good, slot):
+        # nan fails every comparison, so each check admits only finite values
+        # in range: spacings, masses and kappa alike
+        values = [good, good]
+        values[slot] = bad
+        for build in (lambda v: LatticeGrid((4, 4), v), ParticleSet,
+                      lambda v: kappa_decoherence_coefficient(v[slot])):
+            with pytest.raises(ValueError):
+                build(values)
 
 
 class TestMomentum:

@@ -1,6 +1,7 @@
 """Every top-level function and class of the package has a caller outside
 the tests: code in src/, demos/ or bench/ refers to it, or the acceptance
-gate imports it.  A definition that only unit tests reach is dead code."""
+gate imports it.  A definition that only unit tests reach is dead code, and
+so is a parameter default that only unit tests override."""
 
 import ast
 import dataclasses
@@ -65,6 +66,69 @@ def unreferenced(root: Path) -> list[str]:
 
 def test_every_definition_has_a_caller_outside_the_tests():
     assert unreferenced(ROOT) == []
+
+
+def defaults(fn, method):
+    """(position, name) of each parameter of fn that has a default; a
+    method's positions skip self or cls, and a keyword-only one has None."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    skip = int(method and not any(getattr(d, "id", None) == "staticmethod"
+                                  for d in fn.decorator_list))
+    first = len(positional) - len(args.defaults)
+    return ([(i - skip, p.arg) for i, p in enumerate(positional) if i >= first]
+            + [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def passed(call, position, name):
+    """Whether call passes the parameter at position (None: keyword-only)
+    named name; *args and **kwargs count as passing whatever they may."""
+    if any(k.arg in (name, None) for k in call.keywords):  # None: **kwargs
+        return True
+    return position is not None and any(i == position or isinstance(arg, ast.Starred)
+                                        for i, arg in enumerate(call.args[:position + 1]))
+
+
+def unpassed(root: Path) -> list[str]:
+    """module.function(parameters) for each top-level function and method
+    (an __init__ under its class name) of root/src/collapsesim whose listed
+    defaulted parameters no call passes, counting the calls by name in
+    root's src, demos and bench code (bench tests excluded) and in
+    root/tests/test_acceptance.py."""
+    package = sorted((root / "src" / "collapsesim").glob("*.py"))
+    callers = (package + sorted((root / "demos").glob("*.py"))
+               + sorted((root / "bench").glob("*.py")) + [root / "tests" / "test_acceptance.py"])
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in callers}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for path in package:
+        for top in definitions(trees[path]):
+            if top.name in PUBLIC_API:
+                continue
+            if isinstance(top, ast.ClassDef):
+                fns = [(f"{top.name}.{fn.name}", top.name if fn.name == "__init__" else fn.name,
+                        fn, True) for fn in top.body
+                       if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            else:
+                fns = [(top.name, top.name, top, False)]
+            for where, called, fn, method in fns:
+                missing = [name for position, name in defaults(fn, method)
+                           if not any(passed(c, position, name) for c in calls.get(called, []))]
+                if missing:
+                    found.append(f"{path.stem}.{where}({', '.join(missing)})")
+    return found
+
+
+def test_every_default_is_overridden_outside_the_tests():
+    # a default that no caller outside the unit tests overrides selects a
+    # code path that only the tests reach
+    assert unpassed(ROOT) == []
 
 
 def test_kernels_default_no_model_setting():
