@@ -7,20 +7,21 @@ Subcommands::
     collapse-sim analyze pair-potential | kappa-scan | linearity ...
     collapse-sim presets        [--json]
 
-Exit codes: 0 success, 2 invalid configuration, 3 numerical guard tripped.
-CSV files carry a header row with units and 17 significant digits, so a
-(config, seed) pair reproduces them byte for byte.  The JSON summary echoes
-the configuration as the file gives it, defaults not filled in; its timing
-fields (wall_time_s, build_s, run_s, write_s and steps_per_s) are the values
-excluded from the byte-reproducibility contract.  The trajectories of an ensemble
-are stepped together in one batch (engine.run_ensemble); trajectory i
-depends only on the config and on seed + i.
+Exit codes: 0 success, 2 invalid configuration or an unusable --out, 3
+numerical guard tripped.  --out is made before any computation, so a run
+that trips a guard leaves it empty.  CSV files carry a header row with
+units and 17 significant digits, every row ending in CRLF, so a (config,
+seed) pair reproduces them byte for byte.  The JSON summary echoes the
+configuration as the file gives it, defaults not filled in; its timing
+fields (wall_time_s, build_s, run_s, write_s and steps_per_s) are the
+values excluded from the byte-reproducibility contract.  The trajectories
+of an ensemble are stepped together in one batch (engine.run_ensemble);
+trajectory i depends only on the config and on seed + i.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -45,39 +46,38 @@ EXIT_GUARD = 3
 ATOMIC_MASS_KG = 1.66053906892e-27
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """The one CSV writer: a header row, then the columns side by side, each
+    float with 17 significant digits, every row ending in CRLF."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+        np.savetxt(fh, np.column_stack(columns).reshape(-1, len(header)), fmt="%.17g",
+                   delimiter=",", header=",".join(header), comments="", newline="\r\n")
 
 
-def _trajectory_rows(cfg: RunConfig, rec):
+def _write_json(path: Path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, default=float)
+        fh.write("\n")
+
+
+def _trajectory_columns(cfg: RunConfig, rec):
     header = ["t (lattice time)", "trace (1)", "purity (1)"]
     header += [f"x{n} (length)" for n in range(cfg.spec.particles.count)]
     header += [f"abs_rho_{x}_{y} (1)" for x, y in cfg.offdiagonal_pairs]
     header += [f"signal_site{s} (mass/volume)" for s in cfg.signal_sites]
-    rows = []
-    for j in range(len(rec.times)):
-        row = [rec.times[j], rec.trace[j], rec.purity[j]]
-        row += list(rec.positions[j])
-        if rec.offdiagonals is not None:
-            row += list(rec.offdiagonals[j])
-        if rec.signals is not None:
-            row += [rec.signals[j].reshape(-1)[s] for s in cfg.signal_sites]
-        rows.append(row)
-    return header, rows
+    columns = [rec.times, rec.trace, rec.purity, rec.positions]
+    if rec.offdiagonals is not None:
+        columns.append(rec.offdiagonals)
+    if rec.signals is not None:
+        columns.append(rec.signals[:, cfg.signal_sites])
+    return header, columns
 
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.snapshot_every:  # run_ensemble would hold state copies that no file receives
         raise ConfigError([f"output.snapshot_every: collapse-sim run writes no snapshots, "
                            f"so it must be 0; got {cfg.snapshot_every}"])
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the run
     t0 = time.perf_counter()
     model = build_model(cfg.spec)
     psi = build_initial_state(cfg)
@@ -94,12 +94,9 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
                            offdiagonal_pairs=cfg.offdiagonal_pairs,
                            unconditional=unconditional)
     t_write = time.perf_counter()
-
-    out_dir.mkdir(parents=True, exist_ok=True)
     diagnostics = []
     for i, rec in enumerate(records):
-        header, rows = _trajectory_rows(cfg, rec)
-        _write_csv(out_dir / f"trajectory_{i:04d}.csv", header, rows)
+        _write_csv(out_dir / f"trajectory_{i:04d}.csv", *_trajectory_columns(cfg, rec))
         diagnostics.append({
             "seed": rec.seed,
             "final_trace": rec.trace[-1],
@@ -119,9 +116,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
         "write_s": t_end - t_write,  # trajectory CSVs
         "steps_per_s": cfg.ensemble * cfg.steps / (t_write - t_run),
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, default=float)
-        fh.write("\n")
+    _write_json(out_dir / "summary.json", summary)
     return EXIT_OK
 
 
@@ -137,10 +132,10 @@ def _analyze_rate(cfg: RunConfig, out_dir: Path) -> int:
     _require_rate_model(cfg, "rate")
     block = cfg.analyze["rate"]
     prof = analysis.decoherence_profile(cfg.spec, block["separations"], axis=block["axis"])
-    rows = zip(prof.separations, prof.intrinsic, prof.backaction, prof.total)
     _write_csv(out_dir / "rate.csv",
                ["d (length)", "rate_intrinsic (1/time)",
-                "rate_backaction (1/time)", "rate_total (1/time)"], rows)
+                "rate_backaction (1/time)", "rate_total (1/time)"],
+               [prof.separations, prof.intrinsic, prof.backaction, prof.total])
     return EXIT_OK
 
 
@@ -153,7 +148,8 @@ def _analyze_pair_potential(cfg: RunConfig, out_dir: Path) -> int:
     _write_csv(out_dir / "pair_potential.csv",
                ["d (length)", "V_inter (energy)", "V_corrected (energy)",
                 "newton_ratio (1)"],
-               ((r.separation, r.potential, r.corrected, r.newton_ratio) for r in rows))
+               [np.array([(r.separation, r.potential, r.corrected, r.newton_ratio)
+                          for r in rows])])
     return EXIT_OK
 
 
@@ -164,7 +160,7 @@ def _analyze_kappa_scan(cfg: RunConfig, out_dir: Path) -> int:
                                      axis=block["axis"])
     _write_csv(out_dir / "kappa_scan.csv",
                ["kappa (1)", "rate_total (1/time)", "is_minimum (0/1)"],
-               ((k, r, 1.0 if k == best else 0.0) for k, r in rows))
+               [np.array([(k, r, 1.0 if k == best else 0.0) for k, r in rows])])
     return EXIT_OK
 
 
@@ -196,9 +192,7 @@ def _analyze_linearity(cfg: RunConfig, out_dir: Path) -> int:
            "tolerance": float(report.tolerance), "linear": bool(report.linear),
            "time": report.time, "samples": report.n_samples,
            "model_kind": cfg.spec.kind}
-    with open(out_dir / "linearity.json", "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=2, default=float)
-        fh.write("\n")
+    _write_json(out_dir / "linearity.json", out)
     return EXIT_OK
 
 
@@ -276,7 +270,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(cfg, out_dir)
         return cmd_analyze(args.what, cfg, out_dir)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an unusable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GuardError as exc:

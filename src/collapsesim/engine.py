@@ -631,6 +631,10 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
         raise ValueError("snapshot_every must be >= 0 (0: no snapshots)")
     seeds = list(seeds)
     initial = np.asarray(initial, complex)
+    n = model.position_coordinates.shape[1]
+    if initial.shape not in ((n,), (n, n)):
+        raise ValueError(f"initial must have shape ({n},) or ({n}, {n}), n the model's "
+                         f"configuration count; got shape {initial.shape}")
     pure = initial.ndim == 1
     if monitor_positivity and pure:
         raise ValueError("monitor_positivity needs a density matrix: projectors are positive")

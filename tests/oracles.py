@@ -7,10 +7,14 @@ in-place many-body assembly, chained expressions instead of in-place
 step arithmetic, real-space sums and scipy
 quadrature instead of spectral multiplication, a damped mode sum
 instead of the packaged erfc-split Ewald green function, and the matrix
-exponential of the master equation's generator instead of Euler steps.
+exponential of the master equation's generator instead of Euler steps,
+and Python's csv module, one formatted cell at a time, instead of one
+np.savetxt call over the stacked columns.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 from scipy.integrate import quad
@@ -415,6 +419,18 @@ def erf_pair_potential(d: float, G: float, m1: float, m2: float, sigma: float,
     for smeared feedback."""
     width = sigma * np.sqrt(2.0) if smeared else sigma
     return -G * m1 * m2 * erf_profile(d, width)
+
+
+# -- output files -------------------------------------------------------------
+
+def csv_writer_table(path, header, rows) -> None:
+    """A CSV table as csv.writer writes it: the header row, then each row's
+    floats with 17 significant digits, rows ending in CRLF."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{float(v):.17g}" for v in row])
 
 
 if __name__ == "__main__":

@@ -3,15 +3,19 @@ import csv
 import hashlib
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from collapsesim import config
+from collapsesim import cli, config
 from collapsesim.cli import main
+
+from oracles import csv_writer_table
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "run_config.yaml"
 YAML_LOADERS = [
@@ -296,6 +300,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert "step-size" in err and "step" in err
 
+    @pytest.mark.parametrize("command, out",
+                             [(["run"], "file/sub"), (["analyze", "rate"], "file")],
+                             ids=["run", "analyze"])
+    def test_unusable_out_exit_2(self, tmp_path, capsys, monkeypatch, command, out):
+        # the output directory is made before the model is built, so an
+        # --out below a regular file is reported before any integration
+        def unreached(*args, **kwargs):
+            raise AssertionError("run_ensemble was reached")
+
+        monkeypatch.setattr(cli, "run_ensemble", unreached)
+        (tmp_path / "file").write_text("")
+        cfg = write_config(tmp_path / "run.yaml", base_config())
+        assert main(command + ["--config", cfg, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path / out) in err
+
 
 class TestReadme:
     README = Path(__file__).resolve().parents[1] / "README.md"
@@ -380,6 +401,13 @@ class TestAnalyze:
         header, table = read_csv(tmp_path / "pair_potential.csv")
         assert header[-1].startswith("newton_ratio")
         assert table[0, -1] == pytest.approx(1.0, abs=0.02)
+
+    def test_rate_without_separations_writes_the_header_row(self, tmp_path):
+        data = base_config(analyze={"rate": {"separations": []}})
+        cfg = write_config(tmp_path / "rate.yaml", data)
+        assert main(["analyze", "rate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "rate.csv").read_bytes() == (
+            b"d (length),rate_intrinsic (1/time),rate_backaction (1/time),rate_total (1/time)\r\n")
 
     def test_rate_table_zero_separation_row(self, tmp_path):
         data = base_config()
@@ -626,6 +654,23 @@ class TestAnalyzeBytes:
                      "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "pair_potential.csv").read_bytes()).hexdigest()
         assert digest == "4b44ee9ad378b934a8afec93937bb297a34885b2633c315ee051dc37892aec12"
+
+
+class TestWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(table=arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 9)),
+                        elements=st.floats(width=64) | st.sampled_from(
+                            [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.2250738585072e-308,
+                             1.7976931348623157e308, -1e-300, 1e300])))
+    def test_csv_bytes_equal_csv_writer(self, table):
+        # one np.savetxt call writes what csv.writer wrote cell by cell,
+        # whether a column comes alone or in a block of columns
+        header = [f"c{k} (1)" for k in range(table.shape[1])]
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, oracle = Path(tmp) / "ours.csv", Path(tmp) / "oracle.csv"
+            cli._write_csv(ours, header, [table[:, 0], table[:, 1:]])
+            csv_writer_table(oracle, header, table)
+            assert ours.read_bytes() == oracle.read_bytes()
 
 
 class TestPresets:

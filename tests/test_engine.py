@@ -1123,6 +1123,21 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="dt must be a positive finite number"):
             run_ensemble(state, model, dt, 5, [0], unconditional=run == "unconditional")
 
+    def test_initial_of_another_size_raises(self):
+        # such states failed inside the first step (numpy's matmul) or at
+        # the first record (eigvalsh), with no word of the model's n
+        model = build_model(ModelSpec(kind="csl", grid=LatticeGrid((2,), 1.0),
+                                      particles=ParticleSet([1.0]), sigma=1.0, gamma=1.0,
+                                      G=0.1))
+        shown = (r"initial must have shape \(2,\) or \(2, 2\), n the model's configuration "
+                 r"count; got shape ")
+        with pytest.raises(ValueError, match=shown + r"\(3, 3\)"):
+            ensemble_mean(model, np.eye(3) / 3, 1e-3, 3, range(2))
+        with pytest.raises(ValueError, match=shown + r"\(5,\)"):
+            run_trajectory(np.ones(5) / 5**0.5, model, 1e-3, 3, 0)
+        with pytest.raises(ValueError, match=shown + r"\(2, 3\)"):
+            run_ensemble(np.ones((2, 3)) / 6**0.5, model, 1e-3, 3, [0])
+
     @pytest.mark.parametrize("seeds, chunk, name", [([], 256, "seeds"), ([0, 1], 0, "chunk")])
     def test_ensemble_mean_rejects_empty_seeds_and_chunk(self, seeds, chunk, name):
         model, psi = self.cat_model()

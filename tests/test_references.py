@@ -1,7 +1,8 @@
 """Every top-level function and class of the package has a caller outside
 the tests: code in src/, demos/ or bench/ refers to it, or the acceptance
 gate imports it.  A definition that only unit tests reach is dead code, and
-so is a parameter default that only unit tests override."""
+so is a parameter default that only unit tests override.  And each output
+format has one writer: cli._write_csv and cli._write_json."""
 
 import ast
 import dataclasses
@@ -129,6 +130,38 @@ def test_every_default_is_overridden_outside_the_tests():
     # a default that no caller outside the unit tests overrides selects a
     # code path that only the tests reach
     assert unpassed(ROOT) == []
+
+
+def file_writers(root: Path) -> list[str]:
+    """module.definition (module.<module> for top-level statements) of each
+    open() for writing in root/src/collapsesim, whose mode, positional or
+    keyword, holds w, a, x or + (a mode that is not a literal counts), and
+    module: import csv for each import of the csv module there."""
+    found = []
+    for path in sorted((root / "src" / "collapsesim").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+                    found.append(f"{path.stem}: import csv")
+                elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                    found.append(f"{path.stem}: import csv")
+                elif (isinstance(node, ast.Call)
+                      and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                      == "open"):
+                    position = 1 if isinstance(node.func, ast.Name) else 0  # path.open(mode)
+                    modes = [k.value for k in node.keywords if k.arg == "mode"]
+                    modes += node.args[position:position + 1]
+                    if any(not isinstance(m, ast.Constant) or set("wax+") & set(m.value)
+                           for m in modes):
+                        found.append(where)
+    return found
+
+
+def test_one_writer_per_output_format():
+    # every CSV goes through cli._write_csv and every JSON file through
+    # cli._write_json, so no second path can format an output differently
+    assert [w for w in file_writers(ROOT) if w not in {"cli._write_csv", "cli._write_json"}] == []
 
 
 def test_kernels_default_no_model_setting():
