@@ -155,6 +155,11 @@ def _analyze_pair_potential(cfg: RunConfig, out_dir: Path) -> int:
 
 def _analyze_kappa_scan(cfg: RunConfig, out_dir: Path) -> int:
     _require_rate_model(cfg, "kappa-scan")
+    if cfg.spec.kind == "csl":
+        import logging  # on first use: only a csl scan has something to log
+        logging.getLogger("collapsesim").warning(
+            "analyze kappa-scan: only the dp kernel reads kappa, so on kind csl every "
+            "rate_total in kappa_scan.csv is the same and is_minimum flags the first kappa")
     block = cfg.analyze["kappa_scan"]
     rows, best = analysis.kappa_scan(cfg.spec, block["kappas"], block["separation"],
                                      axis=block["axis"])
@@ -190,7 +195,7 @@ def _analyze_linearity(cfg: RunConfig, out_dir: Path) -> int:
                                         n_samples=samples, seed0=cfg.seed)
     out = {"trace_distance": float(report.distance),
            "tolerance": float(report.tolerance), "linear": bool(report.linear),
-           "time": report.time, "samples": report.n_samples,
+           "time": report.time, "samples": samples,
            "model_kind": cfg.spec.kind}
     _write_json(out_dir / "linearity.json", out)
     return EXIT_OK

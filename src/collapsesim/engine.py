@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import GuardError, LatticeGrid, ManyBodyHamiltonian
+from .lattice import GuardError, LatticeGrid, ManyBodyHamiltonian, einsum
 
 STEP_GUARD_FRACTION = 0.1  # reject Euler steps with |increment|_1 above this fraction of |rho|_1
 NOISE_BLOCK = 256  # steps of noise drawn per seed in one call
@@ -118,7 +118,7 @@ class MonitoringSpec(_DiagonalFamily):
         reads no other column, so the chunks change no bits."""
         out = np.empty(self.family.shape[1])
         for sl, applied in self._kernel_column_chunks(self.family, inverse=False):
-            out[sl] = np.einsum("ox,ox->x", self.family[:, sl], applied)
+            out[sl] = einsum("ox,ox->x", self.family[:, sl], applied)
         return self.weight * out
 
     def conditioning_field(self, noise_flat: np.ndarray) -> np.ndarray:
@@ -130,7 +130,7 @@ class MonitoringSpec(_DiagonalFamily):
             raise ValueError(f"noise must be flat, (..., {self.family.shape[0]}); "
                              f"got shape {noise_flat.shape}")
         w = self.apply_kernel_flat(noise_flat)
-        return self.weight * np.einsum("ox,...o->...x", self.family, w)
+        return self.weight * einsum("ox,...o->...x", self.family, w)
 
     def sample_noise_flat(self, dt: float, rng, size=()) -> np.ndarray:
         """Signal noise with covariance gamma^-1/dt, flat observable index."""
@@ -139,7 +139,7 @@ class MonitoringSpec(_DiagonalFamily):
 
     def means(self, rho: np.ndarray) -> np.ndarray:
         """<A_nu> for every monitored observable."""
-        return np.einsum("ox,...x->...o", self.family, _diag(rho).real)
+        return einsum("ox,...x->...o", self.family, _diag(rho).real)
 
 
 @dataclass(frozen=True)
@@ -155,11 +155,11 @@ class FeedbackSpec(_DiagonalFamily):
 
     def potential(self, signal_flat: np.ndarray) -> np.ndarray:
         """Diagonal of int signal_nu B_nu: the fed-back potential."""
-        return self.weight * np.einsum("ox,...o->...x", self.family, signal_flat)
+        return self.weight * einsum("ox,...o->...x", self.family, signal_flat)
 
     def backaction_diagonal(self, monitoring: MonitoringSpec) -> np.ndarray:
         """Diagonal of (1/2) int A_nu B_nu: the emergent deterministic potential."""
-        return 0.5 * self.weight * np.einsum("ox,ox->x", monitoring.family, self.family)
+        return 0.5 * self.weight * einsum("ox,ox->x", monitoring.family, self.family)
 
 
 def _step_guard(inc, ref, step):
@@ -383,7 +383,7 @@ def combined_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
         if signal is None:
             signal = spec.means(rho) + noise
         v = fb.potential(signal)
-    cmean = np.einsum("...x,...x->...", field, _diag(rho).real)
+    cmean = einsum("...x,...x->...", field, _diag(rho).real)
     half = 0.5 * field if tables is None else None
     return _euler(H, rho, dt, step, _monitored_terms, (tables, spec.pair_rate, half, cmean, v))
 
@@ -526,14 +526,14 @@ def sse_step(psi: np.ndarray, H: ManyBodyHamiltonian, spec: MonitoringSpec,
     if field is None:
         field = spec.conditioning_field(noise)
     prob = (psi.conj() * psi).real
-    means = np.einsum("ox,...x->...o", spec.family, prob)
+    means = einsum("ox,...x->...o", spec.family, prob)
     # -(1/8) Q_gamma(A - <A>, A - <A>) evaluated per configuration
     applied_means = spec.apply_kernel_flat(means)
-    cross = spec.weight * np.einsum("ox,...o->...x", spec.family, applied_means)
-    qmm = spec.weight * np.einsum("...o,...o->...", means, applied_means)
+    cross = spec.weight * einsum("ox,...o->...x", spec.family, applied_means)
+    qmm = spec.weight * einsum("...o,...o->...", means, applied_means)
     quad = spec.self_quadratic - 2.0 * cross + qmm[..., None]
     # +(1/2) (gamma o dnoise) contracted with (A - <A>)
-    cmean = np.einsum("...x,...x->...", field, prob)
+    cmean = einsum("...x,...x->...", field, prob)
     dpsi = -1j * dt * H.apply(psi)
     dpsi = dpsi + dt * (-0.125 * quad + 0.5 * (field - cmean[..., None])) * psi
     out = psi + dpsi
@@ -574,7 +574,7 @@ def _record(batch, j, istep, state, signal, wmins, model, pure: bool, pairs,
     if pure:  # a projector's tr rho^2 is (tr rho)^2: never build rho for a state vector
         purity = np.ones(len(batch))
     else:
-        purity = np.einsum("...xy,...yx->...", state, state).real / (tr * tr)
+        purity = einsum("...xy,...yx->...", state, state).real / (tr * tr)
     positions = (model.position_coordinates @ p[..., None])[..., 0] / tr[:, None]
     rec0 = batch[0]
     if rec0.signals is not None and signal is None:

@@ -2,6 +2,7 @@ import copy
 import csv
 import hashlib
 import json
+import logging
 import re
 import tempfile
 from pathlib import Path
@@ -366,7 +367,7 @@ class TestReadme:
 
 
 class TestAnalyze:
-    def test_kappa_scan_minimum_row(self, tmp_path):
+    def test_kappa_scan_minimum_row(self, tmp_path, caplog):
         data = {
             "grid": {"dims": [6, 6, 6], "spacing": 1.0},
             "particles": [{"mass": 1.0, "kinetic": False,
@@ -377,12 +378,25 @@ class TestAnalyze:
                                        "separation": 2}},
         }
         cfg = write_config(tmp_path / "scan.yaml", data)
-        assert main(["analyze", "kappa-scan", "--config", cfg,
-                     "--out", str(tmp_path)]) == 0
+        with caplog.at_level(logging.WARNING, logger="collapsesim"):
+            assert main(["analyze", "kappa-scan", "--config", cfg,
+                         "--out", str(tmp_path)]) == 0
+        assert caplog.records == []  # dp reads kappa: the table is not flat
         _, table = read_csv(tmp_path / "kappa_scan.csv")
         best = table[np.argmin(table[:, 1]), 0]
         flagged = table[table[:, 2] == 1.0, 0]
         assert best == 2.0 and list(flagged) == [2.0]
+
+    def test_kappa_scan_on_csl_warns_the_table_is_flat(self, tmp_path, caplog):
+        # only the dp kernel reads kappa: on the csl demo every rate is equal and
+        # the first kappa is flagged, which one logged warning says
+        with caplog.at_level(logging.WARNING, logger="collapsesim"):
+            assert main(["analyze", "kappa-scan", "--config", str(DEMO_CONFIG),
+                         "--out", str(tmp_path)]) == 0
+        assert [(r.name, r.levelno) for r in caplog.records] == [("collapsesim", logging.WARNING)]
+        assert "only the dp kernel reads kappa" in caplog.records[0].getMessage()
+        _, table = read_csv(tmp_path / "kappa_scan.csv")
+        assert len(set(table[:, 1])) == 1 and list(table[:, 2]) == [1.0] + [0.0] * (len(table) - 1)
 
     def test_pair_potential_newton_column(self, tmp_path):
         data = {
@@ -437,6 +451,8 @@ class TestAnalyze:
         report = json.loads((tmp_path / "linearity.json").read_text())
         assert report["linear"] is True
         assert report["trace_distance"] < report["tolerance"]
+        # the configured samples per branch, not the total over both branches
+        assert report["samples"] == 20
 
     def test_pair_potential_on_pair_kind(self, tmp_path):
         # the one-particle self-energy specs must not inherit kind 'pair'

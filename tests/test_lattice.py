@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,13 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from collapsesim import (DiagonalField, LatticeGrid, MatrixKernel, MonitoringSpec,
                          ParticleSet, kinetic_hamiltonian)
-from collapsesim.lattice import config_sites, displacement_index
+from collapsesim.lattice import config_sites, displacement_index, einsum
 from collapsesim.models import (ModelSpec, build_model, density_family,
                                 kappa_decoherence_coefficient)
 
 from conftest import random_density_matrix
 from oracles import (dense_double_commutator, einsum_apply, kron_sum_hamiltonian,
                      momentum_operator)
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "collapsesim"
+# the subscripts of the einsum calls in src, each through lattice.einsum
+SUBSCRIPTS = ["ox,ox->x", "ox,...o->...x", "ox,...x->...o", "...x,...x->...",
+              "...o,...o->...", "...xy,...yx->...", "xy,...y->...x"]
 
 
 class TestMassDensityField:
@@ -208,6 +215,48 @@ class TestHamiltonianApply:
             n = 64 ** len(masses)
             op.apply(rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
             assert ("dense" in vars(op)) == dense
+
+
+class TestContraction:
+    def test_subscripts_are_the_ones_src_uses(self):
+        calls = [node for path in SRC.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "einsum"]
+        assert {call.args[0].value for call in calls} == set(SUBSCRIPTS)
+
+    def test_binding_is_numpys_c_contraction(self):
+        multiarray = pytest.importorskip("numpy._core.multiarray")
+        assert einsum is multiarray.c_einsum
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), subscripts=st.sampled_from(SUBSCRIPTS),
+           batch=st.sampled_from([(), (3,), (2, 2)]),
+           sizes=st.fixed_dictionaries({c: st.integers(1, 5) for c in "oxy"}),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bytes_equal_np_einsum(self, data, subscripts, batch, sizes, seed):
+        # with optimize off np.einsum returns the C contraction's result: the
+        # same bytes for real and complex operands, contiguous or strided like
+        # the .diagonal().real views and column slices that the steps pass
+        rng = np.random.default_rng(seed)
+        operands = []
+        for term in subscripts.split("->")[0].split(","):
+            core = tuple(sizes[c] for c in term.replace("...", ""))
+            shape = (batch if term.startswith("...") else ()) + core
+            is_complex, strided = data.draw(st.booleans()), data.draw(st.booleans())
+            if strided and len(core) == 1:  # the diagonal of a complex matrix
+                full = shape + core
+            elif strided:  # every other column of a wider array
+                full = shape[:-1] + (2 * shape[-1],)
+            else:
+                full = shape
+            a = rng.standard_normal(full) + 1j * rng.standard_normal(full)
+            if strided:
+                a = a.diagonal(0, -2, -1) if len(core) == 1 else a[..., ::2]
+            operands.append(a if is_complex else a.real)
+        got, expect = einsum(subscripts, *operands), np.einsum(subscripts, *operands)
+        assert type(got) is type(expect)
+        assert (got.dtype, got.shape) == (expect.dtype, expect.shape)
+        assert got.tobytes() == expect.tobytes()
 
 
 def engine_double_commutator(families, matrix, rho):

@@ -1,8 +1,9 @@
 """Every top-level function and class of the package has a caller outside
 the tests: code in src/, demos/ or bench/ refers to it, or the acceptance
 gate imports it.  A definition that only unit tests reach is dead code, and
-so is a parameter default that only unit tests override.  And each output
-format has one writer: cli._write_csv and cli._write_json."""
+so is a parameter default that only unit tests override.  Each output
+format has one writer: cli._write_csv and cli._write_json.  And every
+contraction goes through one name, lattice.einsum."""
 
 import ast
 import dataclasses
@@ -162,6 +163,34 @@ def test_one_writer_per_output_format():
     # every CSV goes through cli._write_csv and every JSON file through
     # cli._write_json, so no second path can format an output differently
     assert [w for w in file_writers(ROOT) if w not in {"cli._write_csv", "cli._write_json"}] == []
+
+
+def contractions(root: Path) -> list[str]:
+    """module.definition:line (module.<module> for top-level statements) of
+    each np.einsum or numpy.einsum attribute and each import of einsum or
+    c_einsum from numpy in root/src/collapsesim."""
+    found = []
+    for path in sorted((root / "src" / "collapsesim").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in sorted(ast.walk(top), key=lambda n: getattr(n, "lineno", 0)):
+                if (isinstance(node, ast.Attribute) and node.attr == "einsum"
+                        and getattr(node.value, "id", None) in ("np", "numpy")):
+                    found.append(f"{where}:{node.lineno}")
+                elif (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+                      and any(a.name in ("einsum", "c_einsum") for a in node.names)):
+                    found.append(f"{where}:{node.lineno}")
+    return found
+
+
+def test_one_contraction_binding():
+    # every einsum in src calls lattice.einsum, numpy's C contraction bound
+    # once (np.einsum where numpy has no numpy._core), so no call site pays
+    # np.einsum's Python dispatch or can take a different contraction
+    found = contractions(ROOT)
+    binding = [w for w in found if w.startswith("lattice.<module>:")]
+    assert [w for w in found if w not in binding] == []
+    assert len(binding) == 2  # the c_einsum import and its np.einsum fallback
 
 
 def test_kernels_default_no_model_setting():
