@@ -145,7 +145,6 @@ class LinearityReport:
 
     distance: float
     tolerance: float
-    n_samples: int
     time: float
 
     @property
@@ -187,12 +186,11 @@ def linearity_witness(model: Model, ensemble_a, ensemble_b, t: float, dt: float,
     a = _ensemble_average(model, ensemble_a, t, dt, n_samples, seed0)
     b = _ensemble_average(model, ensemble_b, t, dt, n_samples, seed0 + 10_000_000)
     if model.spec.kind == "sn":
-        tol, total = 1e-9, len(ensemble_a) + len(ensemble_b)
+        tol = 1e-9
     else:
         total = n_samples * len(ensemble_a)
         tol = 5.0 / np.sqrt(total)
-    return LinearityReport(distance=trace_distance(a, b), tolerance=tol,
-                           n_samples=total, time=t)
+    return LinearityReport(distance=trace_distance(a, b), tolerance=tol, time=t)
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,13 @@ class MonitoringSpec(_DiagonalFamily):
         return self._pair_rate_table(inverse=False)
 
     @cached_property
+    def symmetric(self) -> bool:
+        """Whether pair_rate equals its transpose bit for bit.  Its two Gram
+        entries subtract in opposite orders on the two sides of the diagonal,
+        so a lattice table is symmetric on some grids and not on others."""
+        return _self_adjoint(self.pair_rate)
+
+    @cached_property
     def self_quadratic(self) -> np.ndarray:
         """Q_gamma(A(., x), A(., x)) per configuration; each column's sum
         reads no other column, so the chunks change no bits."""
@@ -235,22 +242,27 @@ class DenseHamiltonian:
         return _self_adjoint(self.matrix)
 
 
-def _commutator(H, rho):
+def _commutator(H, rho, hermitian: bool = False):
     """[H, rho] = H @ rho - rho @ H in numpy's bytes, save that an exactly
     zero entry may take the other sign; H a dense array or a
     DenseHamiltonian.  A real H with n <= REAL_SPLIT_MAX_N runs as real
     dgemms on the float views of rho and rho^T, not as numpy's promoted
     zgemm.  Above that n a real H meets a complex rho as its held complex
-    copy.  A symmetric real H and an exactly Hermitian rho then take one
+    copy.  A symmetric real H and an exactly Hermitian rho take one
     product, X = H @ rho, and X - X^dagger is written over X: rho @ H =
     X^dagger adds the same products in the same order (README, performance
-    notes)."""
+    notes).  hermitian says that both hold without a test: only a run that
+    _certified passes it; above REAL_SPLIT_MAX_N the step otherwise tests
+    both itself, at n <= REAL_SPLIT_MAX_N it takes the two products."""
     if not isinstance(H, DenseHamiltonian):
         H = DenseHamiltonian(H)
     h = H.matrix
     real_h = h.dtype == np.float64 and rho.dtype == np.complex128
     if real_h and rho.shape[-1] <= REAL_SPLIT_MAX_N:
         out = (h @ np.ascontiguousarray(rho).view(np.float64)).view(np.complex128)
+        if hermitian:  # X - X^dagger whole: no wider than the second product it saves
+            out -= np.conjugate(out).swapaxes(-1, -2)
+            return out
         right_t = h.T @ np.ascontiguousarray(rho.swapaxes(-1, -2)).view(np.float64)
         out -= right_t.view(np.complex128).swapaxes(-1, -2)
         return out
@@ -258,7 +270,7 @@ def _commutator(H, rho):
         h = H.complex
     out = h @ rho
     # rho first: a state that stopped being exactly Hermitian usually fails on its first tile
-    if real_h and _self_adjoint(rho) and H.self_adjoint:
+    if real_h and (hermitian or _self_adjoint(rho) and H.self_adjoint):
         _subtract_adjoint(out)
     else:
         out -= rho @ h
@@ -307,18 +319,19 @@ def _whole(rho) -> bool:
     return 16 * rho.size <= TILE_BYTES
 
 
-def _euler(H, rho, dt: float, step, terms, args) -> np.ndarray:
+def _euler(H, rho, dt: float, step, terms, args, hermitian: bool = False) -> np.ndarray:
     """rho plus the Euler increment -1j * dt * [H, rho], completed in place
     by terms(inc, rho, rows, dt, args) with the step's other terms, once
     _step_guard passes it.  args holds what the step function forms once
     per step, not per block: the rate tables or what their rows are formed
     from, and for the monitored steps <c> of _conditioning and the feedback
-    potential.  The increment is the commutator's own array when that is
-    complex.  It is built one block of rows at a time, at most TILE_BYTES
-    of increment across the batch, so each block's terms and its share of
-    the guard's |inc|_1 and |rho|_1 run in cache; a state that fits in one
-    block is handled whole (_whole), with no slicing."""
-    comm = _commutator(H, rho)
+    potential.  hermitian goes to _commutator.  The increment is the
+    commutator's own array when that is complex.  It is built one block of
+    rows at a time, at most TILE_BYTES of increment across the batch, so
+    each block's terms and its share of the guard's |inc|_1 and |rho|_1 run
+    in cache; a state that fits in one block is handled whole (_whole),
+    with no slicing."""
+    comm = _commutator(H, rho, hermitian)
     inc = comm if comm.dtype.kind == "c" else np.empty(comm.shape, np.result_type(-1j * dt, comm))
     if _whole(comm):
         np.multiply(-1j * dt, comm, out=inc)
@@ -370,11 +383,14 @@ def combined_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
     noise is flat, (..., n_obs).  With fb None this is sme_step.
     field (spec.conditioning_field(noise)) and signal (spec.means(rho) +
     noise) may be passed in when the caller already holds them; otherwise
-    they are computed here.  tables = (rate, sums), with rate =
-    _monitored_rate(spec.pair_rate, dt) and sums = _pair_sums(field / 2),
-    may be passed in for a state that _euler handles whole (run_ensemble
-    forms them per run and per noise block); otherwise the terms form them
-    per step, or per block of rows.
+    they are computed here.  tables = (rate, sums, hermitian) is what
+    run_ensemble forms per run and per noise block.  rate =
+    _monitored_rate(spec.pair_rate, dt) and sums = _pair_sums(field / 2)
+    are given for a state that _euler handles whole, and None otherwise;
+    the terms then form them per step, or per block of rows.  hermitian is
+    run_ensemble's _certified: rho is exactly Hermitian and H exactly
+    self-adjoint, so _commutator takes one product without a test.  None
+    stands for (None, None, False).
     """
     if field is None:
         field = spec.conditioning_field(noise)
@@ -384,8 +400,10 @@ def combined_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
             signal = spec.means(rho) + noise
         v = fb.potential(signal)
     cmean = einsum("...x,...x->...", field, _diag(rho).real)
-    half = 0.5 * field if tables is None else None
-    return _euler(H, rho, dt, step, _monitored_terms, (tables, spec.pair_rate, half, cmean, v))
+    rate, sums, hermitian = tables or (None, None, False)
+    half = 0.5 * field if sums is None else None
+    return _euler(H, rho, dt, step, _monitored_terms,
+                  (rate, sums, spec.pair_rate, half, cmean, v), hermitian)
 
 
 def _monitored_rate(pair_rate, dt: float, rows=slice(None)) -> np.ndarray:
@@ -399,11 +417,12 @@ def _monitored_terms(inc, rho, rows, dt: float, args) -> None:
     rows of the state, rate = _monitored_rate and sums the _pair_sums of the
     half field h; then, with a feedback potential v, free -> free - 1j * dt
     * vd * (rho + free) - 0.5 * dt * dt * vd * vd * rho with vd = v(x) -
-    v(y).  args = (tables, pair_rate, h, <field>, v): tables = (rate, sums)
-    of the whole state, or None to form the rows' tables here from
-    pair_rate and h; v None without feedback."""
-    tables, pair_rate, half, cmean, v = args
-    rate, sums = tables or (_monitored_rate(pair_rate, dt, rows), None)
+    v(y).  args = (rate, sums, pair_rate, h, <field>, v): rate and sums of
+    the whole state, or None to form the rows' tables here from pair_rate
+    and h; v None without feedback."""
+    rate, sums, pair_rate, half, cmean, v = args
+    if rate is None:
+        rate = _monitored_rate(pair_rate, dt, rows)
     term = np.multiply(rate, rho)
     inc -= term
     if sums is None:
@@ -596,6 +615,29 @@ def _record(batch, j, istep, state, signal, wmins, model, pure: bool, pairs,
             rec.snapshots.append((snapshot_t, state[k].copy()))
 
 
+def _certified(model, initial) -> bool:
+    """Whether every state of a conditional density run of model from
+    initial stays exactly Hermitian, so that each step's _commutator may
+    take one product without testing rho.  It does when model.monitoring's
+    pair_rate is exactly symmetric, initial exactly Hermitian and the
+    dense H exactly self-adjoint: combined_step then maps an exactly
+    Hermitian rho to an exactly Hermitian one, because
+    - X - X^dagger is exactly anti-Hermitian, so -1j * dt times it is
+      Hermitian;
+    - the rate table, a scaled copy of pair_rate, is symmetric, and so are
+      the pair sums h(x) + h(y) and their shift by <c>;
+    - vd = v(x) - v(y) is antisymmetric, so the feedback kick 1j * dt * vd
+      times the Hermitian rho + free is Hermitian, and the curvature
+      0.5 * dt * dt * vd * vd is symmetric;
+    - every add, subtract and product works entry by entry, each factor
+      real, purely imaginary or a conjugate pair across the diagonal, and
+      an operation on (y, x) rounds to the conjugate of its result on
+      (x, y).
+    An exactly zero entry may take the other sign, which == does not see."""
+    return (model.monitoring.symmetric and _self_adjoint(initial)
+            and model.density_hamiltonian.self_adjoint)
+
+
 def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
                  record_every: int = 1, record_signal: bool = False, offdiagonal_pairs=(),
                  snapshot_every: int = 0, monitor_positivity: bool | None = None,
@@ -614,10 +656,14 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
     stream of seeds[k], and the block's conditioning fields are computed
     right after the draw.  Where _euler handles a density matrix whole, a
     conditional step's dt-scaled rate table is formed once per run and its
-    pair sums once per block (Model.advance's tables).
+    pair sums once per block (Model.advance's tables).  A conditional
+    density run is tested once for _certified, and a certified run's every
+    commutator takes one product with no test of rho; an uncertified run's
+    steps test rho as they always have.
     Block draws, block fields and these tables equal per-step ones bit for
-    bit and each step acts on every member alone, so record k is fully
-    determined by (model, initial, dt, steps, seeds[k]).
+    bit, the one product equals the two, and each step acts on every member
+    alone, so record k is fully determined by (model, initial, dt, steps,
+    seeds[k]).
     State vectors are recorded in O(n) from |psi_x|^2 and psi_x psi_y*,
     with purity 1 by definition; monitor_positivity needs a density matrix.
     """
@@ -664,6 +710,7 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
     # field, formed per noise block in chunks of steps that hold at most
     # TILE_BYTES.  The first batch is the widest.
     rate = None
+    certified = draws and not pure and _certified(model, initial)
     first = np.broadcast_to(initial, (min(width, len(seeds)),) + initial.shape)
     if draws and not pure and _whole(first):
         rate = _monitored_rate(model.monitoring.pair_rate, dt)
@@ -673,7 +720,8 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
         state = np.broadcast_to(initial, (len(batch),) + initial.shape).copy()
         chunk = max(1, TILE_BYTES // (8 * state.size))  # steps of pair sums at once
         j = 0
-        signal = noise = field = tables = None
+        signal = noise = field = None
+        tables = (None, None, certified)
         for i in range(steps + 1):
             if i > 0:
                 if draws:
@@ -686,7 +734,7 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
                     if rate is not None:
                         if b % chunk == 0:
                             sums = _pair_sums(0.5 * fields[b:b + chunk])
-                        tables = (rate, sums[b % chunk])
+                        tables = (rate, sums[b % chunk], certified)
                 state, signal = model.advance(state, dt, noise, step=i, pure=pure, field=field,
                                               tables=tables)
             if i == rec_steps[j]:

@@ -221,10 +221,11 @@ class Model:
         kind None takes the noise-averaged step, the linear master equation,
         whose signal is the observable means of the new density matrix.
         Baselines take None.  field: the step's
-        monitoring.conditioning_field(noise), if known.  tables: a
-        conditional density step's state-independent tables, combined_step's
-        (rate, sums), if known, as run_ensemble forms them for a state that
-        the Euler step handles whole."""
+        monitoring.conditioning_field(noise), if known.  tables:
+        combined_step's (rate, sums, hermitian) for a conditional density
+        step, as run_ensemble forms them: the state-independent tables of a
+        state that the Euler step handles whole, and the run's certificate
+        that every state stays exactly Hermitian.  Other steps ignore it."""
         if self.spec.kind in MONITORED_KINDS:
             spec = self.monitoring
             if noise is None:

@@ -224,9 +224,9 @@ class TestCommutator:
         run.  The digest was recorded before the one-product path existed."""
         paths, commutator, subtract_adjoint = [], engine._commutator, engine._subtract_adjoint
 
-        def spy(H, rho):  # paths: whether each step took the one product
+        def spy(H, rho, hermitian=False):  # paths: whether each step took the one product
             paths.append(False)
-            return commutator(H, rho)
+            return commutator(H, rho, hermitian)
 
         def one_product(x):
             paths[-1] = True
@@ -270,6 +270,16 @@ def step_family(family, n, seed):
 STEP_BATCHES = [((), ()), ((3,), (3,)), ((2, 2), (2, 2))]
 
 
+def quiet_dt(H, mon, fb, field, signal):
+    """The largest dt that keeps a step's increment near 2% of rho: every
+    term's last bits then reach the state, and the step guard stays quiet."""
+    rate = 0.125 * mon.pair_rate.max() + 2.0 * np.abs(H).sum(axis=1).max()
+    if fb is not None:
+        rate += (0.5 * fb.pair_rate_inverse.max() + np.ptp(fb.potential(signal))
+                 + np.ptp(fb.backaction_diagonal(mon)))
+    return 0.02 / (rate + np.abs(field).max() + 1e-3)
+
+
 def check_step_bytes(kind, n, batches, real, feedback, passed, family, seed, hermitian=None):
     """One sme_step, combined_step or me_step against its chained-expression
     oracle, bit for bit, with no input modified.  hermitian True makes every
@@ -289,13 +299,7 @@ def check_step_bytes(kind, n, batches, real, feedback, passed, family, seed, her
         rho = np.ascontiguousarray(rho.real)
     noise = rng.standard_normal(noise_batch + mon.family.shape[:1])
     field, signal = mon.conditioning_field(noise), mon.means(rho) + noise
-    # the largest dt that keeps the increment near 2% of rho: every term's
-    # last bits then reach the state, and the step guard stays quiet
-    rate = 0.125 * mon.pair_rate.max() + 2.0 * np.abs(H).sum(axis=1).max()
-    if fb is not None:
-        rate += (0.5 * fb.pair_rate_inverse.max() + np.ptp(fb.potential(signal))
-                 + np.ptp(fb.backaction_diagonal(mon)))
-    dt = 0.02 / (rate + np.abs(field).max() + 1e-3)
+    dt = quiet_dt(H, mon, fb, field, signal)
     backaction = fb.backaction_diagonal(mon) if passed and fb is not None else None
     field, signal = (field, signal) if passed else (None, None)
     inputs = [a for a in (rho, noise, field, signal, backaction) if a is not None]
@@ -426,8 +430,8 @@ class TestInPlaceSteps:
                                       G=0.05, feedback_smearing=True))
         seen, commutator = [], engine._commutator
 
-        def spy(H, rho):
-            out = commutator(H, rho)
+        def spy(H, rho, hermitian=False):
+            out = commutator(H, rho, hermitian)
             seen.append((H, vars(H).get("complex")))
             return out
 
@@ -1189,28 +1193,64 @@ def expression_run(initial, model, dt, steps, seeds, unconditional, block):
     return rho, signal
 
 
+def symmetric_monitoring(mon):
+    """mon with its pair_rate replaced by the mean of the table and its
+    transpose, which is exactly symmetric, as a certified run needs."""
+    vars(mon)["pair_rate"] = 0.5 * (mon.pair_rate + mon.pair_rate.T)
+    return mon
+
+
+def criterion_6_model():
+    """Criterion 6's model, one particle on a 2-site chain under csl with
+    sigma 0.35, gamma 0.6 and G 0.15, and its initial state |+><+|."""
+    model = build_model(ModelSpec(kind="csl", grid=LatticeGrid((2,), 1.0),
+                                  particles=ParticleSet([1.0]), sigma=0.35, gamma=0.6, G=0.15))
+    psi = np.array([1.0, 1.0], complex) / np.sqrt(2.0)
+    return model, np.outer(psi, psi.conj())
+
+
+def spy_hermitian_flags(mp):
+    """The hermitian flag of every engine._commutator call from here on."""
+    flags, commutator = [], engine._commutator
+
+    def spy(H, rho, hermitian=False):
+        flags.append(hermitian)
+        return commutator(H, rho, hermitian)
+
+    mp.setattr(engine, "_commutator", spy)
+    return flags
+
+
 class TestStepTables:
     """run_ensemble forms the dt-scaled rate table of a conditional density
     step that _euler handles whole once per run, and its half field and pair
     sums once per noise block, in chunks of at most TILE_BYTES; the
-    noise-averaged step forms its table per step."""
+    noise-averaged step forms its table per step.  The tables carry the
+    run's certificate (TestCertifiedRuns) to every conditional step."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 16), members=st.integers(1, 5),
            family=st.sampled_from(["csl", "dp", "matrix"]), feedback=st.booleans(),
            unconditional=st.booleans(), block=st.integers(3, 9),
-           tile=st.sampled_from([1, 2, 3, 0]), seed=st.integers(0, 2**32 - 1))
+           tile=st.sampled_from([1, 2, 3, 0]), certified=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
     def test_trajectories_equal_expression_steps(self, n, members, family, feedback,
-                                                 unconditional, block, tile, seed):
+                                                 unconditional, block, tile, certified, seed):
         # NOISE_BLOCK = block steps, and 2 * block + 1 steps cross two block
         # boundaries; tile k > 0 makes pair-sum chunks of 2k steps of a state
-        # handled whole, tile 0 blocks of 3 rows (the whole state for n <= 3)
+        # handled whole, tile 0 blocks of 3 rows (the whole state for n <= 3);
+        # certified makes pair_rate exactly symmetric and the initial state
+        # exactly Hermitian, so a conditional run takes one product per step
         model = table_model(family, n, feedback, seed)
         rng = np.random.default_rng(seed)
         initial = random_density_matrix(rng, n)
+        if certified:
+            symmetric_monitoring(model.monitoring)
+            initial = 0.5 * (initial + initial.conj().T)
         seeds = [int(s) for s in rng.integers(0, 2**32, members)]
         steps, dt = 2 * block + 1, 1e-5 if family == "matrix" else 1e-4  # guard stays quiet
         with pytest.MonkeyPatch.context() as mp:
+            flags = spy_hermitian_flags(mp)
             mp.setattr(engine, "NOISE_BLOCK", block)
             mp.setattr(engine, "TILE_BYTES", 16 * members * n * (n * tile if tile else 3))
             recs = run_ensemble(initial, model, dt, steps, seeds, record_every=steps,
@@ -1220,6 +1260,8 @@ class TestStepTables:
         for k, rec in enumerate(recs):
             assert rec.snapshots[-1][1].tobytes() == rho[k].tobytes()
             assert rec.signals[-1].tobytes() == signal[k].tobytes()
+        if certified and not unconditional:
+            assert flags == [True] * steps and engine._self_adjoint(rho)
 
     def test_rate_table_formed_once_per_run(self, monkeypatch):
         # 600 steps in three noise blocks and three batches of one member:
@@ -1271,6 +1313,94 @@ class TestStepTables:
         assert nbytes == engine.TILE_BYTES
         assert held <= engine.TILE_BYTES + 1024  # + the array's header
         assert peak <= held + 2 * 8 * np.getbufsize() + 4096  # + the iterator's own
+
+
+class TestCertifiedRuns:
+    """A conditional density run whose pair_rate is exactly symmetric, whose
+    initial state is exactly Hermitian and whose H is exactly self-adjoint
+    is certified once (engine._certified): every state then stays exactly
+    Hermitian, and each step's commutator takes one product with no test of
+    rho.  Every other run keeps the per-step path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 24), batch=st.sampled_from([(), (3,), (2, 2)]),
+           family=st.sampled_from(["csl", "dp", "matrix"]), feedback=st.booleans(),
+           rows=st.sampled_from([0, 1, 3, 7]), seed=st.integers(0, 2**32 - 1))
+    def test_step_maps_hermitian_to_hermitian(self, n, batch, family, feedback, rows, seed):
+        # rows k > 0: the increment in blocks of k rows (the whole state for
+        # k >= n), each block forming its tables; 0: the whole state with
+        # the tables that run_ensemble forms
+        assume(n > 1 or family == "matrix")  # a chain needs 2 sites
+        H, mon, fb = step_family(family, n, seed)
+        mon, fb = symmetric_monitoring(mon), fb if feedback else None
+        rng = np.random.default_rng(seed)
+        rho = np.stack([random_density_matrix(rng, n) for _ in range(int(np.prod(batch)))])
+        rho = (0.5 * (rho + rho.conj().swapaxes(-1, -2))).reshape(batch + (n, n))
+        assert engine._self_adjoint(rho)
+        noise = rng.standard_normal(batch + mon.family.shape[:1])
+        field, signal = mon.conditioning_field(noise), mon.means(rho) + noise
+        dt = quiet_dt(H, mon, fb, field, signal)
+        tables = (None, None, True)
+        if not rows:
+            tables = (engine._monitored_rate(mon.pair_rate, dt), _pair_sums(0.5 * field), True)
+        with pytest.MonkeyPatch.context() as mp:
+            if rows:
+                mp.setattr(engine, "TILE_BYTES", 16 * rho.size // n * rows)
+            got = combined_step(rho, H, mon, fb, noise, dt, field=field, signal=signal,
+                                tables=tables)
+            want = combined_step(rho, H, mon, fb, noise, dt, field=field, signal=signal)
+        assert engine._self_adjoint(got)
+        assert np.array_equal(got, want)  # the uncertified step's, exact zeros' signs aside
+
+    @pytest.mark.parametrize("n", range(1, engine.REAL_SPLIT_MAX_N + 1))
+    @settings(max_examples=12, deadline=None)
+    @given(batch=st.sampled_from([(), (3,), (2, 2)]), log_scale=st.floats(-3.0, 3.0),
+           layout=st.sampled_from(["c", "transposed", "strided"]),
+           zero_fraction=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**32 - 1))
+    def test_one_real_split_product_equals_two(self, n, batch, log_scale, layout,
+                                               zero_fraction, seed):
+        H, rho = commutator_inputs(n, batch, True, log_scale, True, layout, seed,
+                                   zero_fraction=zero_fraction)
+        want = H @ rho - rho @ H
+        two = counting(H)
+        assert np.array_equal(_commutator(two, rho), want) and two.products == 2
+        one = counting(H)
+        got = _commutator(one, rho, True)
+        assert np.array_equal(got, want)  # exact zeros may take the other sign
+        assert one.products == 1
+
+    @pytest.mark.parametrize("case", ["demo", "non_hermitian_initial", "asymmetric_h",
+                                      "criterion_6"])
+    def test_certificate_per_run(self, monkeypatch, case):
+        # the demo's pair_rate is not exactly symmetric; criterion 6's model
+        # is certified until its initial state or its H loses an exact symmetry
+        if case == "demo":
+            cfg = load_config(DEMO_CONFIG)
+            model, psi, dt = build_model(cfg.spec), build_initial_state(cfg), cfg.dt
+            initial = np.outer(psi, psi.conj())
+            assert engine._self_adjoint(initial) and not model.monitoring.symmetric
+        else:
+            (model, initial), dt = criterion_6_model(), 1e-3
+            if case == "non_hermitian_initial":
+                initial[0, 1] += 1e-12
+            elif case == "asymmetric_h":
+                h = model.hamiltonian.copy()
+                h[0, 1] += 1e-12
+                vars(model)["density_hamiltonian"] = engine.DenseHamiltonian(h)
+        flags = spy_hermitian_flags(monkeypatch)
+        run_ensemble(initial, model, dt, 3, [1, 2], monitor_positivity=False)
+        assert flags == [case == "criterion_6"] * 3
+
+    def test_pinned_criterion_6_ensemble_mean(self, monkeypatch):
+        """ensemble_mean over 16 seeds of 1000 steps of criterion 6's model
+        from |+><+|: a certified run, one commutator product per step.  The
+        digest was recorded before certified runs existed."""
+        model, initial = criterion_6_model()
+        flags = spy_hermitian_flags(monkeypatch)
+        mean = ensemble_mean(model, initial, 1e-3, 1000, range(16))
+        assert hashlib.sha256(mean.tobytes()).hexdigest() == (
+            "2f49209b9594b8dae7124677224230a43b4a6f12f6bea87632dcba649f1f9c47")
+        assert flags == [True] * 1000
 
 
 BLAS_THREADS_SCRIPT = """

@@ -2,13 +2,15 @@
 the tests: code in src/, demos/ or bench/ refers to it, or the acceptance
 gate imports it.  A definition that only unit tests reach is dead code, and
 so is a parameter default that only unit tests override.  Each output
-format has one writer: cli._write_csv and cli._write_json.  And every
-contraction goes through one name, lattice.einsum."""
+format has one writer: cli._write_csv and cli._write_json.  Every
+contraction goes through one name, lattice.einsum.  And only
+run_ensemble's certificate reaches _commutator's hermitian flag."""
 
 import ast
 import dataclasses
 import inspect
 import numbers
+import shutil
 from pathlib import Path
 
 from collapsesim import kernels
@@ -205,3 +207,81 @@ def test_kernels_default_no_model_setting():
                           for p in inspect.signature(fn).parameters.values() if p.name in names})
     assert {"CorrelationKernel.gamma", "coulomb_potential(G)", "axis_coulomb_3d(G)"} <= set(found)
     assert {where: d for where, d in found.items() if isinstance(d, numbers.Number)} == {}
+
+
+def scoped(tree, module):
+    """(module.qualname of the innermost enclosing def or class, node) for
+    every node of tree."""
+    for child in ast.iter_child_nodes(tree):
+        inner = module
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{module}.{child.name}"
+        yield inner, child
+        yield from scoped(child, inner)
+
+
+FLAG_CALLS = {"_commutator": ("engine._euler", 3), "_euler": ("engine.combined_step", 7)}
+TABLES_PASSERS = {"models.Model.advance", "engine.run_ensemble"}
+
+
+def hermitian_flag_paths(root: Path) -> list[str]:
+    """module.qualname:line of each statement in root's src, demos and
+    bench code (bench tests excluded) that could hand _commutator a
+    hermitian flag other than run_ensemble's certificate.  The one path is:
+    run_ensemble sets certified only from _certified and ends every tables
+    tuple with it; only it and Model.advance pass tables, by that name;
+    combined_step unpacks hermitian from tables alone and passes it last to
+    _euler, which passes it last to _commutator.  A flag set anywhere else
+    would let a step take one product for a state that is not Hermitian,
+    and silently change its bytes."""
+    paths = (sorted((root / "src" / "collapsesim").glob("*.py"))
+             + sorted((root / "demos").glob("*.py")) + sorted((root / "bench").glob("*.py")))
+    found = []
+    for path in paths:
+        for where, node in scoped(ast.parse(path.read_text(encoding="utf-8")), path.stem):
+            bad = False
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in FLAG_CALLS and len(node.args) + len(node.keywords) >= FLAG_CALLS[name][1]:
+                    bad = (where != FLAG_CALLS[name][0] or bool(node.keywords)
+                           or getattr(node.args[-1], "id", None) != "hermitian")
+                tables = [k.value for k in node.keywords if k.arg == "tables"]
+                bad |= name == "combined_step" and len(node.args) >= 10  # tables by position
+                bad |= bool(tables) and (where not in TABLES_PASSERS
+                                         or getattr(tables[0], "id", None) != "tables")
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and node.value:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+                value = node.value
+                if "certified" in names:
+                    bad |= where != "engine.run_ensemble" or not any(
+                        getattr(n, "id", None) == "_certified" for n in ast.walk(value))
+                if "tables" in names and where == "engine.run_ensemble":
+                    bad |= not (isinstance(value, ast.Tuple)
+                                and getattr(value.elts[-1], "id", None) == "certified")
+                if "hermitian" in names:
+                    constants = [n.value for n in ast.walk(value) if isinstance(n, ast.Constant)]
+                    bad |= (where != "engine.combined_step"
+                            or "tables" not in {getattr(n, "id", None) for n in ast.walk(value)}
+                            or any(c not in (None, False) for c in constants))
+            if bad:
+                found.append(f"{where}:{node.lineno}")
+    return found
+
+
+def test_only_the_run_certificate_sets_the_hermitian_flag():
+    assert hermitian_flag_paths(ROOT) == []
+
+
+def test_hermitian_flag_guard_sees_a_constant_flag(tmp_path):
+    # the guard itself: a run whose tables carry True instead of the
+    # certificate is found where it is built
+    src = tmp_path / "src" / "collapsesim"
+    shutil.copytree(ROOT / "src" / "collapsesim", src)
+    engine = src / "engine.py"
+    text = engine.read_text(encoding="utf-8")
+    assert text.count("sums[b % chunk], certified)") == 1
+    engine.write_text(text.replace("sums[b % chunk], certified)", "sums[b % chunk], True)"),
+                      encoding="utf-8")
+    line = 1 + text[:text.index("sums[b % chunk], certified)")].count("\n")
+    assert hermitian_flag_paths(tmp_path) == [f"engine.run_ensemble:{line}"]
