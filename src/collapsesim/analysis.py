@@ -68,8 +68,8 @@ def _field_differences(spec: ModelSpec, x_config, y_configs):
 def _rate(spec: ModelSpec, ddens: np.ndarray, dphi: np.ndarray) -> RateEntry:
     """The rate from the field differences; only this reads the kernel
     strengths, the fields do not."""
-    return RateEntry(intrinsic=0.125 * spec.kernel.quad(ddens, ddens),
-                     backaction=0.5 * spec.kernel.quad_inverse(dphi, dphi))
+    return RateEntry(intrinsic=0.125 * spec.kernel.quad(ddens),
+                     backaction=0.5 * spec.kernel.quad_inverse(dphi))
 
 
 def united_dp_rate(spec: ModelSpec, x_config, y_config) -> float:

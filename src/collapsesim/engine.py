@@ -24,7 +24,7 @@ density-matrix step is a dense array or a DenseHamiltonian.
 
 run_ensemble is the one stepping loop: it draws each seed's noise in blocks
 of NOISE_BLOCK steps and computes a block's state-independent conditioning
-field once; the step functions compute it themselves when not handed it.
+field once; only combined_step and sme_step compute it when not handed it.
 """
 
 from __future__ import annotations
@@ -439,35 +439,25 @@ def _monitored_terms(inc, rho, rows, dt: float, args) -> None:
     inc -= np.multiply(curvature, rho, out=kick)
 
 
-def me_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec,
-            fb: FeedbackSpec | None, dt: float,
-            backaction=None, step: int | None = None) -> np.ndarray:
+def me_step(rho: np.ndarray, H: np.ndarray, spec: MonitoringSpec, fb: FeedbackSpec,
+            dt: float, backaction, step: int | None = None) -> np.ndarray:
     """Noise-averaged step: deterministic, linear, trace preserving and
     completely positive (double commutators with nonnegative kernels).  The
     increment is -1j * dt * [H, rho] - 1j * dt * (b(x) - b(y)) * rho
     - dt * rate * rho with rate = 0.125 * pair_rate + 0.5 * pair_rate_inverse
-    and b the back-action diagonal; without feedback only the first term
-    and the first part of rate."""
-    inverse = None
-    if fb is None:
-        backaction = None
-    else:
-        inverse = fb.pair_rate_inverse
-        if backaction is None:
-            backaction = fb.backaction_diagonal(spec)
-    return _euler(H, rho, dt, step, _master_terms, (spec.pair_rate, inverse, backaction))
+    and b the back-action diagonal.  Monitoring without feedback is a csl
+    model with G = 0, whose feedback terms are exactly zero."""
+    return _euler(H, rho, dt, step, _master_terms,
+                  (spec.pair_rate, fb.pair_rate_inverse, backaction))
 
 
 def _master_terms(inc, rho, rows, dt: float, args) -> None:
     """me_step's terms after the commutator; args = (pair_rate,
-    pair_rate_inverse, backaction), and backaction None leaves out the
-    feedback's."""
+    pair_rate_inverse, backaction)."""
     pair_rate, pair_rate_inverse, backaction = args
     rate = 0.125 * pair_rate[rows]
-    term = None
-    if backaction is not None:
-        term = _potential_terms(inc, rho, rows, dt, backaction)
-        rate += 0.5 * pair_rate_inverse[rows]
+    term = _potential_terms(inc, rho, rows, dt, backaction)
+    rate += 0.5 * pair_rate_inverse[rows]
     np.multiply(dt, rate, out=rate)
     inc -= np.multiply(rate, rho, out=term)
 
@@ -530,8 +520,7 @@ def hfb_family_identity_check(spec: MonitoringSpec, fb: FeedbackSpec,
 
 
 def sse_step(psi: np.ndarray, H: ManyBodyHamiltonian, spec: MonitoringSpec,
-             fb: FeedbackSpec | None, noise, dt: float,
-             step: int | None = None, field=None) -> np.ndarray:
+             fb: FeedbackSpec, noise, dt: float, field, step: int | None = None) -> np.ndarray:
     """Norm-preserving diffusive unravelling step.
 
     Drift and diffusion are the pure-state transcription of the monitored
@@ -539,11 +528,9 @@ def sse_step(psi: np.ndarray, H: ManyBodyHamiltonian, spec: MonitoringSpec,
     O(dt^{3/2})); feedback is composed afterwards as an exact diagonal
     phase built from the full signal, exactly like the operational
     definition.  The state is renormalized each step.  H applies the
-    Hamiltonian (a model's hamiltonian_operator).  field, when given, is
-    the step's precomputed spec.conditioning_field(noise).
+    Hamiltonian (a model's hamiltonian_operator).  field is the step's
+    spec.conditioning_field(noise).
     """
-    if field is None:
-        field = spec.conditioning_field(noise)
     prob = (psi.conj() * psi).real
     means = einsum("ox,...x->...o", spec.family, prob)
     # -(1/8) Q_gamma(A - <A>, A - <A>) evaluated per configuration
@@ -555,9 +542,7 @@ def sse_step(psi: np.ndarray, H: ManyBodyHamiltonian, spec: MonitoringSpec,
     cmean = einsum("...x,...x->...", field, prob)
     dpsi = -1j * dt * H.apply(psi)
     dpsi = dpsi + dt * (-0.125 * quad + 0.5 * (field - cmean[..., None])) * psi
-    out = psi + dpsi
-    if fb is not None:
-        out = np.exp(-1j * dt * fb.potential(means + noise)) * out
+    out = np.exp(-1j * dt * fb.potential(means + noise)) * (psi + dpsi)
     return _normalize(out, step, "unravelling step")
 
 
@@ -640,7 +625,7 @@ def _certified(model, initial) -> bool:
 
 def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
                  record_every: int = 1, record_signal: bool = False, offdiagonal_pairs=(),
-                 snapshot_every: int = 0, monitor_positivity: bool | None = None,
+                 snapshot_every: int = 0, monitor_positivity: bool = True,
                  unconditional: bool = False) -> list[TrajectoryRecord]:
     """Integrate one seeded trajectory per seed of a built model (records
     in seed order); the package's one stepping loop.
@@ -665,7 +650,8 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
     alone, so record k is fully determined by (model, initial, dt, steps,
     seeds[k]).
     State vectors are recorded in O(n) from |psi_x|^2 and psi_x psi_y*,
-    with purity 1 by definition; monitor_positivity needs a density matrix.
+    with purity 1 by definition.  monitor_positivity records the smallest
+    eigenvalue of a density matrix with n <= 128, and of no other state.
     """
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be a positive finite number; got {dt!r}")
@@ -682,10 +668,7 @@ def run_ensemble(initial: np.ndarray, model, dt: float, steps: int, seeds,
         raise ValueError(f"initial must have shape ({n},) or ({n}, {n}), n the model's "
                          f"configuration count; got shape {initial.shape}")
     pure = initial.ndim == 1
-    if monitor_positivity and pure:
-        raise ValueError("monitor_positivity needs a density matrix: projectors are positive")
-    if monitor_positivity is None:
-        monitor_positivity = (not pure) and initial.shape[-1] <= 128
+    monitor_positivity = monitor_positivity and not pure and n <= 128
     draws = model.monitoring is not None and not unconditional
     n_obs = 0 if model.monitoring is None else model.monitoring.family.shape[0]
 

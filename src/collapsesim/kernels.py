@@ -121,19 +121,18 @@ class CorrelationKernel:
     def apply_inverse(self, f: np.ndarray) -> np.ndarray:
         return self.grid.apply_multiplier(np.asarray(f, float), self.inverse_multiplier)
 
-    def _quad(self, f, g, mult) -> float:
+    def _quad(self, f, mult) -> float:
         grid = self.grid
         F = grid.fft(np.asarray(f, float))
-        Gf = F if g is f else grid.fft(np.asarray(g, float))
-        s = np.sum(mult * F.conj() * Gf).real
+        s = np.sum(mult * F.conj() * F).real
         return float(s * grid.cell_volume / grid.n_sites)
 
-    def quad(self, f: np.ndarray, g: np.ndarray) -> float:
-        """integral dr ds gamma_rs f(r) g(s), lattice measure."""
-        return self._quad(f, g, self.multiplier)
+    def quad(self, f: np.ndarray) -> float:
+        """Q(f, f) = integral dr ds gamma_rs f(r) f(s), lattice measure."""
+        return self._quad(f, self.multiplier)
 
-    def quad_inverse(self, f: np.ndarray, g: np.ndarray) -> float:
-        return self._quad(f, g, self.inverse_multiplier)
+    def quad_inverse(self, f: np.ndarray) -> float:
+        return self._quad(f, self.inverse_multiplier)
 
     def sample_noise(self, dt: float, rng: np.random.Generator, size=()) -> np.ndarray:
         """Gaussian field(s) with covariance gamma^-1(r-s)/dt, shape size + dims.

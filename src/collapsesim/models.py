@@ -220,8 +220,8 @@ class Model:
         noise is the step's flat signal noise, (..., n_obs); on a monitored
         kind None takes the noise-averaged step, the linear master equation,
         whose signal is the observable means of the new density matrix.
-        Baselines take None.  field: the step's
-        monitoring.conditioning_field(noise), if known.  tables:
+        Baselines take None.  field: monitoring.conditioning_field(noise);
+        a state-vector step needs it, a density step forms it.  tables:
         combined_step's (rate, sums, hermitian) for a conditional density
         step, as run_ensemble forms them: the state-independent tables of a
         state that the Euler step handles whole, and the run's certificate

@@ -186,11 +186,11 @@ def expression_combined_step(rho, H, spec, fb, noise, dt, field=None, signal=Non
 
 
 def expression_me_step(rho, H, spec, fb, dt, backaction=None):
+    """fb None: the step without any feedback term, whose bytes me_step
+    gives on a csl model with G = 0."""
     inc = -1j * dt * _commutator(H, rho)
     rate = 0.125 * spec.pair_rate
     if fb is not None:
-        if backaction is None:
-            backaction = fb.backaction_diagonal(spec)
         inc = inc - 1j * dt * (backaction[..., :, None] - backaction[..., None, :]) * rho
         rate = rate + 0.5 * fb.pair_rate_inverse
     inc = inc - dt * rate * rho
@@ -201,16 +201,13 @@ def exact_master(H, monitoring, feedback, backaction, rho0, t):
     """rho(t) of the noise-averaged master equation that me_step integrates,
     exactly: expm of its n^2 x n^2 generator -i(H (x) I - I (x) H^T) - diag(D)
     on rho0 in row-major vec, with D = 0.125 pair_rate + 0.5 pair_rate_inverse
-    + i(b(x) - b(y)) (b the back-action diagonal, backaction or the
-    feedback's own when None); without feedback D = 0.125 pair_rate."""
-    H, rho0 = np.asarray(H), np.asarray(rho0)
+    + i(b(x) - b(y)) (b the back-action diagonal, backaction)."""
+    H, rho0, b = np.asarray(H), np.asarray(rho0), backaction
     n = len(rho0)
     if n > 16:
         raise ValueError(f"the dense generator is meant for n <= 16; got n = {n}")
-    D = 0.125 * monitoring.pair_rate
-    if feedback is not None:
-        b = feedback.backaction_diagonal(monitoring) if backaction is None else backaction
-        D = D + 0.5 * feedback.pair_rate_inverse + 1j * (b[:, None] - b[None, :])
+    D = (0.125 * monitoring.pair_rate + 0.5 * feedback.pair_rate_inverse
+         + 1j * (b[:, None] - b[None, :]))
     eye = np.eye(n)
     generator = -1j * (np.kron(H, eye) - np.kron(eye, H.T)) - np.diag(D.reshape(-1))
     return (expm(t * generator) @ rho0.reshape(-1)).reshape(n, n)

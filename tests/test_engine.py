@@ -48,6 +48,12 @@ def grid_specs(n=8, sigma=1.0, gamma=1.0, G=0.2, smear_fb=False):
     return grid, mon, fb
 
 
+def zero_feedback(mon):
+    """The feedback of monitoring without feedback: a zero family, as a csl
+    model with G = 0 builds it (TestMeStep.test_csl_without_g_is_feedback_free)."""
+    return FeedbackSpec(family=np.zeros(mon.family.shape), kernel=mon.kernel, grid=mon.grid)
+
+
 def conditioning(rho, d):
     """_conditioning of the field d: from the pair sums of its half field and <d>."""
     cmean = np.einsum("x,x->", d, np.diagonal(rho).real)
@@ -284,9 +290,12 @@ def check_step_bytes(kind, n, batches, real, feedback, passed, family, seed, her
     """One sme_step, combined_step or me_step against its chained-expression
     oracle, bit for bit, with no input modified.  hermitian True makes every
     member of rho exactly Hermitian, False perturbs one entry of the last
-    member; None keeps random_density_matrix's rounding."""
+    member; None keeps random_density_matrix's rounding.  me_step always
+    takes a feedback and its back-action: without feedback, the zero family
+    that a csl model with G = 0 carries."""
     H, mon, fb = step_family(family, n, seed)
-    fb = fb if feedback else None
+    fb = fb if feedback else (zero_feedback(mon) if kind == "me" else None)
+    passed = passed or kind == "me"
     rng = np.random.default_rng(seed)
     batch, noise_batch = batches
     rho = np.stack([random_density_matrix(rng, n) for _ in range(int(np.prod(batch)))])
@@ -638,7 +647,9 @@ def test_grid_shaped_noise_is_rejected(step, rng):
     rho = np.outer(psi, psi.conj())
     calls = {"sme": lambda: sme_step(rho, H, mon, noise, 1e-3),
              "combined": lambda: combined_step(rho, H, mon, fb, noise, 1e-3),
-             "sse": lambda: sse_step(psi, model.hamiltonian_operator, mon, fb, noise, 1e-3)}
+             # sse_step takes the field that run_ensemble forms from the noise
+             "sse": lambda: sse_step(psi, model.hamiltonian_operator, mon, fb, noise, 1e-3,
+                                     mon.conditioning_field(noise))}
     with pytest.raises(ValueError, match="noise must be flat"):
         calls[step]()
 
@@ -687,20 +698,57 @@ class TestMeStep:
         r2 = random_density_matrix(rng, 8)
         H = rng.standard_normal((8, 8))
         H = H + H.T
-        alpha = 0.3
-        lhs = me_step(alpha * r1 + (1 - alpha) * r2, H, mon, fb, 1e-3)
-        rhs = (alpha * me_step(r1, H, mon, fb, 1e-3)
-               + (1 - alpha) * me_step(r2, H, mon, fb, 1e-3))
+        alpha, b = 0.3, fb.backaction_diagonal(mon)
+        lhs = me_step(alpha * r1 + (1 - alpha) * r2, H, mon, fb, 1e-3, b)
+        rhs = (alpha * me_step(r1, H, mon, fb, 1e-3, b)
+               + (1 - alpha) * me_step(r2, H, mon, fb, 1e-3, b))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["csl", "dp"]), n=st.integers(2, 12),
+           weights=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=4),
+           G=st.one_of(st.just(0.0), st.floats(0.1, 1.0)), seed=st.integers(0, 2**32 - 1))
+    def test_linear_over_random_mixtures(self, kind, n, weights, G, seed):
+        # criterion 9's claim without Monte Carlo: the averaged dynamics are
+        # linear, so a mixture's step is the mixture of its members' steps
+        assume(kind == "csl" or G > 0)
+        model = build_model(ModelSpec(kind=kind, grid=LatticeGrid((n,), 1.0),
+                                      particles=ParticleSet([1.0]), G=G))
+        rng = np.random.default_rng(seed)
+        members = np.stack([random_density_matrix(rng, n) for _ in weights])
+        p = np.asarray(weights) / sum(weights)
+
+        def step(rho):
+            return me_step(rho, model.density_hamiltonian, model.monitoring, model.feedback,
+                           1e-4, model.backaction)
+
+        mixed = step(np.einsum("k,kxy->xy", p, members))
+        np.testing.assert_allclose(mixed, np.einsum("k,kxy->xy", p, step(members)),
+                                   rtol=0, atol=1e-15)
 
     def test_zero_kernel_zero_fb_is_unitary_euler(self, rng):
         spec = MonitoringSpec(family=np.zeros((1, 4)), kernel=MatrixKernel([[1.0]]))
         H = rng.standard_normal((4, 4))
         H = H + H.T
         rho = random_density_matrix(rng, 4)
-        got = me_step(rho, H, spec, None, 1e-3)
+        got = me_step(rho, H, spec, zero_feedback(spec), 1e-3, np.zeros(4))
         np.testing.assert_allclose(got, rho - 1j * 1e-3 * (H @ rho - rho @ H),
                                    atol=1e-15)
+
+    @pytest.mark.parametrize("n", [4, 12, 20])
+    def test_csl_without_g_is_feedback_free(self, rng, n):
+        # monitoring without feedback is spelled G = 0 on csl: its feedback
+        # family, inverse rate table and back-action are exactly zero, and
+        # me_step gives the bytes of the step with no feedback terms at all
+        model = build_model(ModelSpec(kind="csl", grid=LatticeGrid((n,), 1.0),
+                                      particles=ParticleSet([1.0]), sigma=1.0, G=0.0))
+        mon, fb = model.monitoring, model.feedback
+        for table in (fb.family, fb.pair_rate_inverse, model.backaction):
+            assert not table.any()
+        rho = random_density_matrix(rng, n)
+        got = me_step(rho, model.density_hamiltonian, mon, fb, 1e-3, model.backaction)
+        want = expression_me_step(rho, model.hamiltonian, mon, None, 1e-3)
+        assert got.tobytes() == want.tobytes()
 
     def test_ensemble_average_approaches_me(self):
         # Monte Carlo vs deterministic oracle, light version
@@ -742,7 +790,8 @@ def exact_master_case(case):
     family of 3 observables on 6 configurations (MatrixKernel)."""
     if case == "matrix":
         H, mon, fb = step_family("matrix", 6, 5)
-        return H, mon, fb, None, random_density_matrix(np.random.default_rng(5), 6)
+        return (H, mon, fb, fb.backaction_diagonal(mon),
+                random_density_matrix(np.random.default_rng(5), 6))
     if case == "demo":
         cfg = load_config(DEMO_CONFIG)
         spec, psi = cfg.spec, build_initial_state(cfg)
@@ -775,7 +824,6 @@ class TestExactMaster:
     def test_without_hamiltonian_is_the_closed_form(self, case):
         # at H = 0 every entry decays and turns on its own: exp(-D t) o rho0
         _, mon, fb, b, rho0 = exact_master_case(case)
-        b = fb.backaction_diagonal(mon) if b is None else b
         D = (0.125 * mon.pair_rate + 0.5 * fb.pair_rate_inverse
              + 1j * (b[:, None] - b[None, :]))
         got = exact_master(np.zeros_like(mon.pair_rate), mon, fb, b, rho0, 0.7)
@@ -787,7 +835,8 @@ class TestSseStep:
         _, mon, fb = grid_specs()
         psi = random_state(rng, 8)
         noise = mon.sample_noise_flat(1e-4, rng)
-        out = sse_step(psi, DenseOperator(np.zeros((8, 8))), mon, fb, noise, 1e-4)
+        out = sse_step(psi, DenseOperator(np.zeros((8, 8))), mon, fb, noise, 1e-4,
+                       mon.conditioning_field(noise))
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-14)
 
     def test_projector_purity_stays_one(self, rng):
@@ -795,7 +844,8 @@ class TestSseStep:
         psi = random_state(rng, 8)
         for _ in range(50):
             noise = mon.sample_noise_flat(1e-4, rng)
-            psi = sse_step(psi, DenseOperator(np.zeros((8, 8))), mon, fb, noise, 1e-4)
+            psi = sse_step(psi, DenseOperator(np.zeros((8, 8))), mon, fb, noise, 1e-4,
+                           mon.conditioning_field(noise))
         rho = np.outer(psi, psi.conj())
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
 
@@ -815,7 +865,8 @@ class TestSseStep:
             xi = mon.sample_noise_flat(1.0, rng)
             for i, dt in enumerate(dts):
                 noise = xi / np.sqrt(dt)
-                psi1 = sse_step(psi0, DenseOperator(H), mon, fb, noise, dt)
+                psi1 = sse_step(psi0, DenseOperator(H), mon, fb, noise, dt,
+                                mon.conditioning_field(noise))
                 rho_sse = np.outer(psi1, psi1.conj())
                 rho_dm = combined_step(rho0, H, mon, fb, noise, dt)
                 rho_dm = rho_dm / np.trace(rho_dm).real
@@ -928,6 +979,20 @@ class TestRunEnsemble:
         psi = np.zeros(8, complex)
         psi[3] = psi[5] = 2**-0.5
         return build_model(spec), psi
+
+    @pytest.mark.parametrize("n, pure, recorded", [(128, False, True), (129, False, False),
+                                                   (8, True, False)])
+    def test_positivity_recorded_where_possible(self, n, pure, recorded):
+        # monitor_positivity (on by default) records the smallest eigenvalue
+        # of a density matrix with n <= 128, and of no other state
+        model = build_model(ModelSpec(kind="csl", grid=LatticeGrid((n,), 1.0),
+                                      particles=ParticleSet([1.0]), G=0.1))
+        psi = np.full(n, n**-0.5, complex)
+        initial = psi if pure else np.outer(psi, psi.conj())
+        rec = run_trajectory(initial, model, 1e-7, 1, 0)
+        assert (rec.min_eigenvalue is not None) == recorded
+        assert run_trajectory(initial, model, 1e-7, 1, 0,
+                              monitor_positivity=False).min_eigenvalue is None
 
     @pytest.mark.parametrize("representation", ["density", "pure"])
     def test_member_equals_run_trajectory_bitwise(self, representation, monkeypatch):
@@ -1159,7 +1224,8 @@ class TestRunEnsemble:
 def table_model(family, n, feedback, seed):
     """A built model on n configurations (one particle on an n-site chain)
     whose monitoring is csl, dp or a random explicit family of 3
-    observables (MatrixKernel), with or without feedback."""
+    observables (MatrixKernel), with feedback or with the zero feedback
+    family that a csl model with G = 0 carries."""
     model = build_model(ModelSpec(kind="csl" if family == "matrix" else family,
                                   grid=LatticeGrid((n,), 1.0), particles=ParticleSet([1.0]),
                                   sigma=1.0, G=0.02))
@@ -1167,7 +1233,8 @@ def table_model(family, n, feedback, seed):
         _, mon, fb = step_family("matrix", n, seed)
         model = replace(model, monitoring=mon, feedback=fb, backaction=fb.backaction_diagonal(mon))
     if not feedback:
-        model = replace(model, feedback=None, backaction=None)
+        model = replace(model, feedback=zero_feedback(model.monitoring),
+                        backaction=np.zeros(n))
     return model
 
 
@@ -1501,11 +1568,6 @@ class TestPureRecord:
                 assert rec.signals[j].tobytes() == signal.tobytes()
                 expect = np.array([abs(rho[a, b]) for a, b in pairs])
                 assert rec.offdiagonals[j].tobytes() == expect.tobytes()
-
-    def test_positivity_monitoring_needs_density_matrix(self):
-        model, psi = TestRunEnsemble.cat_model()
-        with pytest.raises(ValueError, match="density matrix"):
-            run_trajectory(psi, model, 1e-4, 5, 0, monitor_positivity=True)
 
     def test_record_memory_below_one_projector(self):
         # n_cfg = 1024: a projector would take 16 MiB; the run must not build one

@@ -664,3 +664,67 @@ class TestPresets:
         # G_lat = G mu^3 ell / hbar^2
         expect = 6.67430e-11 * (1.66053906892e-27) ** 3 * 1e-7 / (1.054571817e-34) ** 2
         assert vals["G_lattice"] == pytest.approx(expect, rel=1e-9)
+
+
+@st.composite
+def claim_specs(draw, kinds=MONITORED_KINDS):
+    """A random monitored model: a 1-d chain or a 2-d grid of 4-7 sites per
+    axis, 2-3 particles of mass 0.5-2, sigma 0.3-1.5 and G 0.1-2, with at
+    most 1,024 configurations."""
+    count = draw(st.integers(2, 3))
+    ndim = draw(st.integers(1, 2)) if count == 2 else 1  # 2-d, 3 particles: 4096+
+    dims = draw(st.lists(st.integers(4, 7), min_size=ndim, max_size=ndim))
+    assume(int(np.prod(dims)) ** count <= 1024)
+    masses = draw(st.lists(st.floats(0.5, 2.0), min_size=count, max_size=count))
+    return ModelSpec(kind=draw(st.sampled_from(kinds)), grid=LatticeGrid(tuple(dims), 1.0),
+                     particles=ParticleSet(masses, kinetic=[False] * count),
+                     sigma=draw(st.floats(0.3, 1.5)), G=draw(st.floats(0.1, 2.0)),
+                     gamma=draw(st.floats(0.1, 3.0)), kappa=draw(st.floats(0.2, 8.0)))
+
+
+class TestPaperClaims:
+    """The paper's claims as properties over random models, beside the
+    acceptance gate's hand-picked ones."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=claim_specs())
+    def test_emergent_potential_is_the_newton_pair_potential(self, spec):
+        # the emergent V(x) is the sum of pair terms m_i m_j W(x_i - x_j),
+        # W the potential of two unit masses at displacement d relative to
+        # d = 0; what is left is one constant: no self-interaction
+        grid, masses = spec.grid, spec.particles.masses
+        v = build_backaction_hamiltonian(spec).values
+        pair = replace(spec, particles=ParticleSet([1.0, 1.0]))
+        w = build_backaction_hamiltonian(
+            pair, configs=[[0, d] for d in range(grid.n_sites)]).values
+        w = w - w[0]
+        sites = config_sites(grid, spec.particles)
+        pairs = sum(masses[i] * masses[j] * w[lattice.displacement_index(grid, sites[:, i],
+                                                                         sites[:, j])]
+                    for i in range(len(masses)) for j in range(i + 1, len(masses)))
+        rest = v - pairs
+        assert np.ptp(rest) <= 1e-13 * np.abs(v).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=claim_specs())
+    def test_emergent_potential_is_independent_of_monitoring_strength(self, spec):
+        # V does not read gamma or kappa: the same bytes at 3.7 gamma, 0.3 kappa
+        v = build_model(spec).backaction
+        scaled = replace(spec, gamma=3.7 * spec.gamma, kappa=0.3 * spec.kappa)
+        assert build_model(scaled).backaction.tobytes() == v.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(kappa=st.floats(0.2, 10.0), sigma=st.floats(0.3, 1.5), G=st.floats(0.1, 2.0))
+    def test_dp_rates_unify_with_kappa(self, kappa, sigma, G):
+        # on a dp chain the total rate 0.125 R + 0.5 R^-1 is (kappa/4 +
+        # 1/kappa) times its value at kappa = 2: intrinsic over back-action
+        # is kappa^2 / 4, so at kappa = 2 feedback doubles decoherence
+        def total(k):
+            model = build_model(ModelSpec(kind="dp", grid=LatticeGrid((8,), 1.0),
+                                          particles=ParticleSet([1.0]), sigma=sigma,
+                                          kappa=k, G=G))
+            return 0.125 * model.monitoring.pair_rate + 0.5 * model.feedback.pair_rate_inverse
+
+        at_two = total(2.0)
+        np.testing.assert_allclose(total(kappa), kappa_decoherence_coefficient(kappa) * at_two,
+                                   rtol=0, atol=1e-13 * np.abs(at_two).max())
