@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 
 from collapsesim import LatticeGrid, ParticleSet, build_model, run_ensemble
-from collapsesim.analysis import linearity_witness, trace_distance
+from collapsesim.analysis import cat_ensembles, linearity_witness
 from collapsesim.models import ModelSpec
 
 grid = LatticeGrid((16,), 1.0)
@@ -47,33 +47,25 @@ print(f"<x>(t=0.4)  monitored, with and without the emergent potential: "
       f"{rho_x:.6f} / {novg_x:.6f}   <- identical: no self force")
 
 print("\n== ensemble (non)linearity ==")
-grid12 = LatticeGrid((12,), 1.0)
-x12 = grid12.axis_coordinates[0]
-a = np.exp(-((x12 - 3.0) ** 2) / 2.0).astype(complex)
-a /= np.linalg.norm(a)
-b = np.exp(-((x12 - 9.0) ** 2) / 2.0).astype(complex)
-b = b - (a.conj() @ b) * a
-b /= np.linalg.norm(b)
-sup = [(0.5, (a + b) / np.sqrt(2)), (0.5, (a - b) / np.sqrt(2))]
-mix = [(0.5, a), (0.5, b)]
 
+
+def cat(grid, left, right):
+    """The superposition and mixture ensembles of unit-width packets at left and right."""
+    x = grid.axis_coordinates[0]
+    a, b = (np.exp(-((x - c) ** 2) / 2.0).astype(complex) for c in (left, right))
+    return cat_ensembles(a / np.linalg.norm(a), b)
+
+
+grid12 = LatticeGrid((12,), 1.0)
 sn = build_model(ModelSpec(kind="sn", grid=grid12, particles=one, G=0.5))
-rep_sn = linearity_witness(sn, sup, mix, t=0.3, dt=1e-4)
+rep_sn = linearity_witness(sn, *cat(grid12, 3.0, 9.0), t=0.3, dt=1e-4)
 print(f"state-sourced: trace distance between the two evolved ensembles = "
       f"{rep_sn.distance:.3f}  (same initial density matrix!)")
 
 grid8 = LatticeGrid((8,), 1.0)
-x8 = grid8.axis_coordinates[0]
-a8 = np.exp(-((x8 - 2.0) ** 2) / 2.0).astype(complex)
-a8 /= np.linalg.norm(a8)
-b8 = np.exp(-((x8 - 6.0) ** 2) / 2.0).astype(complex)
-b8 = b8 - (a8.conj() @ b8) * a8
-b8 /= np.linalg.norm(b8)
-sup8 = [(0.5, (a8 + b8) / np.sqrt(2)), (0.5, (a8 - b8) / np.sqrt(2))]
-mix8 = [(0.5, a8), (0.5, b8)]
 mon8 = build_model(ModelSpec(kind="csl", grid=grid8, particles=one,
                              sigma=1.0, gamma=1.0, G=0.2))
-rep_mon = linearity_witness(mon8, sup8, mix8, t=0.1, dt=1e-4, n_samples=200)
+rep_mon = linearity_witness(mon8, *cat(grid8, 2.0, 6.0), t=0.1, dt=1e-4, n_samples=200)
 print(f"monitored:     trace distance = {rep_mon.distance:.3f}  "
       f"(Monte Carlo tolerance {rep_mon.tolerance:.3f})")
 print("\nsourcing gravity with the measurement signal instead of the quantum")

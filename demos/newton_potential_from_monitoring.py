@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from collapsesim import LatticeGrid, ParticleSet, build_backaction_hamiltonian
-from collapsesim.kernels import periodic_image_correction
+from collapsesim import (LatticeGrid, ParticleSet, build_backaction_hamiltonian,
+                         pair_potential_curve)
 from collapsesim.models import ModelSpec
 
 n, G, sigma = 64, 1.0, 1.0
@@ -40,21 +40,15 @@ for gamma in (0.1, 10.0):
 
 print("\n== two particles: emergent pair potential ==")
 ds = [1, 2, 4, 8, 10, 12, 14, 16]
-configs = [[0, grid.site_index((d, 0, 0))] for d in ds]
-v_pair = build_backaction_hamiltonian(spec, configs=configs).values
-v_self = 2.0 * build_backaction_hamiltonian(
-    ModelSpec(kind="csl", grid=grid, particles=ParticleSet([1.0]),
-              sigma=sigma, G=G), configs=[[0]]).values[0]
 sigma_eff = sigma * math.sqrt(2.0) if spec.feedback_smearing else sigma
 print(f"{'d':>4} {'V_inter':>12} {'V_corrected':>12} {'-G/d':>12} {'rel err':>9} "
       f"{'erf law':>12} {'rel err':>9}")
-for d, v in zip(ds, v_pair):
-    v_corr = (v - v_self) + G * periodic_image_correction(float(d), float(n))
+for d, row in zip(ds, pair_potential_curve(spec, ds)):
     target = -G / d
     cutoff = target * math.erf(d / (math.sqrt(2.0) * sigma_eff))
-    print(f"{d:4d} {v - v_self:12.6f} {v_corr:12.6f} {target:12.6f} "
-          f"{abs(v_corr - target) / abs(target):9.2%} {cutoff:12.6f} "
-          f"{abs(v_corr - cutoff) / abs(cutoff):9.2%}")
+    print(f"{d:4d} {row.potential:12.6f} {row.corrected:12.6f} {target:12.6f} "
+          f"{abs(row.corrected - target) / abs(target):9.2%} {cutoff:12.6f} "
+          f"{abs(row.corrected - cutoff) / abs(cutoff):9.2%}")
 print("\nthe corrected values track -G m1 m2 / d: gravity emerged from the")
 print("feedback loop without any pair interaction being put in by hand;")
 print(f"below a few sigma_eff = {sigma_eff:g} the source's smearing cuts the")

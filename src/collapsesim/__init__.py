@@ -1,8 +1,7 @@
 """Lattice simulator for continuously monitored quantum matter whose
 measurement signal sources a classical Newton field."""
 
-from .lattice import (DiagonalField, GuardError, LatticeGrid, LatticeUnits,
-                      ParticleSet, kinetic_hamiltonian)
+from .lattice import DiagonalField, GuardError, LatticeGrid, ParticleSet, kinetic_hamiltonian
 from .kernels import CorrelationKernel, MatrixKernel, coulomb_potential, smear
 from .engine import (FeedbackSpec, MonitoringSpec, TrajectoryRecord,
                      combined_step, ensemble_mean, feedback_step,

@@ -170,6 +170,19 @@ def _ensemble_average(model: Model, members, t: float, dt: float,
     return avg
 
 
+def cat_ensembles(a: np.ndarray, b: np.ndarray):
+    """The superposition and mixture ensembles of the cat on a normalized a
+    and a b not parallel to it.
+
+    b is made orthonormal to a, so that ((a + b)/sqrt 2, (a - b)/sqrt 2) and
+    (a, b), each member of weight 1/2, prepare the same density matrix.
+    Returns (superposition, mixture) as lists of (weight, psi).
+    """
+    b = b - (a.conj() @ b) * a
+    b = b / np.linalg.norm(b)
+    return [(0.5, (a + b) / np.sqrt(2.0)), (0.5, (a - b) / np.sqrt(2.0))], [(0.5, a), (0.5, b)]
+
+
 def linearity_witness(model: Model, ensemble_a, ensemble_b, t: float, dt: float,
                       n_samples: int = 200, seed0: int = 0) -> LinearityReport:
     """Evolve two ensembles with equal initial density matrix and compare

@@ -184,14 +184,7 @@ def _analyze_linearity(cfg: RunConfig, out_dir: Path) -> int:
                                      "width": init.get("width", 1.0)})
     b = single_particle_state(grid, {"type": "gaussian", "center": init["centers"][1],
                                      "width": init.get("width", 1.0)})
-    # orthonormalize so superposition and mixture prepare the same average exactly
-    b = b - (a.conj() @ b) * a
-    b = b / np.linalg.norm(b)
-    plus = (a + b) / np.sqrt(2.0)
-    minus = (a - b) / np.sqrt(2.0)
-    ens_sup = [(0.5, plus), (0.5, minus)]
-    ens_mix = [(0.5, a), (0.5, b)]
-    report = analysis.linearity_witness(model, ens_sup, ens_mix, t, cfg.dt,
+    report = analysis.linearity_witness(model, *analysis.cat_ensembles(a, b), t, cfg.dt,
                                         n_samples=samples, seed0=cfg.seed)
     out = {"trace_distance": float(report.distance),
            "tolerance": float(report.tolerance), "linear": bool(report.linear),

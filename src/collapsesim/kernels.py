@@ -28,8 +28,8 @@ from .lattice import LatticeGrid
 
 
 def smear_multiplier(grid: LatticeGrid, sigma: float) -> np.ndarray:
-    if sigma < 0:
-        raise ValueError("smearing width must be >= 0")
+    if not 0 <= sigma < np.inf:  # nan fails too
+        raise ValueError(f"smearing width must be finite and >= 0; got {sigma!r}")
     return np.exp(-0.5 * sigma**2 * grid.k_squared)
 
 
@@ -83,6 +83,14 @@ class CorrelationKernel:
         if not all(s is not None and 0 < s < np.inf for s in read):  # nan fails too
             raise ValueError("csl strength gamma needs a finite gamma > 0" if self.kind == "csl"
                              else "dp strength kappa G needs finite kappa > 0 and G > 0")
+        for name in ("multiplier", "inverse_multiplier"):  # a strength near 0 or inf overflows
+            with np.errstate(over="ignore"):
+                finite = np.isfinite(getattr(self, name)).all()
+            if not finite:
+                raise ValueError(
+                    (f"csl strength gamma = {self.gamma!r}" if self.kind == "csl" else
+                     f"dp strength kappa G = {self.kappa!r} x {self.G!r}")
+                    + f" overflows the kernel's {name.replace('_', ' ')}")
 
     @cached_property
     def multiplier(self) -> np.ndarray:
@@ -140,8 +148,8 @@ class CorrelationKernel:
         White site noise of variance 1/(cell_volume*dt) is filtered by the
         multiplier sqrt(1/gamma~); modes with gamma~ = 0 carry no noise.
         """
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < dt < np.inf:  # nan fails too
+            raise ValueError(f"dt must be a positive finite number; got {dt!r}")
         grid = self.grid
         shape = tuple(size) + grid.dims
         white = rng.standard_normal(shape) / np.sqrt(grid.cell_volume * dt)
@@ -185,8 +193,8 @@ class MatrixKernel:
         return np.asarray(f, float) @ self.inverse.T
 
     def sample_noise(self, dt: float, rng: np.random.Generator, size=()) -> np.ndarray:
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < dt < np.inf:  # nan fails too
+            raise ValueError(f"dt must be a positive finite number; got {dt!r}")
         n = self.matrix.shape[0]
         white = rng.standard_normal(tuple(size) + (n,))
         return (white @ self._noise_chol.T) / np.sqrt(dt)

@@ -34,7 +34,6 @@ try:
 except ImportError:  # numpy 1.x has no numpy._core
     einsum = np.einsum
 
-HBAR_SI = 1.054571817e-34  # J s
 FFT_CHUNK_BYTES = 1 << 18  # complex FFT buffer per chunk of configurations or kernel columns
 
 
@@ -331,30 +330,3 @@ class ManyBodyHamiltonian:
             self._sweep(out, psi, p, h, lower=False)
         return out
 
-
-@dataclass(frozen=True)
-class LatticeUnits:
-    """Conversion between SI and lattice units (hbar = 1).
-
-    Fixing a length unit ell (m) and mass unit mu (kg) fixes the time unit
-    tau = mu ell^2 / hbar.  Dimensionless lattice values follow from
-    X_lat = X_SI * ell^-a mu^-b tau^-c for X of dimension L^a M^b T^c.
-    """
-
-    length_m: float
-    mass_kg: float
-
-    @property
-    def time_s(self) -> float:
-        return self.mass_kg * self.length_m**2 / HBAR_SI
-
-    def gravity_constant(self, G_si: float) -> float:
-        # [G] = L^3 M^-1 T^-2
-        return G_si * self.mass_kg * self.time_s**2 / self.length_m**3
-
-    def monitoring_strength(self, gamma_over_hbar2_si: float) -> float:
-        # the SME carries gamma/hbar^2, of dimension L^3 M^-2 T^-1
-        return gamma_over_hbar2_si * self.mass_kg**2 * self.time_s / self.length_m**3
-
-    def length(self, x_m: float) -> float:
-        return x_m / self.length_m

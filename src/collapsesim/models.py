@@ -31,7 +31,7 @@ from .engine import (DenseHamiltonian, FeedbackSpec, MonitoringSpec, combined_st
                      hamiltonian_step, me_step, sse_step)
 from .kernels import (CorrelationKernel, axis_coulomb_3d, coulomb_multiplier,
                       coulomb_potential, smear_multiplier, smeared_point_profile)
-from .lattice import (DiagonalField, LatticeGrid, LatticeUnits, ManyBodyHamiltonian,
+from .lattice import (DiagonalField, LatticeGrid, ManyBodyHamiltonian,
                       ParticleSet, config_sites, displacement_index, kinetic_hamiltonian)
 
 MONITORED_KINDS = ("csl", "dp")
@@ -314,6 +314,7 @@ def sn_step(psi: np.ndarray, model: Model, dt: float, step: int | None = None) -
 # -- documentation-grade physical parameter presets ---------------------------
 
 G_SI = 6.67430e-11  # m^3 kg^-1 s^-2
+HBAR_SI = 1.054571817e-34  # J s
 
 PRESETS = {
     "grw-csl": {
@@ -344,17 +345,20 @@ LATTICE_MAPPING_FORMULA = (
 
 
 def preset_lattice_values(preset: dict, length_m: float, mass_kg: float) -> dict:
-    """Map a physical preset to dimensionless lattice values."""
-    units = LatticeUnits(length_m, mass_kg)
+    """Map a physical preset to dimensionless lattice values by the four
+    formulas of LATTICE_MAPPING_FORMULA, each written through tau: X_lat =
+    X_SI ell^-a mu^-b tau^-c for X of dimension L^a M^b T^c."""
+    tau = mass_kg * length_m**2 / HBAR_SI
     out = {
         "length_unit_m": length_m,
         "mass_unit_kg": mass_kg,
-        "time_unit_s": units.time_s,
-        "sigma_lattice": units.length(preset["sigma_m"]),
-        "G_lattice": units.gravity_constant(preset["G_si"]),
+        "time_unit_s": tau,
+        "sigma_lattice": preset["sigma_m"] / length_m,
+        "G_lattice": preset["G_si"] * mass_kg * tau**2 / length_m**3,
     }
     if preset["gamma_over_hbar2_si"] is not None:
-        out["gamma_lattice"] = units.monitoring_strength(preset["gamma_over_hbar2_si"])
+        # the SME carries gamma/hbar^2, of dimension L^3 M^-2 T^-1
+        out["gamma_lattice"] = preset["gamma_over_hbar2_si"] * mass_kg**2 * tau / length_m**3
     if preset["kappa"] is not None:
         out["kappa"] = preset["kappa"]
     return out

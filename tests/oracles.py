@@ -8,6 +8,7 @@ step arithmetic, real-space sums and scipy
 quadrature instead of spectral multiplication, a damped mode sum
 instead of the packaged erfc-split Ewald green function, and the matrix
 exponential of the master equation's generator instead of Euler steps,
+the witness ensembles written out line by line instead of one call,
 and Python's csv module, one formatted cell at a time, instead of one
 np.savetxt call over the stacked columns.
 """
@@ -416,6 +417,22 @@ def erf_pair_potential(d: float, G: float, m1: float, m2: float, sigma: float,
     for smeared feedback."""
     width = sigma * np.sqrt(2.0) if smeared else sigma
     return -G * m1 * m2 * erf_profile(d, width)
+
+
+# -- linearity witness ensembles ------------------------------------------------
+
+def inline_cat_ensembles(a: np.ndarray, b: np.ndarray):
+    """The superposition and mixture ensembles on normalized a and b, built
+    line by line as the linearity command and demo built them before
+    analysis.cat_ensembles: the bit-for-bit reference."""
+    # orthonormalize so superposition and mixture prepare the same average exactly
+    b = b - (a.conj() @ b) * a
+    b = b / np.linalg.norm(b)
+    plus = (a + b) / np.sqrt(2.0)
+    minus = (a - b) / np.sqrt(2.0)
+    ens_sup = [(0.5, plus), (0.5, minus)]
+    ens_mix = [(0.5, a), (0.5, b)]
+    return ens_sup, ens_mix
 
 
 # -- output files -------------------------------------------------------------

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from collapsesim import (LatticeGrid, ParticleSet, build_model, combined_step,
                          closed_form_rate, decoherence_profile,
                          fit_offdiagonal_decay, kappa_scan, linearity_witness,
                          pair_potential_curve, run_ensemble, trace_distance)
-from collapsesim.analysis import backaction_prefactor_report, united_dp_rate
+from collapsesim.analysis import backaction_prefactor_report, cat_ensembles, united_dp_rate
 from collapsesim.kernels import periodic_image_correction
 from collapsesim.models import ModelSpec
 
 from oracles import (delta_inverse_r_squared_integral, erf_pair_potential,
-                     periodic_delta_phi_squared)
+                     inline_cat_ensembles, periodic_delta_phi_squared)
 
 
 def me_offdiagonal_series(model, rho0, x, y, dt, steps):
@@ -176,6 +178,28 @@ class TestKappaScan:
         rows, _ = kappa_scan(spec, kappas, 3, axis=1)
         assert len(calls) == 1
         assert [r for _, r in rows] == [float(w) for w in want]
+
+
+def density(ensemble):
+    return sum(w * np.outer(p, p.conj()) for w, p in ensemble)
+
+
+class TestCatEnsembles:
+    @settings(max_examples=100, deadline=None)
+    @given(parts=st.integers(2, 16).flatmap(lambda n: arrays(
+        np.float64, (4, n), elements=st.floats(-1.0, 1.0))))
+    def test_equals_inline_construction_bitwise(self, parts):
+        # the one library construction gives the bytes of the inline one it replaced
+        a, b = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+        assume(min(np.linalg.norm(a), np.linalg.norm(b)) > 1e-3)
+        a = a / np.linalg.norm(a)
+        assume(np.linalg.norm(b - (a.conj() @ b) * a) > 0.1 * np.linalg.norm(b))
+        ours, reference = cat_ensembles(a, b), inline_cat_ensembles(a, b)
+        for got, want in zip(ours, reference):
+            assert [w for w, _ in got] == [w for w, _ in want] == [0.5, 0.5]
+            assert all(p.tobytes() == q.tobytes() for (_, p), (_, q) in zip(got, want))
+        # superposition and mixture prepare one density matrix
+        np.testing.assert_allclose(density(ours[0]), density(ours[1]), rtol=0, atol=1e-15)
 
 
 class TestLinearityWitness:

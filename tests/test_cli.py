@@ -5,6 +5,7 @@ import json
 import logging
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +268,20 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert key in err and shown in err
+        assert not (tmp_path / "out").exists()
+
+    def test_dp_strength_that_overflows_the_kernel_exit_2(self, tmp_path, capsys):
+        # G = 5e-324 passes G > 0, but k^2 / (4 pi kappa G) is inf: a
+        # conditional run went on with nan rates
+        data = base_config(model={"kind": "dp", "G": 5.0e-324})
+        cfg = write_config(tmp_path / "run.yaml", data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: invalid configuration:"]
+        assert "model: dp strength kappa G = 2.0 x 5e-324 overflows" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("block, key, shown", [
@@ -690,6 +705,16 @@ class TestWriter:
 
 
 class TestPresets:
+    @pytest.mark.parametrize("argv, digest", [
+        (["presets"], "ccc17bcb29c596fd69c87aeee443126c1f324026a9ae3a3c82bbdd1e6a0ab253"),
+        (["presets", "--json"],
+         "6089fa93670c46881351e4ff9d9e111d60eee81f796a0b70e0060cd5051dbe63"),
+    ], ids=["text", "json"])
+    def test_stdout_bytes(self, capsys, argv, digest):
+        # frozen SHA-256 of the SI-to-lattice mapping as printed
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_text_lists_sigma_values(self, capsys):
         assert main(["presets"]) == 0
         out = capsys.readouterr().out

@@ -829,6 +829,25 @@ class TestExactMaster:
         got = exact_master(np.zeros_like(mon.pair_rate), mon, fb, b, rho0, 0.7)
         np.testing.assert_allclose(got, np.exp(-0.7 * D) * rho0, rtol=0, atol=1e-14)
 
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 4), observables=st.integers(1, 3), hamiltonian=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_averaged_map_is_completely_positive(self, n, observables, hamiltonian, seed):
+        # the noise-averaged map at t = 0.7 is a quantum channel: its Choi matrix
+        # sum_ij E_ij (x) Phi(E_ij) over the n^2 matrix units is positive
+        # semidefinite (at H = 0 it is rank-deficient, so its floor is rounding)
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((observables, observables))
+        kernel = MatrixKernel(a @ a.T + 0.05 * np.eye(observables))
+        mon = MonitoringSpec(family=rng.standard_normal((observables, n)), kernel=kernel)
+        fb = FeedbackSpec(family=rng.standard_normal((observables, n)), kernel=kernel)
+        H = rng.standard_normal((n, n)) if hamiltonian else np.zeros((n, n))
+        units = np.eye(n * n).reshape(n * n, n, n)
+        choi = sum(np.kron(e, exact_master(H + H.T, mon, fb, fb.backaction_diagonal(mon), e,
+                                           0.7)) for e in units)
+        w = np.linalg.eigvalsh(choi)
+        assert w[0] >= -1e-12 * w[-1], (w[0], w[-1])
+
 
 class TestSseStep:
     def test_norm_exactly_one(self, rng):

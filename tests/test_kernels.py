@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,12 @@ class TestSmear:
         grid = LatticeGrid((8,), 1.0)
         f = rng.standard_normal(8)
         np.testing.assert_array_equal(smear(f, grid, 0.0), f)
+
+    @pytest.mark.parametrize("sigma", [-0.5, np.nan, np.inf])
+    def test_width_not_finite_and_nonnegative_raises(self, sigma):
+        # nan and inf gave all-nan fields
+        with pytest.raises(ValueError, match="smearing width must be finite and >= 0"):
+            smear(np.ones(8), LatticeGrid((8,), 1.0), sigma)
 
     def test_gaussian_semigroup(self, rng):
         grid = LatticeGrid((16, 16), 0.5)
@@ -145,6 +154,15 @@ class TestSampleNoise:
         per_step = np.stack([spec.conditioning_field(block[t]) for t in range(steps)])
         assert spec.conditioning_field(block).tobytes() == per_step.tobytes()
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["csl", "dp", "matrix"])
+    def test_dt_not_positive_and_finite_raises(self, kind, dt):
+        # the rule run_ensemble applies: nan gave nan noise, inf gave zeros
+        kern = (MatrixKernel([[2.0, 0.3], [0.3, 1.0]]) if kind == "matrix" else
+                CorrelationKernel(kind, LatticeGrid((4,), 1.0), gamma=0.7, kappa=2.0, G=0.3))
+        with pytest.raises(ValueError, match="dt must be a positive finite number"):
+            kern.sample_noise(dt, np.random.Generator(np.random.Philox(1)))
+
     def test_dp_covariance_matches_inverse_kernel(self):
         # Monte Carlo covariance oracle against gamma^-1 / dt
         grid = LatticeGrid((6,), 1.0)
@@ -217,6 +235,24 @@ class TestKernelInvariants:
         # finite and > 0, and one it does not read may be left out
         with pytest.raises(ValueError, match="strength"):
             CorrelationKernel(kind, LatticeGrid((4,), 1.0), **params)
+
+    @pytest.mark.parametrize("kind, params, shown", [
+        ("dp", dict(kappa=2.0, G=5e-324), "dp strength kappa G = 2.0 x 5e-324 overflows the "
+         "kernel's inverse multiplier"),
+        ("dp", dict(kappa=2.0, G=1e-310), "dp strength kappa G = 2.0 x 1e-310 overflows the "
+         "kernel's inverse multiplier"),
+        ("dp", dict(kappa=1e308, G=10.0), "dp strength kappa G = 1e+308 x 10.0 overflows the "
+         "kernel's multiplier"),
+        ("csl", dict(gamma=5e-324), "csl strength gamma = 5e-324 overflows the kernel's "
+         "inverse multiplier"),
+    ], ids=["dp-G-5e-324", "dp-G-1e-310", "dp-kappa-1e308", "csl-gamma-5e-324"])
+    def test_strength_that_overflows_a_multiplier_raises(self, kind, params, shown):
+        # finite and > 0, yet 4 pi kappa G or its inverse, or 1/gamma, is not finite;
+        # such a kernel would trip the step guard, or feed nan rates to a run
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is reported by the error alone
+            with pytest.raises(ValueError, match=re.escape(shown)):
+                CorrelationKernel(kind, LatticeGrid((2,), 1.0), **params)
 
     def test_multipliers_nonnegative(self):
         grid = LatticeGrid((6, 6), 1.0)
